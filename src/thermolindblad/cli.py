@@ -23,6 +23,7 @@ from .config import (
     RunConfig,
     SchemaError,
     TOLERANCE_NAMES,
+    check_state_literal,
     load_config,
     resolve_state,
 )
@@ -173,12 +174,7 @@ def _run_evolve(cfg, tolerances, seed, out_dir):
 
 def _resolve_env_state(comp, h_env):
     if isinstance(comp.env_state, np.ndarray):
-        state = comp.env_state.astype(complex)
-        if abs(np.trace(state) - 1) > 1e-9:
-            raise PhysicsError("env_state literal must have unit trace")
-        if np.linalg.eigvalsh((state + state.conj().T) / 2).min() < -1e-9:
-            raise PhysicsError("env_state literal must be positive semidefinite")
-        return state
+        return check_state_literal(comp.env_state, "env_state")
     if comp.env_state == "thermal":
         return presets.thermal_state(h_env, comp.env_beta)
     # equal superposition of the two lowest environment levels: stationary

@@ -285,15 +285,24 @@ class TauScan:
         return float(np.linalg.norm(self.xi))
 
 
+def _contour_coefficients(model, rho_s, orders, radius, points):
+    """Taylor coefficients of Delta(tau)[rho_S] for several orders from one
+    set of samples on the contour."""
+    thetas = [2 * math.pi * j / points for j in range(points)]
+    samples = [model.defect_state(radius * cmath.exp(1j * theta), rho_s) for theta in thetas]
+    coefficients = []
+    for order in orders:
+        acc = np.zeros((model.n_sys, model.n_sys), dtype=complex)
+        for theta, sample in zip(thetas, samples):
+            acc += sample * cmath.exp(-1j * order * theta)
+        coefficients.append(acc / (points * radius**order))
+    return coefficients
+
+
 def contour_coefficient(model, rho_s, order, radius=0.1, points=32):
     """Taylor coefficient of Delta(tau)[rho_S] at tau=0 by Cauchy integral
     over a circle of the given radius in complex time."""
-    acc = np.zeros((model.n_sys, model.n_sys), dtype=complex)
-    for j in range(points):
-        theta = 2 * math.pi * j / points
-        tau = radius * cmath.exp(1j * theta)
-        acc += model.defect_state(tau, rho_s) * cmath.exp(-1j * order * theta)
-    return acc / (points * radius**order)
+    return _contour_coefficients(model, rho_s, (order,), radius, points)[0]
 
 
 def expansion_trace_formulas(model, rho_s):
@@ -390,9 +399,7 @@ def tau_expansion(model, rho_s, taus=None, contour_radius=0.1, contour_points=32
         slope = math.nan
     else:
         slope = _loglog_slope(taus, defects)
-    c2 = contour_coefficient(model, rho_s, 2, contour_radius, contour_points)
-    c3 = contour_coefficient(model, rho_s, 3, contour_radius, contour_points)
-    c4 = contour_coefficient(model, rho_s, 4, contour_radius, contour_points)
+    c2, c3, c4 = _contour_coefficients(model, rho_s, (2, 3, 4), contour_radius, contour_points)
     _, upsilon, xi = expansion_trace_formulas(model, rho_s)
     return TauScan(
         taus=taus,

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import presets
 from .composite import DEFAULT_TAU_GRID
+from .dynamics import check_density_matrix
 
 EXPERIMENTS = ("build", "validate", "evolve", "theorem1", "tau-scan", "transport")
 
@@ -232,16 +233,20 @@ def _parse_state(value, path):
     return parse_matrix(value, path, hermitian=True)
 
 
+def check_state_literal(state, name):
+    """A density-matrix literal from a config, validated; PhysicsError if
+    it is not a density matrix."""
+    try:
+        return check_density_matrix(state)
+    except ValueError as exc:
+        raise PhysicsError(f"{name} literal: {exc}") from None
+
+
 def resolve_state(spec, hamiltonian, beta):
     """Turn a state spec (preset name or matrix) into a density matrix in
     the eigenbasis conventions of the given Hamiltonian."""
     if isinstance(spec, np.ndarray):
-        state = spec.astype(complex)
-        if abs(np.trace(state) - 1) > 1e-9:
-            raise PhysicsError("initial state literal must have unit trace")
-        if np.linalg.eigvalsh((state + state.conj().T) / 2).min() < -1e-9:
-            raise PhysicsError("initial state literal must be positive semidefinite")
-        return state
+        return check_state_literal(spec, "initial state")
     energies, vectors = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
     n = len(energies)
     if spec == "ground":

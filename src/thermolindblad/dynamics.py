@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .generator import ThermoSpec, build_restricted_generator, kms_rates
-from .liouville import devectorize, vectorize
+from .liouville import assemble_superop, devectorize, eigenoperator_basis, vectorize
 
 log = logging.getLogger(__name__)
 
@@ -21,7 +21,9 @@ class Propagator:
 
     Uses the eigendecomposition of L when its eigenvector matrix is well
     conditioned (cond < 1e8) and falls back to scaling-and-squaring
-    otherwise.  Both routes agree to 1e-10 on diagonalizable input.
+    otherwise.  Both routes agree to 1e-10 on diagonalizable input.  The
+    eigenvalues and the eigenvector condition number are kept on either
+    route, so audits can read the spectrum without decomposing L again.
     """
 
     def __init__(self, superoperator):
@@ -35,10 +37,10 @@ class Propagator:
             cond = math.inf
         if not math.isfinite(cond):
             cond = math.inf
+        self.eigenvalues = evals
         self.condition_number = cond
         self.diagonalizable = cond < _DIAGONALIZABLE_COND
         if self.diagonalizable:
-            self._evals = evals
             self._evecs = evecs
             self._inv = np.linalg.inv(evecs)
         else:
@@ -46,7 +48,7 @@ class Propagator:
 
     def __call__(self, t):
         if self.diagonalizable:
-            return (self._evecs * np.exp(self._evals * t)) @ self._inv
+            return (self._evecs * np.exp(self.eigenvalues * t)) @ self._inv
         return scipy.linalg.expm(self.superoperator * t)
 
 
@@ -57,7 +59,9 @@ class Trajectory:
     hermitization_defects: np.ndarray = field(repr=False)
 
 
-def _check_density_matrix(rho, tol=1e-10):
+def check_density_matrix(rho, tol=1e-10):
+    """Validate a density matrix (square, Hermitian, unit trace, PSD, each
+    within tol) and return its Hermitian part; raises ValueError."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state must be square, got shape {rho.shape}")
@@ -81,7 +85,7 @@ def propagate(superoperator, rho0, times):
     """
     if hasattr(superoperator, "superoperator") and not isinstance(superoperator, Propagator):
         superoperator = superoperator.superoperator
-    rho0 = _check_density_matrix(rho0)
+    rho0 = check_density_matrix(rho0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     prop = superoperator if isinstance(superoperator, Propagator) else Propagator(superoperator)
     v0 = vectorize(rho0)
@@ -95,6 +99,13 @@ def propagate(superoperator, rho0, times):
     if defects.size and defects.max() > 1e-12:
         log.debug("max hermitization defect along trajectory: %.3e", defects.max())
     return Trajectory(times=times, states=states, hermitization_defects=defects)
+
+
+def null_dimension(svals, rel_tol=1e-10):
+    """Number of singular values (descending) at or below rel_tol times the
+    largest one."""
+    smax = svals[0] if svals.size else 0.0
+    return int(np.sum(svals <= rel_tol * max(smax, 1e-300)))
 
 
 @dataclass
@@ -116,8 +127,8 @@ def steady_state(superoperator, null_tol=1e-10):
         superoperator = superoperator.superoperator
     l_mat = np.asarray(superoperator, dtype=complex)
     _, svals, vh = np.linalg.svd(l_mat)
-    smax = svals[0] if svals.size else 0.0
-    null_dim = int(np.sum(svals <= null_tol * max(smax, 1e-300)))
+    smax = svals[0]
+    null_dim = null_dimension(svals, null_tol)
     if null_dim == 0:
         raise np.linalg.LinAlgError(
             f"no stationary state found: smallest singular value {svals[-1]:.3e} "
@@ -224,8 +235,6 @@ def build_transport_model(hamiltonian, baths, degeneracy_tol=None):
         raise ValueError("at least one bath is required")
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     generators = []
-    from .liouville import assemble_superop, eigenoperator_basis
-
     basis = eigenoperator_basis(hamiltonian, degeneracy_tol)
     for bath in baths:
         spec = ThermoSpec(

@@ -18,9 +18,9 @@ import numpy as np
 from .liouville import (
     EigenoperatorBasis,
     assemble_superop,
+    change_basis,
+    choi_matrix,
     eigenoperator_basis,
-    hs_inner,
-    hs_norm,
 )
 
 __all__ = [
@@ -318,7 +318,9 @@ def gks_from_map(map_family, basis, epsilon=1e-5):
 
     The generator is estimated by Richardson-extrapolated central
     differences at epsilon and epsilon/2, then projected onto the
-    sandwich basis S_i . S_j^dag built from the eigenoperator basis.
+    sandwich basis S_i . S_j^dag built from the eigenoperator basis.  The
+    projection tr((S_j^* kron S_i)^dag L) equals entry (i, j) of the
+    generator's Choi matrix in that basis.
     """
     n = basis.n_levels
     dim2 = n * n
@@ -336,15 +338,11 @@ def gks_from_map(map_family, basis, epsilon=1e-5):
     l_est = (4.0 * central(epsilon / 2) - central(epsilon)) / 3.0
 
     ops = basis.full_basis()  # identity is the last element
-    b = np.empty((dim2, dim2), dtype=complex)
-    for i in range(dim2):
-        for j in range(dim2):
-            probe = np.kron(ops[j].conj(), ops[i])
-            b[i, j] = np.trace(probe.conj().T @ l_est)
+    b = change_basis(choi_matrix(l_est), ops)
 
     d = dim2 - 1
     a = b[:d, :d].copy()
-    f_op = sum(b[i, d] * ops[i] for i in range(d)) / np.sqrt(n)
+    f_op = np.tensordot(b[:d, d], ops[:d], axes=1) / np.sqrt(n)
     hamiltonian = (f_op.conj().T - f_op) / 2j
 
     herm_defect = float(np.linalg.norm(a - a.conj().T))

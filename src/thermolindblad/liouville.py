@@ -103,6 +103,28 @@ def conjugation_superop(u):
     return np.kron(u.conj(), u)
 
 
+def change_basis(superoperator, ops):
+    """Matrix B^dag M B of a superoperator M in an operator basis.
+
+    Column k of B is vectorize(ops[k]), so entry (i, j) is the
+    Hilbert-Schmidt inner product tr(ops[i]^dag M[ops[j]]).
+    """
+    b = np.stack([vectorize(op) for op in ops], axis=1)
+    return b.conj().T @ np.asarray(superoperator, dtype=complex) @ b
+
+
+def choi_matrix(map_superoperator):
+    """Reshuffle a map superoperator into its Choi matrix.
+
+    Under column stacking, C[(i,k),(j,l)] = Lambda[(i,j),(k,l)]; the map is
+    completely positive iff C is positive semidefinite.
+    """
+    lam = np.asarray(map_superoperator, dtype=complex)
+    n = int(round(np.sqrt(lam.shape[0])))
+    t = lam.reshape((n, n, n, n), order="F")
+    return t.transpose(0, 2, 1, 3).reshape((n * n, n * n), order="F")
+
+
 @dataclass
 class Spectrum:
     """Eigendecomposition of a Hermitian operator, energies ascending."""

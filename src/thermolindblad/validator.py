@@ -2,20 +2,17 @@
 
 Each check returns a CheckResult whose pass verdict is defect <= threshold;
 what the defect measures is stated per check.  run_standard_checks bundles
-the full battery and honors the THERMO_LINDBLAD_THREADS cap for parallel
-evaluation.
+the full battery and shares one eigendecomposition of L between its checks.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Propagator, relative_entropy
-from .liouville import assemble_superop, devectorize, hs_inner, vectorize
+from .dynamics import _DIAGONALIZABLE_COND, Propagator, null_dimension, relative_entropy
+from .liouville import assemble_superop, change_basis, choi_matrix, vectorize
 from .presets import thermal_state
 
 DEFAULT_THRESHOLDS = {
@@ -31,7 +28,6 @@ DEFAULT_THRESHOLDS = {
 CPTP_TIME_GRID = (1e-3, 1e-1, 1.0, 10.0, 100.0)
 
 _RATE_FLOOR = 1e-300
-_COND_NEAR_DEFECTIVE = 1e8
 _STABILITY_TOL = 1e-10
 _POPULATION_REALITY_TOL = 1e-9
 
@@ -65,6 +61,10 @@ def _superop_of(obj):
     return obj.superoperator if hasattr(obj, "superoperator") else np.asarray(obj, dtype=complex)
 
 
+def _propagator_of(obj):
+    return obj if isinstance(obj, Propagator) else Propagator(_superop_of(obj))
+
+
 def check_commutation(superoperator, hamiltonian, threshold=None):
     """Relative Frobenius defect of [free-evolution superoperator, L]."""
     threshold = DEFAULT_THRESHOLDS["commutation"] if threshold is None else threshold
@@ -84,12 +84,6 @@ def check_commutation(superoperator, hamiltonian, threshold=None):
     )
 
 
-def _null_dimension(l_mat, rel_tol=1e-10):
-    svals = np.linalg.svd(l_mat, compute_uv=False)
-    smax = svals[0] if svals.size else 0.0
-    return int(np.sum(svals <= rel_tol * max(smax, _RATE_FLOOR)))
-
-
 def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     """Residual norm of L applied to the Gibbs state at inverse temperature
     beta, with a zeroth-law uniqueness flag from the null-space dimension."""
@@ -97,7 +91,7 @@ def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     l_mat = _superop_of(superoperator)
     rho_th = thermal_state(hamiltonian, beta)
     defect = float(np.linalg.norm(l_mat @ vectorize(rho_th)))
-    null_dim = _null_dimension(l_mat)
+    null_dim = null_dimension(np.linalg.svd(l_mat, compute_uv=False))
     return CheckResult(
         name="fixed_point",
         passed=defect <= threshold,
@@ -107,29 +101,17 @@ def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     )
 
 
-def choi_matrix(map_superoperator):
-    """Reshuffle a map superoperator into its Choi matrix.
-
-    Under column stacking, C[(i,k),(j,l)] = Lambda[(i,j),(k,l)]; the map is
-    completely positive iff C is positive semidefinite.
-    """
-    lam = np.asarray(map_superoperator, dtype=complex)
-    n = int(round(np.sqrt(lam.shape[0])))
-    t = lam.reshape((n, n, n, n), order="F")
-    return t.transpose(0, 2, 1, 3).reshape((n * n, n * n), order="F")
-
-
 def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
     """Complete positivity (Choi spectrum) and trace preservation of
-    exp(L t) across a time grid; the defect is the worst violation."""
+    exp(L t) across a time grid; the defect is the worst violation.
+    superoperator may be a Propagator, whose decomposition is then reused."""
     threshold = DEFAULT_THRESHOLDS["cptp"] if threshold is None else threshold
-    l_mat = _superop_of(superoperator)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("complete positivity is only audited at t >= 0")
-    n2 = l_mat.shape[0]
+    prop = _propagator_of(superoperator)
+    n2 = prop.superoperator.shape[0]
     eye_vec = vectorize(np.eye(int(round(np.sqrt(n2)))))
-    prop = Propagator(l_mat)
     min_eigs, tp_defects = [], []
     for t in times:
         lam = prop(t)
@@ -161,12 +143,12 @@ def check_spectral(superoperator, basis=None, threshold=None):
     condition number against 1e8 (near-defectiveness), max real part of
     the spectrum against 1e-10, and, when an eigenoperator basis is
     supplied, the largest imaginary part of the population-block
-    eigenvalues against 1e-9.  Raw numbers live in details.
+    eigenvalues against 1e-9.  Raw numbers live in details.  The spectrum
+    is read from a Propagator, built here unless superoperator is one.
     """
     threshold = DEFAULT_THRESHOLDS["spectral"] if threshold is None else threshold
-    l_mat = _superop_of(superoperator)
     try:
-        evals, evecs = np.linalg.eig(l_mat)
+        prop = _propagator_of(superoperator)
     except np.linalg.LinAlgError as exc:
         # an eigensolver failure is inconclusive, never a pass
         return CheckResult(
@@ -176,27 +158,18 @@ def check_spectral(superoperator, basis=None, threshold=None):
             threshold=threshold,
             details={"inconclusive": True, "error": str(exc)},
         )
-    try:
-        cond = float(np.linalg.cond(evecs))
-    except np.linalg.LinAlgError:
-        cond = math.inf
-    if not math.isfinite(cond):
-        cond = math.inf
+    cond = prop.condition_number
+    evals = prop.eigenvalues
     max_re = float(evals.real.max())
-    ratios = [cond / _COND_NEAR_DEFECTIVE, max_re / _STABILITY_TOL]
+    ratios = [cond / _DIAGONALIZABLE_COND, max_re / _STABILITY_TOL]
     details = {
         "condition_number": cond,
-        "near_defective": not cond < _COND_NEAR_DEFECTIVE,
+        "near_defective": not prop.diagonalizable,
         "max_real_part": max_re,
         "eigenvalues": evals,
     }
     if basis is not None:
-        projectors = basis.projectors
-        block = np.empty((len(projectors), len(projectors)), dtype=complex)
-        for j, pj in enumerate(projectors):
-            image = devectorize(l_mat @ vectorize(pj))
-            for i, pi in enumerate(projectors):
-                block[i, j] = hs_inner(pi, image)
+        block = change_basis(prop.superoperator, basis.projectors)
         pop_evals = np.linalg.eigvals(block)
         pop_imag = float(np.abs(pop_evals.imag).max())
         details["population_eigenvalues"] = pop_evals
@@ -213,18 +186,12 @@ def check_spectral(superoperator, basis=None, threshold=None):
 
 
 def _support_mask(basis):
-    n_tr = len(basis.transitions)
-    size = n_tr + len(basis.invariants)
-    allowed = np.zeros((size, size), dtype=bool)
-    allowed[n_tr:, n_tr:] = True
-    group_of = {}
+    # one label per basis operator: its degeneracy group for a transition,
+    # -1 for every invariant, so the invariant sector is one block
+    labels = np.full(len(basis.transitions) + len(basis.invariants), -1)
     for gid, group in enumerate(basis.degeneracy_groups):
-        for k in group:
-            group_of[k] = gid
-    for i in range(n_tr):
-        for j in range(n_tr):
-            allowed[i, j] = group_of[i] == group_of[j]
-    return allowed
+        labels[group] = gid
+    return labels[:, None] == labels[None, :]
 
 
 def check_structure_support(dissipator, basis, threshold=None):
@@ -235,14 +202,7 @@ def check_structure_support(dissipator, basis, threshold=None):
     sector; the defect is the Frobenius norm of everything else.
     """
     threshold = DEFAULT_THRESHOLDS["structure_support"] if threshold is None else threshold
-    d_mat = np.asarray(dissipator, dtype=complex)
-    ops = basis.full_basis()
-    size = len(ops)
-    overlap = np.empty((size, size), dtype=complex)
-    for j, sj in enumerate(ops):
-        image = devectorize(d_mat @ vectorize(sj))
-        for i, si in enumerate(ops):
-            overlap[i, j] = hs_inner(si, image)
+    overlap = change_basis(dissipator, basis.full_basis())
     allowed = _support_mask(basis)
     disallowed = overlap[~allowed]
     defect = float(np.linalg.norm(disallowed))
@@ -343,43 +303,21 @@ def spohn_monitor(trajectory, reference, slack=None):
     return series, result
 
 
-def _thread_cap():
-    raw = os.environ.get("THERMO_LINDBLAD_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_standard_checks(generator, times=CPTP_TIME_GRID, thresholds=None, max_workers=None, label=""):
+def run_standard_checks(generator, times=CPTP_TIME_GRID, thresholds=None, label=""):
     """Run the full audit battery on a constructed generator.
 
-    thresholds maps check names to overrides.  Checks may run in parallel
-    up to THERMO_LINDBLAD_THREADS (or max_workers); results are merged in
-    a fixed order so reports are deterministic.
+    thresholds maps check names to overrides.  One Propagator serves both
+    check_cptp and check_spectral, so L is eigendecomposed once per audit.
     """
     th = dict(thresholds or {})
     l_mat = generator.superoperator
-    jobs = {
-        "commutation": lambda: check_commutation(l_mat, generator.hamiltonian, th.get("commutation")),
-        "fixed_point": lambda: check_fixed_point(
-            l_mat, generator.hamiltonian, generator.beta, th.get("fixed_point")
-        ),
-        "cptp": lambda: check_cptp(l_mat, times, th.get("cptp")),
-        "spectral": lambda: check_spectral(l_mat, generator.basis, th.get("spectral")),
-        "structure_support": lambda: check_structure_support(
-            generator.dissipator, generator.basis, th.get("structure_support")
-        ),
-        "detailed_balance": lambda: check_detailed_balance(
-            generator, threshold=th.get("detailed_balance")
-        ),
-    }
-    order = list(jobs)
-    workers = _thread_cap() if max_workers is None else max(1, int(max_workers))
-    if workers == 1:
-        results = {name: job() for name, job in jobs.items()}
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(job) for name, job in jobs.items()}
-            results = {name: fut.result() for name, fut in futures.items()}
-    return ValidationReport(checks=[results[name] for name in order], generator_label=label)
+    prop = Propagator(l_mat)
+    checks = [
+        check_commutation(l_mat, generator.hamiltonian, th.get("commutation")),
+        check_fixed_point(l_mat, generator.hamiltonian, generator.beta, th.get("fixed_point")),
+        check_cptp(prop, times, th.get("cptp")),
+        check_spectral(prop, generator.basis, th.get("spectral")),
+        check_structure_support(generator.dissipator, generator.basis, th.get("structure_support")),
+        check_detailed_balance(generator, threshold=th.get("detailed_balance")),
+    ]
+    return ValidationReport(checks=checks, generator_label=label)

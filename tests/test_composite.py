@@ -283,6 +283,27 @@ def test_mean_field_of_product_coupling():
     assert np.allclose(model.mean_field_hamiltonian(), expected, atol=1e-13)
 
 
+class CountingModel(CompositeModel):
+    def __post_init__(self):
+        super().__post_init__()
+        self.reduced_map_calls = 0
+
+    def reduced_map(self, tau):
+        self.reduced_map_calls += 1
+        return super().reduced_map(tau)
+
+
+def test_tau_expansion_samples_each_contour_point_once():
+    base = nonconserving_model()
+    model = CountingModel(base.system_hamiltonian, base.env_hamiltonian, base.coupling, base.env_state)
+    rho_s = superposition_state()
+    scan = tau_expansion(model, rho_s, contour_points=32)
+    assert model.reduced_map_calls == len(scan.taus) + 32
+    # the shared samples give every order what the one-order call gives
+    for order, coefficient in zip((2, 3, 4), (scan.coefficient_two, scan.coefficient_three, scan.coefficient_four)):
+        assert np.array_equal(coefficient, contour_coefficient(model, rho_s, order))
+
+
 def test_contour_matches_finite_difference_ratio():
     # the tau^3 coefficient from the contour must reproduce the measured
     # defect at small tau

@@ -249,6 +249,20 @@ def test_negative_rate_exits_with_physics_code(tmp_path):
     assert main(["validate", "--config", path]) == 3
 
 
+def test_non_psd_env_state_literal_exits_with_physics_code(tmp_path, capsys):
+    payload = minimal_config(experiment="tau-scan", tau_scan={"env_state": [[1.5, 0.0], [0.0, -0.5]]})
+    path = write_config(tmp_path, payload)
+    assert main(["tau-scan", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "env_state literal" in capsys.readouterr().err
+
+
+def test_unnormalized_tau_scan_initial_state_exits_with_physics_code(tmp_path, capsys):
+    payload = minimal_config(experiment="tau-scan", tau_scan={"initial_state": [[0.6, 0.0], [0.0, 0.6]]})
+    path = write_config(tmp_path, payload)
+    assert main(["tau-scan", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "initial state literal" in capsys.readouterr().err
+
+
 def test_negative_seed_rejected(tmp_path):
     path = write_config(tmp_path, minimal_config())
     assert main(["validate", "--config", path, "--seed", "-4"]) == 2

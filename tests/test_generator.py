@@ -300,6 +300,28 @@ def test_gks_of_unitary_family_is_zero():
     assert np.allclose(coeffs.hamiltonian, h - np.trace(h) / 2 * np.eye(2), atol=1e-7)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gks_matches_kron_trace_formula(n, rng):
+    h = presets.random_hermitian(n, rng)
+    basis = eigenoperator_basis(h)
+    l_mat = -1j * assemble_superop("commutator", h) + sum(
+        assemble_superop("dissipator_term", rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for _ in range(2)
+    )
+    # a family linear in t makes the Richardson estimate exact at epsilon = 1
+    coeffs = gks_from_map(lambda t: np.eye(n * n) + t * l_mat, basis, epsilon=1.0)
+
+    ops = basis.full_basis()
+    b = np.array(
+        [[np.trace(np.kron(sj.conj(), si).conj().T @ l_mat) for sj in ops] for si in ops]
+    )
+    d = n * n - 1
+    f_op = sum(b[i, d] * ops[i] for i in range(d)) / np.sqrt(n)
+    scale = max(1.0, np.linalg.norm(l_mat))
+    assert np.max(np.abs(coeffs.a - b[:d, :d])) <= 1e-12 * scale
+    assert np.max(np.abs(coeffs.hamiltonian - (f_op.conj().T - f_op) / 2j)) <= 1e-12 * scale
+
+
 def test_gks_round_trip_recovers_rates(qubit_generator):
     from scipy.linalg import expm
 

@@ -15,6 +15,7 @@ from thermolindblad import (
     check_fixed_point,
     check_spectral,
     check_structure_support,
+    change_basis,
     choi_matrix,
     conjugation_superop,
     devectorize,
@@ -210,6 +211,17 @@ def test_spectral_flags_unstable_generator():
     assert result.details["max_real_part"] == pytest.approx(0.5)
 
 
+def test_spectral_eigensolver_failure_is_inconclusive(qubit_generator, monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    result = check_spectral(qubit_generator.superoperator, qubit_generator.basis)
+    assert not result.passed
+    assert result.defect == np.inf
+    assert result.details["inconclusive"]
+
+
 def test_spectral_on_pure_commutator():
     h = presets.qutrit(0.0, 1.0, 3.0)
     result = check_spectral(-1j * assemble_superop("commutator", h), eigenoperator_basis(h))
@@ -315,17 +327,100 @@ def test_map_level_contraction(qutrit_generator, rng):
 # -- orchestration -----------------------------------------------------------
 
 
-def test_parallel_checks_match_serial(qutrit_generator, monkeypatch):
-    serial = run_standard_checks(qutrit_generator, max_workers=1)
-    monkeypatch.setenv("THERMO_LINDBLAD_THREADS", "4")
-    parallel = run_standard_checks(qutrit_generator)
-    for a, b in zip(serial.checks, parallel.checks):
-        assert a.name == b.name
-        assert a.passed == b.passed
-        assert a.defect == b.defect
+def test_battery_decomposes_generator_once(qutrit_generator, monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(matrix):
+        calls.append(np.shape(matrix))
+        return eig(matrix)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    report = run_standard_checks(qutrit_generator)
+    assert report.passed
+    assert calls == [(9, 9)]
 
 
 def test_report_get_unknown_check(qubit_generator):
-    report = run_standard_checks(qubit_generator, max_workers=1)
+    report = run_standard_checks(qubit_generator)
     with pytest.raises(KeyError):
         report.get("no_such_check")
+
+
+# -- change of basis against the Hilbert-Schmidt loop -----------------------
+
+
+def reference_matrix(superop, ops):
+    """Entry (i, j) = tr(ops[i]^dag superop[ops[j]]), one inner product at a time."""
+    out = np.empty((len(ops), len(ops)), dtype=complex)
+    for j, sj in enumerate(ops):
+        image = devectorize(superop @ vectorize(sj))
+        for i, si in enumerate(ops):
+            out[i, j] = hs_inner(si, image)
+    return out
+
+
+def random_restricted(n, rng):
+    a = rng.normal(size=(n, n))
+    spec = ThermoSpec(
+        hamiltonian=presets.random_hermitian(n, rng),
+        beta=float(rng.uniform(0.5, 2.0)),
+        downward_rates={(i, j): float(rng.uniform(0.5, 1.5)) for i in range(n) for j in range(i + 1, n)},
+        alpha=a @ a.T / n,
+    )
+    return build_restricted_generator(spec)
+
+
+def ladder_with_mixing(n, rng):
+    spec = ThermoSpec(
+        hamiltonian=presets.ladder(n, 1.0),
+        beta=float(rng.uniform(0.5, 2.0)),
+        downward_rates={(i, j): float(rng.uniform(0.5, 1.5)) for i in range(n) for j in range(i + 1, n)},
+        degenerate_mixing={1.0: presets.random_unitary(n - 1, rng)},
+    )
+    return build_restricted_generator(spec)
+
+
+def foreign(n, rng):
+    """Random jump operators with no relation to the eigenbasis of H."""
+    h = presets.random_hermitian(n, rng)
+    diss = sum(
+        assemble_superop("dissipator_term", rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for _ in range(n)
+    )
+    return types.SimpleNamespace(
+        basis=eigenoperator_basis(h),
+        dissipator=diss,
+        superoperator=-1j * assemble_superop("commutator", h) + diss,
+    )
+
+
+@pytest.mark.parametrize("make", [random_restricted, ladder_with_mixing, foreign])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_basis_matrices_match_reference_loop(make, n, rng):
+    gen = make(n, rng)
+    basis = gen.basis
+    ops = basis.full_basis()
+    scale = max(1.0, np.linalg.norm(gen.superoperator))
+
+    overlap = reference_matrix(gen.dissipator, ops)
+    assert np.max(np.abs(change_basis(gen.dissipator, ops) - overlap)) <= 1e-12 * scale
+    allowed = np.ones((n * n, n * n), dtype=bool)
+    n_tr = len(basis.transitions)
+    for i in range(n * n):
+        for j in range(n * n):
+            if i < n_tr or j < n_tr:
+                allowed[i, j] = i < n_tr and j < n_tr and basis.group_of(i) == basis.group_of(j)
+    support = check_structure_support(gen.dissipator, basis)
+    assert support.defect == pytest.approx(np.linalg.norm(overlap[~allowed]), abs=1e-12 * scale)
+    assert support.details["on_support_norm"] == pytest.approx(
+        np.linalg.norm(overlap[allowed]), abs=1e-12 * scale
+    )
+
+    block = reference_matrix(gen.superoperator, basis.projectors)
+    assert np.max(np.abs(change_basis(gen.superoperator, basis.projectors) - block)) <= 1e-12 * scale
+    spectral = check_spectral(gen.superoperator, basis)
+    expected = np.linalg.eigvals(block)
+    distance = np.abs(spectral.details["population_eigenvalues"][:, None] - expected[None, :])
+    # conjugate pairs have equal real parts, so match nearest neighbours both ways
+    assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) <= 1e-12 * scale
