@@ -91,19 +91,14 @@ def _single_generator(cfg: RunConfig, command):
     return model.generators[0]
 
 
-def _sorted_eigenvalues(matrix):
-    evals = np.linalg.eigvals(matrix)
-    return evals[np.lexsort((evals.imag, -evals.real))]
-
-
-def _generator_summary(gen):
+def _generator_summary(gen, evals):
     return {
         "dim": gen.dim,
         "beta": gen.beta,
         "positive_bohr_frequencies": sorted({t.omega for t in gen.basis.transitions if t.omega > 0}),
         "jump_terms": [{"omega": t.omega, "rate": t.rate} for t in gen.jump_terms],
         "dephasing_weights": [t.weight for t in gen.dephasing_terms],
-        "eigenvalues": _sorted_eigenvalues(gen.superoperator),
+        "eigenvalues": evals[np.lexsort((evals.imag, -evals.real))],
         "dissipator_norm": float(np.linalg.norm(gen.dissipator)),
     }
 
@@ -120,13 +115,14 @@ def _check_payload(result: CheckResult):
 
 def _run_build(cfg, tolerances, seed, out_dir):
     gen = _single_generator(cfg, "build")
-    return {"generator": _generator_summary(gen)}, [], True
+    return {"generator": _generator_summary(gen, np.linalg.eigvals(gen.superoperator))}, [], True
 
 
 def _run_validate(cfg, tolerances, seed, out_dir):
     gen = _single_generator(cfg, "validate")
     report = run_standard_checks(gen, thresholds=tolerances)
-    return {"generator": _generator_summary(gen)}, report.checks, report.passed
+    evals = report.get("spectral").details["eigenvalues"]
+    return {"generator": _generator_summary(gen, evals)}, report.checks, report.passed
 
 
 def _run_evolve(cfg, tolerances, seed, out_dir):
@@ -143,19 +139,14 @@ def _run_evolve(cfg, tolerances, seed, out_dir):
     series, spohn = spohn_monitor(trajectory, reference, slack=tolerances.get("spohn"))
 
     n = gen.dim
-    header = ["t"]
-    for i in range(n):
-        for j in range(n):
-            header += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
-    header += ["S_rel", "trace_defect"]
-    rows = []
-    for k, state in enumerate(trajectory.states):
-        row = [trajectory.times[k]]
-        for i in range(n):
-            for j in range(n):
-                row += [state[i, j].real, state[i, j].imag]
-        row += [series[k][1], abs(np.trace(state).real - 1.0)]
-        rows.append(row)
+    entries = [f"rho_{part}_{i}{j}" for i in range(n) for j in range(n) for part in ("re", "im")]
+    header = ["t", *entries, "S_rel", "trace_defect"]
+    states = trajectory.states
+    interleaved = np.stack([states.real, states.imag], -1).reshape(len(states), -1)
+    rows = [
+        [t, *values, s_rel, abs(np.trace(state).real - 1.0)]
+        for (t, s_rel), values, state in zip(series, interleaved, states)
+    ]
     write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
 
     sections = {

@@ -124,16 +124,8 @@ class CompositeModel:
         phases = np.exp(-1j * self._total_evals * tau)
         return (self._total_evecs * phases) @ self._total_evecs.conj().T
 
-    def _total_inverse(self, tau):
-        phases = np.exp(1j * self._total_evals * tau)
-        return (self._total_evecs * phases) @ self._total_evecs.conj().T
-
     def system_unitary(self, tau):
         phases = np.exp(-1j * self._sys_evals * tau)
-        return (self._sys_evecs * phases) @ self._sys_evecs.conj().T
-
-    def _system_inverse(self, tau):
-        phases = np.exp(1j * self._sys_evals * tau)
         return (self._sys_evecs * phases) @ self._sys_evecs.conj().T
 
     def kraus_set(self, tau):
@@ -162,7 +154,7 @@ class CompositeModel:
         continues the map analytically off it.
         """
         u = self.total_unitary(tau)
-        uinv = self._total_inverse(tau)
+        uinv = self.total_unitary(-tau)
         u4 = u.reshape(self.n_sys, self.n_env, self.n_sys, self.n_env)
         v4 = uinv.reshape(self.n_sys, self.n_env, self.n_sys, self.n_env)
         chi = self._env_evecs
@@ -181,7 +173,7 @@ class CompositeModel:
         """Superoperator of the free system evolution at (possibly complex)
         time tau."""
         us = self.system_unitary(tau)
-        usinv = self._system_inverse(tau)
+        usinv = self.system_unitary(-tau)
         return np.kron(usinv.T, us)
 
     def defect_superoperator(self, tau):

@@ -51,11 +51,30 @@ class Propagator:
             return (self._evecs * np.exp(self.eigenvalues * t)) @ self._inv
         return scipy.linalg.expm(self.superoperator * t)
 
+    def apply(self, vec, times):
+        """exp(L t) vec for every t in times, as an (N^2, T) array; only the
+        expm route forms a full map per time."""
+        vec = np.asarray(vec, dtype=complex)
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if self.diagonalizable:
+            return self._evecs @ (np.exp(np.outer(self.eigenvalues, times)) * (self._inv @ vec)[:, None])
+        maps = [scipy.linalg.expm(self.superoperator * t) @ vec for t in times]
+        return np.array(maps, dtype=complex).reshape(times.size, vec.size).T
+
+
+def _superop_of(obj):
+    """The superoperator matrix of a generator, model, Propagator or array."""
+    return np.asarray(obj.superoperator if hasattr(obj, "superoperator") else obj, dtype=complex)
+
+
+def _propagator_of(obj):
+    return obj if isinstance(obj, Propagator) else Propagator(_superop_of(obj))
+
 
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: list = field(repr=False)
+    states: np.ndarray = field(repr=False)  # (T, N, N)
     hermitization_defects: np.ndarray = field(repr=False)
 
 
@@ -83,22 +102,16 @@ def propagate(superoperator, rho0, times):
     States are re-Hermitized as (rho + rho^dag)/2; the defect removed at
     each step is recorded in the trajectory.
     """
-    if hasattr(superoperator, "superoperator") and not isinstance(superoperator, Propagator):
-        superoperator = superoperator.superoperator
     rho0 = check_density_matrix(rho0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    prop = superoperator if isinstance(superoperator, Propagator) else Propagator(superoperator)
-    v0 = vectorize(rho0)
-    states = []
-    defects = np.empty(times.size)
-    for idx, t in enumerate(times):
-        rho = devectorize(prop(t) @ v0)
-        defect = float(np.linalg.norm(rho - rho.conj().T) / 2)
-        defects[idx] = defect
-        states.append((rho + rho.conj().T) / 2)
+    n = rho0.shape[0]
+    vecs = _propagator_of(superoperator).apply(vectorize(rho0), times)
+    states = vecs.T.reshape(-1, n, n).swapaxes(1, 2)  # column-stacked, as in devectorize
+    adjoints = states.conj().swapaxes(1, 2)
+    defects = np.linalg.norm(states - adjoints, axis=(1, 2)) / 2
     if defects.size and defects.max() > 1e-12:
         log.debug("max hermitization defect along trajectory: %.3e", defects.max())
-    return Trajectory(times=times, states=states, hermitization_defects=defects)
+    return Trajectory(times=times, states=(states + adjoints) / 2, hermitization_defects=defects)
 
 
 def null_dimension(svals, rel_tol=1e-10):
@@ -123,9 +136,7 @@ def steady_state(superoperator, null_tol=1e-10):
     null_tol * smax.  Raises LinAlgError when L has no null direction at
     that tolerance or the null direction is traceless.
     """
-    if hasattr(superoperator, "superoperator"):
-        superoperator = superoperator.superoperator
-    l_mat = np.asarray(superoperator, dtype=complex)
+    l_mat = _superop_of(superoperator)
     _, svals, vh = np.linalg.svd(l_mat)
     smax = svals[0]
     null_dim = null_dimension(svals, null_tol)
@@ -157,32 +168,32 @@ def heat_current(hamiltonian, dissipator, rho):
 def relative_entropy(rho, sigma, support_cutoff=1e-12):
     """Quantum relative entropy S(rho || sigma) = tr(rho ln rho - rho ln sigma).
 
-    Returns +inf when rho has weight above support_cutoff on the null
+    rho may be one state (returns a float) or a stack of states (...,
+    N, N) (returns an array); sigma is decomposed once either way.
+    Returns +inf where rho has weight above support_cutoff on the null
     space of sigma.  Eigenvalues are clipped at 1e-300 before logs.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
+    if rho.shape[-2:] != sigma.shape or sigma.ndim != 2:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    rho = (rho + rho.conj().T) / 2
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
     sigma = (sigma + sigma.conj().T) / 2
     p, u = np.linalg.eigh(rho)
     q, v = np.linalg.eigh(sigma)
     p = np.clip(p, 0.0, None)
 
     null_mask = q <= support_cutoff
-    if np.any(null_mask):
-        null_vecs = v[:, null_mask]
-        weight = float(np.real(np.einsum("ij,jk,ki->", null_vecs.conj().T, rho, null_vecs)))
-        if weight > support_cutoff:
-            return math.inf
+    null_vecs = v[:, null_mask]
+    weight = np.einsum("ji,...jk,ki->...", null_vecs.conj(), rho, null_vecs).real
 
-    entropy_term = float(np.sum(p[p > 0.0] * np.log(p[p > 0.0])))
+    entropy_term = np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
     keep = ~null_mask
-    overlaps = np.abs(u.conj().T @ v[:, keep]) ** 2
+    overlaps = np.abs(u.conj().swapaxes(-1, -2) @ v[:, keep]) ** 2
     log_q = np.log(np.clip(q[keep], 1e-300, None))
-    cross_term = float(p @ overlaps @ log_q)
-    return entropy_term - cross_term
+    cross_term = (p[..., None, :] @ overlaps @ log_q[:, None])[..., 0, 0]
+    result = np.where(weight > support_cutoff, math.inf, entropy_term - cross_term)
+    return float(result) if result.ndim == 0 else result
 
 
 @dataclass

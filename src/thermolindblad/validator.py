@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _DIAGONALIZABLE_COND, Propagator, null_dimension, relative_entropy
+from .dynamics import (
+    _DIAGONALIZABLE_COND,
+    Propagator,
+    _propagator_of,
+    _superop_of,
+    null_dimension,
+    relative_entropy,
+)
 from .liouville import assemble_superop, change_basis, choi_matrix, vectorize
 from .presets import thermal_state
 
@@ -55,14 +62,6 @@ class ValidationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-def _superop_of(obj):
-    return obj.superoperator if hasattr(obj, "superoperator") else np.asarray(obj, dtype=complex)
-
-
-def _propagator_of(obj):
-    return obj if isinstance(obj, Propagator) else Propagator(_superop_of(obj))
 
 
 def check_commutation(superoperator, hamiltonian, threshold=None):
@@ -283,16 +282,14 @@ def spohn_monitor(trajectory, reference, slack=None):
     (support violation) are marked inconclusive and skipped.
     """
     slack = DEFAULT_THRESHOLDS["spohn"] if slack is None else slack
-    entropies = [relative_entropy(state, reference) for state in trajectory.states]
-    series = list(zip([float(t) for t in trajectory.times], entropies))
-    inconclusive = [i for i, s in enumerate(entropies) if not math.isfinite(s)]
-    worst = 0.0
-    compared = 0
-    for k in range(len(entropies) - 1):
-        if k in inconclusive or (k + 1) in inconclusive:
-            continue
-        worst = max(worst, entropies[k + 1] - entropies[k])
-        compared += 1
+    entropies = relative_entropy(trajectory.states, reference)
+    series = list(zip([float(t) for t in trajectory.times], entropies.tolist()))
+    finite = np.isfinite(entropies)
+    inconclusive = np.flatnonzero(~finite).tolist()
+    steps = finite[:-1] & finite[1:]
+    rises = entropies[1:][steps] - entropies[:-1][steps]
+    worst = max(0.0, float(rises.max())) if rises.size else 0.0
+    compared = int(steps.sum())
     result = CheckResult(
         name="spohn",
         passed=worst <= slack,

@@ -208,6 +208,25 @@ def test_validate_command_passes(tmp_path):
     assert all(c["threshold"] > 0 for c in report["checks"])
 
 
+def test_validate_decomposes_generator_once(tmp_path, monkeypatch):
+    payload = minimal_config(system={"hamiltonian": "qutrit(0.0, 1.0, 3.0)"})
+    payload["baths"][0]["rates"] = {"0->1": 1.0, "0->2": 0.5, "1->2": 0.8}
+    path = write_config(tmp_path, payload)
+    calls = []
+    for name in ("eig", "eigvals"):
+        solver = getattr(np.linalg, name)
+
+        def counting(matrix, _solver=solver, _name=name):
+            calls.append((_name, np.shape(matrix)))
+            return _solver(matrix)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    # the spectral check's eig of L also feeds the generator summary; the
+    # only eigvals call is on the 3x3 population block
+    assert calls == [("eig", (9, 9)), ("eigvals", (3, 3))]
+
+
 def test_tol_override_can_force_failure(tmp_path):
     path = write_config(tmp_path, minimal_config())
     code = main(

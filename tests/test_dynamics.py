@@ -12,6 +12,7 @@ from thermolindblad import (
     build_restricted_generator,
     build_transport_model,
     check_commutation,
+    devectorize,
     heat_current,
     flat_rate,
     presets,
@@ -82,6 +83,57 @@ def test_trajectory_records_hermitization_defects(qubit_generator):
 def test_propagate_rejects_invalid_states(qubit_generator, rho0):
     with pytest.raises(ValueError):
         propagate(qubit_generator.superoperator, np.asarray(rho0, dtype=complex), [1.0])
+
+
+def random_generator(n, rng):
+    rates = {(i, j): float(rng.uniform(0.5, 1.5)) for i in range(n) for j in range(i + 1, n)}
+    spec = ThermoSpec(hamiltonian=presets.random_hermitian(n, rng), beta=1.0, downward_rates=rates)
+    return build_restricted_generator(spec)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_propagate_matches_full_map(n, rng):
+    gen = random_generator(n, rng)
+    rho0 = presets.random_density_matrix(n, rng)
+    times = np.linspace(0.0, 5.0, 11)
+    traj = propagate(gen, rho0, times)
+    prop = Propagator(gen.superoperator)
+    assert prop.diagonalizable
+    assert traj.states.shape == (times.size, n, n)
+    for t, state in zip(times, traj.states):
+        assert np.abs(state - devectorize(prop(t) @ vectorize(rho0))).max() < 1e-12
+
+
+def test_propagate_on_defective_generator_uses_expm():
+    # populations relax through a Jordan block, coherences decay at rate 2
+    l_mat = np.diag([-1.0, -2.0, -2.0, -1.0]).astype(complex)
+    l_mat[0, 3] = 1.0
+    assert not Propagator(l_mat).diagonalizable
+    rho0 = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+    times = np.array([0.0, 0.5, 2.0, 10.0])
+    traj = propagate(l_mat, rho0, times)
+    for t, state in zip(times, traj.states):
+        assert np.abs(state - devectorize(expm(l_mat * t) @ vectorize(rho0))).max() < 1e-12
+
+
+def test_propagate_builds_no_full_map(qutrit_generator, monkeypatch):
+    calls = []
+    call = Propagator.__call__
+
+    def counting_call(self, t):
+        calls.append(t)
+        return call(self, t)
+
+    monkeypatch.setattr(Propagator, "__call__", counting_call)
+    assert Propagator(qutrit_generator.superoperator).diagonalizable
+    propagate(qutrit_generator, np.eye(3) / 3, np.linspace(0.0, 5.0, 50))
+    assert calls == []
+
+
+def test_propagate_on_empty_time_grid(qubit_generator):
+    traj = propagate(qubit_generator, np.eye(2) / 2, [])
+    assert traj.states.shape == (0, 2, 2)
+    assert traj.hermitization_defects.shape == (0,)
 
 
 # -- stationary states -------------------------------------------------------
@@ -169,6 +221,27 @@ def test_relative_entropy_nonnegative(rng):
 def test_relative_entropy_shape_mismatch():
     with pytest.raises(ValueError):
         relative_entropy(np.eye(2) / 2, np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("n", [2, 6, 8, 9])
+def test_relative_entropy_of_stack_matches_single_states(n, rng):
+    # sigma has a null direction: full-rank states are off support (inf),
+    # states inside its range, pure or mixed, are finite
+    u = presets.random_unitary(n, rng)
+    weights = np.concatenate([[0.0], rng.uniform(0.1, 1.0, n - 1)])
+    sigma = (u * (weights / weights.sum())) @ u.conj().T
+    support = u[:, 1:]
+    inside = support @ presets.random_density_matrix(n - 1, rng) @ support.conj().T
+    pure = np.outer(support[:, 0], support[:, 0].conj())
+    states = [inside, presets.random_density_matrix(n, rng), pure, inside]
+    for reference in (sigma, presets.random_density_matrix(n, rng)):
+        single = [relative_entropy(state, reference) for state in states]
+        assert all(isinstance(value, float) for value in single)
+        stacked = relative_entropy(np.array(states), reference)
+        assert stacked.shape == (len(states),)
+        assert np.array_equal(stacked, single)
+    assert np.isinf(single).tolist() == [False] * len(states)
+    assert np.isinf(relative_entropy(np.array(states), sigma)).tolist() == [False, True, False, False]
 
 
 # -- transport ---------------------------------------------------------------

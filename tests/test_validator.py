@@ -1,12 +1,14 @@
 """The audit battery: each check catches its target violation and stays
 quiet on compliant generators."""
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 from thermolindblad import (
     ThermoSpec,
+    Trajectory,
     assemble_superop,
     build_restricted_generator,
     check_commutation,
@@ -306,6 +308,53 @@ def test_spohn_skips_infinite_steps(qubit_generator):
     reference = np.diag([0.0, 1.0]).astype(complex)
     series, result = spohn_monitor(traj, reference)
     assert 0 not in result.details["inconclusive_steps"] or result.details["steps_compared"] < 4
+
+
+def test_spohn_decomposes_each_state_once(qutrit_generator, monkeypatch):
+    traj = propagate(qutrit_generator, np.diag([0.0, 0.0, 1.0]), np.linspace(0.0, 10.0, 40))
+    reference = presets.thermal_state(qutrit_generator.hamiltonian, 1.0)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix):
+        calls.append(np.shape(matrix))
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    series, result = spohn_monitor(traj, reference)
+    assert sorted(calls) == [(3, 3), (40, 3, 3)]
+    assert result.passed is True
+    assert type(result.defect) is float
+    assert type(result.details["steps_compared"]) is int
+    assert type(result.details["inconclusive_steps"]) is list
+    assert all(type(t) is float and type(s) is float for t, s in series)
+
+
+def test_spohn_compares_finite_neighbours_only():
+    # sigma has no weight on |0>: states touching |0> are off support
+    sigma = np.diag([0.0, 0.5, 0.5]).astype(complex)
+    on = [np.diag([0.0, p, 1.0 - p]).astype(complex) for p in (0.9, 0.6, 0.8)]
+    off = np.eye(3, dtype=complex) / 3
+    states = np.array([on[0], off, on[1], on[2], off, off])
+    traj = Trajectory(times=np.arange(6.0), states=states, hermitization_defects=np.zeros(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series, result = spohn_monitor(traj, sigma)
+    rise = series[3][1] - series[2][1]
+    assert rise > 0
+    assert result.details == {"inconclusive_steps": [1, 4, 5], "steps_compared": 1}
+    assert result.defect == rise
+    assert result.passed is False
+
+
+def test_spohn_on_empty_trajectory(qubit_generator):
+    reference = presets.thermal_state(qubit_generator.hamiltonian, 1.0)
+    traj = propagate(qubit_generator, reference, [])
+    series, result = spohn_monitor(traj, reference)
+    assert series == []
+    assert result.passed is True
+    assert result.defect == 0.0
+    assert result.details == {"inconclusive_steps": [], "steps_compared": 0}
 
 
 def test_map_level_contraction(qutrit_generator, rng):
