@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .liouville import hs_norm, vectorize, devectorize
+from .liouville import devectorize, hs_norm, sandwich_sum, vectorize
 
 _HERM_TOL = 1e-12
 _STRICT_FLOOR = 1e-13
@@ -128,23 +128,22 @@ class CompositeModel:
         phases = np.exp(-1j * self._sys_evals * tau)
         return (self._sys_evecs * phases) @ self._sys_evecs.conj().T
 
-    def kraus_set(self, tau):
-        """Kraus decomposition of the reduced map at real time tau."""
-        u = self.total_unitary(tau)
-        u4 = u.reshape(self.n_sys, self.n_env, self.n_sys, self.n_env)
+    def _env_blocks(self, tau):
+        """System blocks [i, j] = <chi_j|U(tau)|chi_i> over environment eigenstates."""
+        u4 = self.total_unitary(tau).reshape(self.n_sys, self.n_env, self.n_sys, self.n_env)
         chi = self._env_evecs
+        # chi^dag first, then chi: the optimizer's order, fixed so no path search runs per call
+        return np.einsum("aj,satb,bi->ijst", chi.conj(), u4, chi, optimize=["einsum_path", (0, 1), (0, 1)])
+
+    def kraus_set(self, tau):
+        """Kraus decomposition of the reduced map at real time tau: the
+        blocks <chi_j|U|chi_i> scaled by sqrt(w_i), i outer and j inner."""
         weights = np.clip(self._env_evals, 0.0, None)
-        ops = []
-        for i in range(self.n_env):
-            if weights[i] <= 1e-15:
-                continue
-            root = math.sqrt(weights[i])
-            for j in range(self.n_env):
-                block = np.einsum("a,iakb,b->ik", chi[:, j].conj(), u4, chi[:, i])
-                ops.append(root * block)
-        total = sum(k.conj().T @ k for k in ops)
-        defect = float(np.linalg.norm(total - np.eye(self.n_sys)))
-        return KrausSet(operators=ops, completeness_defect=defect)
+        keep = weights > 1e-15
+        blocks = np.sqrt(weights[keep])[:, None, None, None] * self._env_blocks(tau)[keep]
+        stack = blocks.reshape(-1, self.n_sys)
+        defect = float(np.linalg.norm(stack.conj().T @ stack - np.eye(self.n_sys)))
+        return KrausSet(operators=list(blocks.reshape(-1, self.n_sys, self.n_sys)), completeness_defect=defect)
 
     def reduced_map(self, tau):
         """Superoperator of rho_S -> tr_E(U (rho_S (x) rho_E) U^{-1}).
@@ -153,21 +152,10 @@ class CompositeModel:
         e^{+i H tau}, which agrees with the adjoint on the real axis and
         continues the map analytically off it.
         """
-        u = self.total_unitary(tau)
-        uinv = self.total_unitary(-tau)
-        u4 = u.reshape(self.n_sys, self.n_env, self.n_sys, self.n_env)
-        v4 = uinv.reshape(self.n_sys, self.n_env, self.n_sys, self.n_env)
-        chi = self._env_evecs
-        lam = np.zeros((self.n_sys**2, self.n_sys**2), dtype=complex)
-        for i in range(self.n_env):
-            w = self._env_evals[i]
-            if abs(w) <= 1e-15:
-                continue
-            for j in range(self.n_env):
-                left = np.einsum("a,iakb,b->ik", chi[:, j].conj(), u4, chi[:, i])
-                right = np.einsum("a,iakb,b->ik", chi[:, i].conj(), v4, chi[:, j])
-                lam += w * np.kron(right.T, left)
-        return lam
+        keep = np.abs(self._env_evals) > 1e-15
+        lefts = self._env_blocks(tau)[keep].reshape(-1, self.n_sys, self.n_sys)
+        rights = self._env_blocks(-tau).transpose(1, 0, 2, 3)[keep].reshape(lefts.shape)
+        return sandwich_sum(lefts, rights, np.repeat(self._env_evals[keep], self.n_env))
 
     def free_conjugation(self, tau):
         """Superoperator of the free system evolution at (possibly complex)

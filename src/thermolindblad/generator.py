@@ -21,6 +21,7 @@ from .liouville import (
     change_basis,
     choi_matrix,
     eigenoperator_basis,
+    gkls_dissipator,
 )
 
 __all__ = [
@@ -142,11 +143,8 @@ def dephasing_from_alpha(alpha, projectors):
     if eigenvalues.min() < -1e-10:
         raise ValueError(f"alpha must be positive semidefinite (min eigenvalue {eigenvalues.min():.3e})")
     eigenvalues = np.clip(eigenvalues, 0.0, None)
-    terms = []
-    for idx in range(n):
-        v = sum(q[i, idx] * projectors[i] for i in range(n))
-        terms.append(DephasingTerm(operator=v, weight=float(eigenvalues[idx]) / 2))
-    return terms
+    ops = np.tensordot(q.T, np.stack(projectors), axes=1)
+    return [DephasingTerm(operator=v, weight=float(lam) / 2) for v, lam in zip(ops, eigenvalues)]
 
 
 @dataclass
@@ -252,11 +250,10 @@ def build_restricted_generator(spec):
 
     jump_terms = []
     for group, y in mixing.items():
-        ops = [basis.transitions[k].operator for k in group]
-        for row, k in enumerate(group):
+        y_ops = np.tensordot(y, np.stack([basis.transitions[k].operator for k in group]), axes=1)
+        for k, y_op in zip(group, y_ops):
             gamma_down = rates.get(k, 0.0)
             omega = basis.transitions[k].omega
-            y_op = sum(y[row, i] * ops[i] for i in range(len(group)))
             gamma_up = gamma_down * math.exp(-spec.beta * omega)
             jump_terms.append(JumpTerm(operator=y_op, rate=gamma_down, omega=omega))
             jump_terms.append(JumpTerm(operator=y_op.conj().T, rate=gamma_up, omega=-omega))
@@ -274,15 +271,10 @@ def build_restricted_generator(spec):
     if spec.alpha is not None:
         dephasing_terms = dephasing_from_alpha(spec.alpha, basis.projectors)
 
-    dim2 = n * n
-    dissipator = np.zeros((dim2, dim2), dtype=complex)
-    for term in jump_terms:
-        if term.rate != 0.0:
-            dissipator += term.rate * assemble_superop("dissipator_term", term.operator)
-    for term in dephasing_terms:
-        if term.weight != 0.0:
-            comm = assemble_superop("commutator", term.operator)
-            dissipator -= term.weight * (comm @ comm)
+    # A dephasing term -w[V, [V, X]] is the GKLS term of Hermitian V at rate 2w.
+    ops = [t.operator for t in jump_terms] + [t.operator for t in dephasing_terms]
+    gammas = [t.rate for t in jump_terms] + [2 * t.weight for t in dephasing_terms]
+    dissipator = gkls_dissipator(np.reshape(ops, (-1, n, n)), gammas)
 
     hamiltonian = np.asarray(spec.hamiltonian, dtype=complex)
     superoperator = -1j * assemble_superop("commutator", hamiltonian) + dissipator

@@ -92,9 +92,28 @@ def assemble_superop(kind, a, b=None):
         return np.kron(eye, a) - np.kron(a.T, eye)
     if kind == "anticommutator":
         return np.kron(eye, a) + np.kron(a.T, eye)
-    # dissipator_term
-    ada = a.conj().T @ a
-    return np.kron(a.conj(), a) - 0.5 * np.kron(ada.T, eye) - 0.5 * np.kron(eye, ada)
+    return gkls_dissipator(a[None], [1.0])
+
+
+def sandwich_sum(lefts, rights, weights):
+    """Superoperator of X -> sum_k weights[k] lefts[k] X rights[k] for (K, N, N)
+    stacks: the Choi reshuffle (its own inverse) of the rank-K product of the
+    columns vec(lefts[k]) against the rows vec(rights[k]^T).  K = 0 gives zero."""
+    lefts = np.asarray(lefts, dtype=complex)
+    k, n = lefts.shape[0], lefts.shape[-1]
+    cols = lefts.transpose(0, 2, 1).reshape(k, n * n).T * np.asarray(weights)
+    return choi_matrix(cols @ np.reshape(rights, (k, n * n)))
+
+
+def gkls_dissipator(operators, rates):
+    """Superoperator of X -> sum_k rates[k] (A_k X A_k^dag - {A_k^dag A_k, X}/2)
+    for a (K, N, N) stack A.  sum_k rates[k] A_k^dag A_k is the partial trace
+    of the jump part, so the result preserves the trace to the rounding of one sum."""
+    ops = np.asarray(operators, dtype=complex)
+    n = ops.shape[-1]
+    jumps = sandwich_sum(ops, ops.conj().transpose(0, 2, 1), rates)
+    decay = jumps[:: n + 1].sum(axis=0).reshape(n, n)
+    return jumps - 0.5 * (np.kron(decay.T, np.eye(n)) + np.kron(np.eye(n), decay))
 
 
 def conjugation_superop(u):
@@ -179,8 +198,9 @@ class EigenoperatorBasis:
     def transition_index(self, n, m):
         if n == m or not (0 <= n < self.n_levels and 0 <= m < self.n_levels):
             raise ValueError(f"no transition ({n}, {m}) in an {self.n_levels}-level system")
-        pairs = [(t.n, t.m) for t in self.transitions]
-        return pairs.index((n, m))
+        if n > m:
+            return self.n_positive + self.transition_index(m, n)
+        return n * (self.n_levels - 1) - n * (n - 1) // 2 + m - n - 1
 
     def conjugate_index(self, k):
         p = self.n_positive

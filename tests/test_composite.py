@@ -119,6 +119,63 @@ def test_kraus_set_is_complete_and_reconstructs(rng):
         assert np.linalg.norm(rebuilt - devectorize(lam @ vectorize(rho_s))) < 1e-12
 
 
+def _loop_reference(model, tau):
+    """Reduced map and Kraus operators from the per-environment-index double
+    loop: one block <chi_j|U|chi_i> per pair, i outer and j inner."""
+    ns, ne = model.n_sys, model.n_env
+    evals, chi = np.linalg.eigh(model.env_state)
+    u4 = model.total_unitary(tau).reshape(ns, ne, ns, ne)
+    v4 = model.total_unitary(-tau).reshape(ns, ne, ns, ne)
+    lam = np.zeros((ns * ns, ns * ns), dtype=complex)
+    kraus = []
+    for i in range(ne):
+        for j in range(ne):
+            left = np.einsum("a,iakb,b->ik", chi[:, j].conj(), u4, chi[:, i])
+            right = np.einsum("a,iakb,b->ik", chi[:, i].conj(), v4, chi[:, j])
+            if abs(evals[i]) > 1e-15:
+                lam += evals[i] * np.kron(right.T, left)
+            if max(evals[i], 0.0) > 1e-15:
+                kraus.append(np.sqrt(evals[i]) * left)
+    return lam, kraus
+
+
+@pytest.mark.parametrize("ns,ne", [(2, 2), (2, 4), (3, 6)])
+@pytest.mark.parametrize("env", ["thermal", "pure"])
+def test_reduced_map_and_kraus_match_double_loop(ns, ne, env, rng):
+    h_env = presets.ladder(ne, 1.0)
+    ground = np.diag([1.0] + [0.0] * (ne - 1)).astype(complex)
+    env_state = presets.thermal_state(h_env, 0.8) if env == "thermal" else ground
+    model = CompositeModel(
+        system_hamiltonian=presets.random_hermitian(ns, rng),
+        env_hamiltonian=h_env,
+        coupling=presets.random_hermitian(ns * ne, rng, scale=0.5),
+        env_state=env_state,
+    )
+    for tau in (0.7, 0.1 * np.exp(0.9j)):
+        reference, _ = _loop_reference(model, tau)
+        got = model.reduced_map(tau)
+        assert np.linalg.norm(got - reference) <= 1e-13 * max(1.0, np.linalg.norm(reference))
+    _, reference_ops = _loop_reference(model, 0.7)
+    ops = model.kraus_set(0.7).operators
+    assert len(ops) == len(reference_ops) == (ne * ne if env == "thermal" else ne)
+    for got, ref in zip(ops, reference_ops):
+        assert np.linalg.norm(got - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
+def test_reduced_map_makes_no_kron_call(monkeypatch):
+    model = nonconserving_model()
+    kron = np.kron
+    calls = []
+
+    def counting(a, b):
+        calls.append(np.shape(a))
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", counting)
+    model.reduced_map(0.4)
+    assert calls == []
+
+
 def test_choi_of_reduced_map_matches_kraus_sum():
     model = nonconserving_model()
     kraus = model.kraus_set(1.1)

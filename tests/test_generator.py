@@ -125,7 +125,8 @@ def test_dephasing_matches_projector_form_oracle(rng):
     n = 3
     m = rng.normal(size=(n, n))
     alpha = m @ m.T  # real symmetric PSD
-    basis = eigenoperator_basis(presets.random_hermitian(n, rng))
+    h = presets.random_hermitian(n, rng)
+    basis = eigenoperator_basis(h)
     projectors = basis.projectors
     terms = dephasing_from_alpha(alpha, projectors)
     built = np.zeros((n * n, n * n), dtype=complex)
@@ -141,6 +142,8 @@ def test_dephasing_matches_projector_form_oracle(rng):
                 - 0.5 * assemble_superop("anticommutator", projectors[i] @ projectors[j])
             )
     assert np.linalg.norm(built - oracle) < 1e-10
+    gen = build_restricted_generator(ThermoSpec(hamiltonian=h, beta=1.0, alpha=alpha))
+    assert np.linalg.norm(gen.dissipator - oracle) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -229,6 +232,45 @@ def test_degenerate_mixing_builds_cross_terms():
     assert abs(overlap) > 0.1
     rho_th = presets.thermal_state(h, 1.0)
     assert np.linalg.norm(mixed.superoperator @ vectorize(rho_th)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_rates_and_no_alpha_give_zero_dissipator(n):
+    gen = build_restricted_generator(ThermoSpec(hamiltonian=presets.ladder(n, 1.0), beta=1.0))
+    assert gen.dissipator.shape == (n * n, n * n)
+    assert not np.any(gen.dissipator)
+
+
+def test_single_level_dephasing_gives_zero_dissipator():
+    gen = build_restricted_generator(
+        ThermoSpec(hamiltonian=presets.ladder(1, 1.0), beta=1.0, alpha=np.array([[0.8]]))
+    )
+    assert [t.weight for t in gen.dephasing_terms] == [0.4]
+    assert np.linalg.norm(gen.dissipator) < 1e-15
+
+
+def test_build_kron_count_does_not_grow_with_terms(rng, monkeypatch):
+    kron = np.kron
+    calls = []
+
+    def counting(a, b):
+        calls.append(np.shape(a))
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", counting)
+    counts = []
+    for n in (4, 8):
+        calls.clear()
+        m = rng.normal(size=(n, n))
+        spec = ThermoSpec(
+            hamiltonian=presets.random_hermitian(n, rng),
+            beta=1.0,
+            downward_rates={(i, j): 1.0 for i in range(n) for j in range(i + 1, n)},
+            alpha=m @ m.T,
+        )
+        build_restricted_generator(spec)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_mixing_preserves_commutation():

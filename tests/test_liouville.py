@@ -15,6 +15,7 @@ from thermolindblad import (
     presets,
     vectorize,
 )
+from thermolindblad.liouville import gkls_dissipator, sandwich_sum
 
 
 def random_complex(shape, rng, scale=1.0):
@@ -136,6 +137,44 @@ def test_dissipator_term_amplitude_damping():
     assert np.allclose(out, np.diag([1.0, -1.0]), atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+def test_sandwich_sum_matches_kron_reference(n, k, rng):
+    lefts = random_complex((k, n, n), rng)
+    rights = random_complex((k, n, n), rng)
+    weights = random_complex(k, rng)
+    reference = np.zeros((n * n, n * n), dtype=complex)
+    for w, left, right in zip(weights, lefts, rights):
+        reference += w * np.kron(right.T, left)
+    assert np.linalg.norm(sandwich_sum(lefts, rights, weights) - reference) < 1e-13 * max(
+        1.0, np.linalg.norm(reference)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gkls_dissipator_matches_per_term_kron(n, rng):
+    ops = random_complex((4, n, n), rng)
+    rates = rng.uniform(0.0, 2.0, size=4)
+    eye = np.eye(n)
+    reference = np.zeros((n * n, n * n), dtype=complex)
+    for gamma, a in zip(rates, ops):
+        ada = a.conj().T @ a
+        reference += gamma * (np.kron(a.conj(), a) - 0.5 * np.kron(ada.T, eye) - 0.5 * np.kron(eye, ada))
+    assert np.linalg.norm(gkls_dissipator(ops, rates) - reference) < 1e-13 * max(
+        1.0, np.linalg.norm(reference)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_hermitian_term_at_double_rate_is_double_commutator(n, rng):
+    v = presets.random_hermitian(n, rng)
+    w = 0.7
+    comm = np.kron(np.eye(n), v) - np.kron(v.T, np.eye(n))
+    reference = -w * (comm @ comm)
+    got = gkls_dissipator(v[None], [2 * w])
+    assert np.linalg.norm(got - reference) < 1e-13 * max(1.0, np.linalg.norm(reference))
+
+
 def test_conjugation_superop_matches_sandwich(rng):
     u = presets.random_unitary(3, rng)
     x = random_complex((3, 3), rng)
@@ -184,6 +223,16 @@ def test_adjoint_pairing_indices():
         partner = basis.transitions[basis.conjugate_index(k)]
         assert partner.omega == pytest.approx(-tr.omega)
         assert np.allclose(partner.operator, tr.operator.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_transition_index_matches_list_position(n, rng):
+    basis = eigenoperator_basis(presets.random_hermitian(n, rng))
+    for position, tr in enumerate(basis.transitions):
+        assert basis.transition_index(tr.n, tr.m) == position
+    for bad in [(0, 0), (n - 1, n - 1), (-1, 0), (0, n), (n, 0)]:
+        with pytest.raises(ValueError, match="no transition"):
+            basis.transition_index(*bad)
 
 
 def test_spectrum_reconstructs_hamiltonian(rng):
