@@ -9,57 +9,177 @@ import numpy as np
 import scipy.linalg
 
 from .generator import ThermoSpec, build_restricted_generator, kms_rates
-from .liouville import assemble_superop, devectorize, eigenoperator_basis, vectorize
+from .liouville import _cluster, assemble_superop, devectorize, eigenoperator_basis, vectorize
 
 log = logging.getLogger(__name__)
 
 _DIAGONALIZABLE_COND = 1e8
+# Largest off-sector norm, relative to max(1, ||L||_F), at which L counts as
+# block diagonal by Bohr frequency; restricted generators measure below
+# 1.9e-16 * N * ||L||_F.
+_SECTOR_BOUND = 1e-12
+
+
+def _to_frame(x, w):
+    """K^dag x for K = kron(conj(w), w), the superoperator of X -> w X w^dag:
+    each column of x, read as a column-stacked X, becomes vec(w^dag X w).
+    Batched N x N products cost O(N^3) per column, where K costs O(N^4)."""
+    n = w.shape[0]
+    transposed = x.T.reshape(-1, n, n)  # entry j is X_j^T
+    return (w.T @ transposed @ w.conj()).reshape(x.shape[::-1]).T
+
+
+def _conjugated(mat, w):
+    """K^dag M K, for K as in _to_frame."""
+    return _to_frame(_to_frame(mat, w).conj().T, w).conj().T
+
+
+class _Sectors:
+    """A superoperator L split into the blocks the audit and Propagator work on.
+
+    Given the eigenoperator basis of L's Hamiltonian, L is taken to the energy
+    frame U^dag L U, U = kron(conj(V), V), whose index a + N b is |a><b|, and
+    each index is labelled by the Bohr frequency E_a - E_b clustered at the
+    basis' degeneracy_tol.  When the norm of everything between different
+    labels (off_sector_norm) is at most _SECTOR_BOUND * max(1, ||L||_F), and
+    the labels also split the Choi matrix (index i + N k of a Choi matrix
+    carries E_i - E_k), the route is "sector": the diagonal blocks are kept
+    and the rest is dropped.  Otherwise, and without a basis, the route is
+    "dense": L itself in the standard frame, as one block.  indices holds one
+    (K, s) array of frame indices per block size s.
+    """
+
+    def __init__(self, l_mat, basis=None):
+        n2 = l_mat.shape[0]
+        self.route, self.vectors, self.off_sector_norm = "dense", None, None
+        self.frame, self.indices = l_mat, [np.arange(n2)[None]]
+        if basis is None:
+            return
+        if basis.n_levels**2 != n2:
+            raise ValueError(f"basis has {basis.n_levels} levels, superoperator is {n2}x{n2}")
+        energies, vectors = basis.spectrum.energies, basis.spectrum.vectors
+        frame = _conjugated(l_mat, vectors)
+        omegas = (energies[:, None] - energies[None, :]).ravel(order="F")
+        labels = np.empty(n2, dtype=int)
+        groups = [np.sort(g) for g in _cluster(omegas, basis.spectrum.degeneracy_tol)]
+        for gid, group in enumerate(groups):
+            labels[group] = gid
+        self.off_sector_norm = float(np.linalg.norm(frame[labels[:, None] != labels[None, :]]))
+        sizes = sorted({g.size for g in groups})
+        indices = [np.array([g for g in groups if g.size == s]) for s in sizes]
+        if self.off_sector_norm <= _SECTOR_BOUND * max(1.0, np.linalg.norm(l_mat)) and _choi_closed(
+            indices, labels, basis.n_levels
+        ):
+            self.route, self.vectors, self.frame, self.indices = "sector", vectors, frame, indices
+
+    def blocks(self, mat):
+        """The diagonal blocks of a frame matrix, one (K, s, s) stack per size."""
+        if self.route == "dense":
+            return [mat[None]]
+        return [mat[idx[:, :, None], idx[:, None, :]] for idx in self.indices]
+
+    def assemble(self, stacks):
+        """The frame matrix with the given diagonal blocks and zeros elsewhere."""
+        if self.route == "dense":
+            return stacks[0][0]
+        n2 = self.frame.shape[0]
+        out = np.zeros((n2, n2), dtype=complex)
+        for idx, stack in zip(self.indices, stacks):
+            out[idx[:, :, None], idx[:, None, :]] = stack
+        return out
+
+
+def _choi_closed(indices, labels, n):
+    # block entry (a + N b, c + N d) is Choi entry (a + N c, b + N d); the
+    # labels split the Choi matrix too when those two carry the same label
+    for idx in indices:
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        if np.any(labels[rows % n + n * (cols % n)] != labels[rows // n + n * (cols // n)]):
+            return False
+    return True
 
 
 class Propagator:
     """Evaluates exp(L t) for a fixed superoperator L at arbitrary t.
 
-    Uses the eigendecomposition of L when its eigenvector matrix is well
-    conditioned (cond < 1e8) and falls back to scaling-and-squaring
-    otherwise.  Both routes agree to 1e-10 on diagonalizable input.  The
-    eigenvalues and the eigenvector condition number are kept on either
-    route, so audits can read the spectrum without decomposing L again.
+    With basis (the eigenoperator basis of L's Hamiltonian) L is split into
+    Bohr-frequency sectors when its measured off-sector norm allows it (see
+    _Sectors; route "sector"), and each block is decomposed on its own, with
+    one batched eig per block size; otherwise (route "dense") L is
+    decomposed whole.  The eigendecomposition is used when the eigenvector
+    matrix (block diagonal on the sector route) has cond < 1e8, and
+    scaling-and-squaring of each block otherwise.  The eigenvalues, the
+    condition number, the route and the off-sector norm are kept, so audits
+    can read them without decomposing L again.
     """
 
-    def __init__(self, superoperator):
+    def __init__(self, superoperator, basis=None):
         self.superoperator = np.asarray(superoperator, dtype=complex)
         if self.superoperator.ndim != 2 or self.superoperator.shape[0] != self.superoperator.shape[1]:
             raise ValueError(f"superoperator must be square, got {self.superoperator.shape}")
-        evals, evecs = np.linalg.eig(self.superoperator)
-        try:
-            cond = float(np.linalg.cond(evecs))
-        except np.linalg.LinAlgError:
-            cond = math.inf
-        if not math.isfinite(cond):
-            cond = math.inf
-        self.eigenvalues = evals
-        self.condition_number = cond
-        self.diagonalizable = cond < _DIAGONALIZABLE_COND
+        self.sectors = _Sectors(self.superoperator, basis)
+        self.route, self.off_sector_norm = self.sectors.route, self.sectors.off_sector_norm
+        self._blocks = self.sectors.blocks(self.sectors.frame)
+        self.eigenvalues = np.empty(self.superoperator.shape[0], dtype=complex)
+        self._evals, self._evecs = [], []
+        smax, smin = 0.0, math.inf
+        for idx, block in zip(self.sectors.indices, self._blocks):
+            if block.shape[-1] == 1:  # a 1x1 block is its own eigenvalue
+                evals, evecs, svals = block[:, :, 0], np.ones_like(block), np.ones((1, 1))
+            else:
+                evals, evecs = np.linalg.eig(block)
+                try:
+                    svals = np.linalg.svd(evecs, compute_uv=False)
+                except np.linalg.LinAlgError:
+                    svals = np.array([[math.inf, 0.0]])
+            self.eigenvalues[idx] = evals
+            self._evals.append(evals)
+            self._evecs.append(evecs)
+            smax, smin = max(smax, float(svals[:, 0].max())), min(smin, float(svals[:, -1].min()))
+        # equals cond of the whole (block-diagonal) eigenvector matrix
+        cond = smax / smin if smin > 0 else math.inf
+        self.condition_number = cond if math.isfinite(cond) else math.inf
+        self.diagonalizable = self.condition_number < _DIAGONALIZABLE_COND
         if self.diagonalizable:
-            self._evecs = evecs
-            self._inv = np.linalg.inv(evecs)
+            self._inv = [np.linalg.inv(evecs) for evecs in self._evecs]
         else:
-            log.debug("eigenvector condition %.3e; using expm fallback", cond)
+            log.debug("eigenvector condition %.3e; using expm fallback", self.condition_number)
+
+    def _frame_map(self, t):
+        """exp(L t) in the frame of the route: U^dag exp(L t) U on the sector
+        route, exp(L t) itself on the dense route."""
+        if self.diagonalizable:
+            stacks = [
+                (evecs * np.exp(evals * t)[:, None, :]) @ inv
+                for evals, evecs, inv in zip(self._evals, self._evecs, self._inv)
+            ]
+        else:
+            stacks = [scipy.linalg.expm(block * t) for block in self._blocks]
+        return self.sectors.assemble(stacks)
 
     def __call__(self, t):
-        if self.diagonalizable:
-            return (self._evecs * np.exp(self.eigenvalues * t)) @ self._inv
-        return scipy.linalg.expm(self.superoperator * t)
+        lam = self._frame_map(t)
+        if self.route == "dense":
+            return lam
+        return _conjugated(lam, self.sectors.vectors.conj().T)
 
     def apply(self, vec, times):
         """exp(L t) vec for every t in times, as an (N^2, T) array; only the
         expm route forms a full map per time."""
         vec = np.asarray(vec, dtype=complex)
         times = np.atleast_1d(np.asarray(times, dtype=float))
+        frame_vec = vec if self.route == "dense" else _to_frame(vec, self.sectors.vectors)
         if self.diagonalizable:
-            return self._evecs @ (np.exp(np.outer(self.eigenvalues, times)) * (self._inv @ vec)[:, None])
-        maps = [scipy.linalg.expm(self.superoperator * t) @ vec for t in times]
-        return np.array(maps, dtype=complex).reshape(times.size, vec.size).T
+            out = np.empty((vec.size, times.size), dtype=complex)
+            for idx, evals, evecs, inv in zip(self.sectors.indices, self._evals, self._evecs, self._inv):
+                coeffs = inv @ frame_vec[idx][..., None]
+                out[idx] = evecs @ (np.exp(evals[..., None] * times) * coeffs)
+        else:
+            maps = [self._frame_map(t) @ frame_vec for t in times]
+            out = np.array(maps, dtype=complex).reshape(times.size, vec.size).T
+        if self.route == "dense":
+            return out
+        return _to_frame(out, self.sectors.vectors.conj().T)
 
 
 def _superop_of(obj):
@@ -68,7 +188,14 @@ def _superop_of(obj):
 
 
 def _propagator_of(obj):
-    return obj if isinstance(obj, Propagator) else Propagator(_superop_of(obj))
+    """obj itself if it is a Propagator, else one built with obj's eigenoperator
+    basis when it has one."""
+    return obj if isinstance(obj, Propagator) else Propagator(_superop_of(obj), getattr(obj, "basis", None))
+
+
+def _sectors_of(obj):
+    """The sector split of obj's superoperator, reused from a Propagator."""
+    return obj.sectors if isinstance(obj, Propagator) else _Sectors(_superop_of(obj), getattr(obj, "basis", None))
 
 
 @dataclass
@@ -99,7 +226,9 @@ def check_density_matrix(rho, tol=1e-10):
 def propagate(superoperator, rho0, times):
     """Evolve rho0 under exp(L t) for each t in times.
 
-    States are re-Hermitized as (rho + rho^dag)/2; the defect removed at
+    superoperator may be an array, a Propagator, or an object with a
+    superoperator, such as a generator; one with an eigenoperator basis
+    lets the Propagator work by sector.  States are re-Hermitized as (rho + rho^dag)/2; the defect removed at
     each step is recorded in the trajectory.
     """
     rho0 = check_density_matrix(rho0)

@@ -232,14 +232,9 @@ class EigenoperatorBasis:
 
 def _fix_phases(vectors):
     """Rotate each eigenvector so its largest-magnitude component is real positive."""
-    fixed = vectors.copy()
-    for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if np.abs(pivot) > 0:
-            fixed[:, j] = col * (np.abs(pivot) / pivot)
-    return fixed
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    size = np.abs(pivots)
+    return vectors * np.divide(size, pivots, out=np.ones_like(pivots), where=size > 0)
 
 
 def _cluster(values, tol):
@@ -291,16 +286,15 @@ def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
         degeneracy_tol = max(1e-9 * scale, 1e-12)
     spectrum = Spectrum(energies=energies, vectors=vectors, degeneracy_tol=float(degeneracy_tol))
 
-    projectors = [np.outer(vectors[:, i], vectors[:, i].conj()) for i in range(n)]
+    # outers[i, j] = |v_i><v_j|, the same elementwise product np.outer forms
+    outers = vectors.T[:, None, :, None] * vectors.T.conj()[None, :, None, :]
+    projectors = list(outers[np.arange(n), np.arange(n)])
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    transitions = []
-    for (i, j) in pairs:
-        op = np.outer(vectors[:, i], vectors[:, j].conj())
-        transitions.append(Transition(n=i, m=j, omega=float(energies[j] - energies[i]), operator=op))
-    for (i, j) in pairs:
-        op = np.outer(vectors[:, j], vectors[:, i].conj())
-        transitions.append(Transition(n=j, m=i, omega=float(energies[i] - energies[j]), operator=op))
+    transitions = [
+        Transition(n=i, m=j, omega=float(energies[j] - energies[i]), operator=outers[i, j])
+        for (i, j) in pairs + [(j, i) for (i, j) in pairs]
+    ]
 
     invariants = []
     for l in range(1, n):

@@ -2,7 +2,11 @@
 
 Each check returns a CheckResult whose pass verdict is defect <= threshold;
 what the defect measures is stated per check.  run_standard_checks bundles
-the full battery and shares one eigendecomposition of L between its checks.
+the full battery and shares one Propagator between its checks: L is split
+into Bohr-frequency sectors when its measured off-sector norm allows it and
+decomposed once, block by block or whole.  The checks that read that split
+(fixed_point, cptp, spectral) record the route taken ("sector" or "dense")
+and the off-sector norm in their details.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from .dynamics import (
     _DIAGONALIZABLE_COND,
     Propagator,
     _propagator_of,
+    _sectors_of,
     _superop_of,
     null_dimension,
     relative_entropy,
@@ -83,27 +88,37 @@ def check_commutation(superoperator, hamiltonian, threshold=None):
     )
 
 
+def _route_details(sectors):
+    return {"route": sectors.route, "off_sector_norm": sectors.off_sector_norm}
+
+
 def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     """Residual norm of L applied to the Gibbs state at inverse temperature
-    beta, with a zeroth-law uniqueness flag from the null-space dimension."""
+    beta, with a zeroth-law uniqueness flag from the null-space dimension.
+    The singular values of L are those of its sector blocks together."""
     threshold = DEFAULT_THRESHOLDS["fixed_point"] if threshold is None else threshold
     l_mat = _superop_of(superoperator)
+    sectors = _sectors_of(superoperator)
     rho_th = thermal_state(hamiltonian, beta)
     defect = float(np.linalg.norm(l_mat @ vectorize(rho_th)))
-    null_dim = null_dimension(np.linalg.svd(l_mat, compute_uv=False))
+    svals = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in sectors.blocks(sectors.frame)])
+    null_dim = null_dimension(np.sort(svals)[::-1])
     return CheckResult(
         name="fixed_point",
         passed=defect <= threshold,
         defect=defect,
         threshold=threshold,
-        details={"null_dimension": null_dim, "unique": null_dim == 1, "beta": float(beta)},
+        details={"null_dimension": null_dim, "unique": null_dim == 1, "beta": float(beta), **_route_details(sectors)},
     )
 
 
 def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
     """Complete positivity (Choi spectrum) and trace preservation of
     exp(L t) across a time grid; the defect is the worst violation.
-    superoperator may be a Propagator, whose decomposition is then reused."""
+    superoperator may be a Propagator, whose decomposition is then reused.
+    On the sector route the maps and their Choi matrices are block diagonal
+    in the energy frame, so the smallest Choi eigenvalue is taken block by
+    block; vec(I) is the same in either frame."""
     threshold = DEFAULT_THRESHOLDS["cptp"] if threshold is None else threshold
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
@@ -113,10 +128,10 @@ def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
     eye_vec = vectorize(np.eye(int(round(np.sqrt(n2)))))
     min_eigs, tp_defects = [], []
     for t in times:
-        lam = prop(t)
+        lam = prop._frame_map(t)
         choi = choi_matrix(lam)
         choi = (choi + choi.conj().T) / 2
-        min_eigs.append(float(np.linalg.eigvalsh(choi).min()))
+        min_eigs.append(min(float(np.linalg.eigvalsh(b).min()) for b in prop.sectors.blocks(choi)))
         tp_defects.append(float(np.linalg.norm(lam.conj().T @ eye_vec - eye_vec)))
     positivity = max(0.0, -min(min_eigs))
     trace_defect = max(tp_defects)
@@ -131,6 +146,7 @@ def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
             "min_choi_eigenvalue": min(min_eigs),
             "choi_eigenvalues_by_time": min_eigs,
             "trace_defects_by_time": tp_defects,
+            **_route_details(prop.sectors),
         },
     )
 
@@ -143,7 +159,8 @@ def check_spectral(superoperator, basis=None, threshold=None):
     the spectrum against 1e-10, and, when an eigenoperator basis is
     supplied, the largest imaginary part of the population-block
     eigenvalues against 1e-9.  Raw numbers live in details.  The spectrum
-    is read from a Propagator, built here unless superoperator is one.
+    and the condition number are read from a Propagator, built here unless
+    superoperator is one; on the sector route they come from the blocks.
     """
     threshold = DEFAULT_THRESHOLDS["spectral"] if threshold is None else threshold
     try:
@@ -166,6 +183,7 @@ def check_spectral(superoperator, basis=None, threshold=None):
         "near_defective": not prop.diagonalizable,
         "max_real_part": max_re,
         "eigenvalues": evals,
+        **_route_details(prop.sectors),
     }
     if basis is not None:
         block = change_basis(prop.superoperator, basis.projectors)
@@ -217,6 +235,33 @@ def check_structure_support(dissipator, basis, threshold=None):
     )
 
 
+def _adjoint_partners(terms):
+    """(K, K) mask: term j can partner term i (omega_i > 0) when
+    omega_j = -omega_i within 1e-9 max(1, |omega_i|) and A_j = A_i^dag
+    within 1e-10 max(1, ||A_i||) in Frobenius norm.  Distances are taken only
+    where the frequencies match and the entry of A_i^dag largest in
+    magnitude matches within twice the tolerance too; no entry can differ by
+    more than the norm, so that filter drops no partner."""
+    k = len(terms)
+    if not k:
+        return np.zeros((0, 0), dtype=bool)
+    omegas = np.array([t.omega for t in terms])
+    stacked = np.array([t.operator for t in terms])
+    ops = stacked.reshape(k, -1)
+    adjoints = stacked.conj().transpose(0, 2, 1).reshape(k, -1)
+    tol = 1e-10 * np.maximum(1.0, np.linalg.norm(adjoints, axis=1))
+    freq_match = np.abs(omegas[None, :] + omegas[:, None]) <= 1e-9 * np.maximum(1.0, np.abs(omegas))[:, None]
+    freq_match &= (omegas > 0)[:, None]
+    np.fill_diagonal(freq_match, False)
+    rows, cols = np.nonzero(freq_match)
+    pivots = np.argmax(np.abs(adjoints), axis=1)[rows]
+    near = np.abs(ops[cols, pivots] - adjoints[rows, pivots]) <= 2 * tol[rows]
+    rows, cols = rows[near], cols[near]
+    distance = np.full((k, k), np.inf)
+    distance[rows, cols] = np.linalg.norm(ops[cols] - adjoints[rows], axis=1)
+    return distance <= tol[:, None]
+
+
 def check_detailed_balance(generator, beta=None, threshold=None):
     """Gibbs ratio audit of a generator's jump-term list.
 
@@ -231,18 +276,14 @@ def check_detailed_balance(generator, beta=None, threshold=None):
     structural = []
     pairs = []
     matched = set()
+    candidates = [[] for _ in terms]
+    rows, cols = np.nonzero(_adjoint_partners(terms))  # row by row, columns ascending
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        candidates[i].append(j)
     for i, term in enumerate(terms):
         if term.omega <= 0:
             continue
-        partner = None
-        adjoint = term.operator.conj().T
-        for j, other in enumerate(terms):
-            if j == i or j in matched:
-                continue
-            if abs(other.omega + term.omega) <= 1e-9 * max(1.0, abs(term.omega)):
-                if np.linalg.norm(other.operator - adjoint) <= 1e-10 * max(1.0, np.linalg.norm(adjoint)):
-                    partner = j
-                    break
+        partner = next((j for j in candidates[i] if j not in matched), None)  # first unmatched, list order
         if partner is None:
             structural.append(f"jump at omega={term.omega:.6g} has no adjoint partner")
             continue
@@ -303,15 +344,18 @@ def spohn_monitor(trajectory, reference, slack=None):
 def run_standard_checks(generator, times=CPTP_TIME_GRID, thresholds=None, label=""):
     """Run the full audit battery on a constructed generator.
 
-    thresholds maps check names to overrides.  One Propagator serves both
-    check_cptp and check_spectral, so L is eigendecomposed once per audit.
+    thresholds maps check names to overrides.  One Propagator, built with
+    the generator's eigenoperator basis, serves check_fixed_point, check_cptp
+    and check_spectral, so L is split into sectors once and decomposed once:
+    one batched eig per block size on the sector route, one eig of L on the
+    dense route.
     """
     th = dict(thresholds or {})
     l_mat = generator.superoperator
-    prop = Propagator(l_mat)
+    prop = Propagator(l_mat, generator.basis)
     checks = [
         check_commutation(l_mat, generator.hamiltonian, th.get("commutation")),
-        check_fixed_point(l_mat, generator.hamiltonian, generator.beta, th.get("fixed_point")),
+        check_fixed_point(prop, generator.hamiltonian, generator.beta, th.get("fixed_point")),
         check_cptp(prop, times, th.get("cptp")),
         check_spectral(prop, generator.basis, th.get("spectral")),
         check_structure_support(generator.dissipator, generator.basis, th.get("structure_support")),

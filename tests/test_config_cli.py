@@ -222,9 +222,11 @@ def test_validate_decomposes_generator_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 0
-    # the spectral check's eig of L also feeds the generator summary; the
-    # only eigvals call is on the 3x3 population block
-    assert calls == [("eig", (9, 9)), ("eigvals", (3, 3))]
+    # the spectral check's eigenvalues also feed the generator summary; L is
+    # decomposed once, by sector: one batched eig of its 3x3 zero-frequency
+    # block and none of the 9x9 L; the only eigvals call is on the 3x3
+    # population block
+    assert calls == [("eig", (1, 3, 3)), ("eigvals", (3, 3))]
 
 
 def test_tol_override_can_force_failure(tmp_path):

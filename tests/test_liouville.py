@@ -235,6 +235,21 @@ def test_transition_index_matches_list_position(n, rng):
             basis.transition_index(*bad)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_basis_operators_equal_outer_products(n, rng):
+    h = presets.random_hermitian(n, rng)
+    energies, vectors = np.linalg.eigh((h + h.conj().T) / 2)
+    for j in range(n):  # the per-column phase fix the basis replaced
+        pivot = vectors[np.argmax(np.abs(vectors[:, j])), j]
+        vectors[:, j] *= np.abs(pivot) / pivot
+    basis = eigenoperator_basis(h)
+    np.testing.assert_array_equal(basis.spectrum.vectors, vectors)
+    for i, projector in enumerate(basis.projectors):
+        np.testing.assert_array_equal(projector, np.outer(vectors[:, i], vectors[:, i].conj()))
+    for tr in basis.transitions:
+        np.testing.assert_array_equal(tr.operator, np.outer(vectors[:, tr.n], vectors[:, tr.m].conj()))
+
+
 def test_spectrum_reconstructs_hamiltonian(rng):
     h = presets.random_hermitian(4, rng)
     basis = eigenoperator_basis(h)

@@ -277,6 +277,56 @@ def test_detailed_balance_at_infinite_temperature():
     assert pair["gamma_up"] == pytest.approx(pair["gamma_down"])
 
 
+def reference_partners(terms, beta):
+    """The pairing loop check_detailed_balance replaced: for each downward
+    jump, the first unmatched term in list order at -omega whose operator is
+    its adjoint."""
+    pairs, structural, matched = [], [], set()
+    for i, term in enumerate(terms):
+        if term.omega <= 0:
+            continue
+        partner = None
+        adjoint = term.operator.conj().T
+        for j, other in enumerate(terms):
+            if j == i or j in matched:
+                continue
+            if abs(other.omega + term.omega) <= 1e-9 * max(1.0, abs(term.omega)):
+                if np.linalg.norm(other.operator - adjoint) <= 1e-10 * max(1.0, np.linalg.norm(adjoint)):
+                    partner = j
+                    break
+        if partner is None:
+            structural.append(f"jump at omega={term.omega:.6g} has no adjoint partner")
+            continue
+        matched.add(partner)
+        pairs.append((term.omega, term.rate, terms[partner].rate))
+    return pairs, structural
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_detailed_balance_pairs_match_reference_loop(n, rng):
+    from dataclasses import replace
+
+    gen = ladder_with_mixing(n, rng)
+    terms = list(gen.jump_terms)
+    up = next(t for t in terms if t.omega < 0)
+    variants = [
+        terms,
+        terms[::-1],
+        terms[1:],
+        terms + terms[:3],
+        terms + [replace(up, rate=2.0 * up.rate)],  # two candidates: the first one wins
+        terms + [replace(terms[0], operator=terms[0].operator + 1e-11)],
+        [replace(t, operator=t.operator + 1e-11) if t.omega < 0 else t for t in terms],
+        [replace(t, omega=t.omega * (1 + 3e-10)) for t in terms],
+    ]
+    for variant in variants:
+        result = check_detailed_balance(fake_generator(variant, gen.beta))
+        pairs, structural = reference_partners(variant, gen.beta)
+        assert [(p["omega"], p["gamma_down"], p["gamma_up"]) for p in result.details["pairs"]] == pairs
+        downward = [m for m in result.details["structural_failures"] if m.startswith("jump at")]
+        assert downward == structural
+
+
 # -- entropy production ------------------------------------------------------
 
 
@@ -387,7 +437,14 @@ def test_battery_decomposes_generator_once(qutrit_generator, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
     report = run_standard_checks(qutrit_generator)
     assert report.passed
-    assert calls == [(9, 9)]
+    # sector route: one batched eig of the 3x3 zero-frequency block (the six
+    # 1x1 coherence blocks need none), and no eig of the 9x9 L
+    assert calls == [(1, 3, 3)]
+
+    calls.clear()
+    report = run_standard_checks(foreign(3, np.random.default_rng(0)))
+    assert report.get("spectral").details["route"] == "dense"
+    assert calls == [(1, 9, 9)]  # the whole of L, once
 
 
 def test_report_get_unknown_check(qubit_generator):
@@ -439,6 +496,9 @@ def foreign(n, rng):
     )
     return types.SimpleNamespace(
         basis=eigenoperator_basis(h),
+        hamiltonian=h,
+        beta=1.0,
+        jump_terms=[],
         dissipator=diss,
         superoperator=-1j * assemble_superop("commutator", h) + diss,
     )
