@@ -30,7 +30,7 @@ from .config import (
 from .dynamics import BathSpec, build_transport_model, propagate, steady_state, transport_steady_report
 from .generator import flat_rate, ohmic_rate
 from .liouville import hs_norm
-from .reporting import to_jsonable, write_csv, write_report
+from .reporting import write_csv, write_report
 from .validator import CheckResult, check_commutation, run_standard_checks, spohn_monitor
 
 log = logging.getLogger(__name__)
@@ -103,16 +103,6 @@ def _generator_summary(gen, evals):
     }
 
 
-def _check_payload(result: CheckResult):
-    return {
-        "name": result.name,
-        "passed": result.passed,
-        "defect": result.defect,
-        "threshold": result.threshold,
-        "details": result.details,
-    }
-
-
 def _run_build(cfg, tolerances, seed, out_dir):
     gen = _single_generator(cfg, "build")
     return {"generator": _generator_summary(gen, np.linalg.eigvals(gen.superoperator))}, [], True
@@ -150,12 +140,7 @@ def _run_evolve(cfg, tolerances, seed, out_dir):
     write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
 
     sections = {
-        "steady_state": {
-            "rho": steady.rho,
-            "unique": steady.unique,
-            "residual": steady.residual,
-            "null_dimension": steady.null_dimension,
-        },
+        "steady_state": steady,
         "entropy_reference": reference_label,
         "final_state": trajectory.states[-1],
         "max_hermitization_defect": float(np.max(trajectory.hermitization_defects)),
@@ -340,7 +325,7 @@ def _execute(args):
         "version": __version__,
         "experiment": args.command,
         "seed": seed,
-        "config": to_jsonable(cfg),
+        "config": cfg,
         "tolerances_used": tolerances,
     }
     report_path = os.path.join(out_dir, "report.json")
@@ -353,7 +338,7 @@ def _execute(args):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     report.update(sections)
-    report["checks"] = [_check_payload(c) for c in checks]
+    report["checks"] = checks
     report["overall"] = overall
     write_report(report_path, report)
     for c in checks:

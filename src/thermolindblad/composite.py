@@ -266,17 +266,13 @@ class TauScan:
 
 
 def _contour_coefficients(model, rho_s, orders, radius, points):
-    """Taylor coefficients of Delta(tau)[rho_S] for several orders from one
-    set of samples on the contour."""
-    thetas = [2 * math.pi * j / points for j in range(points)]
-    samples = [model.defect_state(radius * cmath.exp(1j * theta), rho_s) for theta in thetas]
-    coefficients = []
-    for order in orders:
-        acc = np.zeros((model.n_sys, model.n_sys), dtype=complex)
-        for theta, sample in zip(thetas, samples):
-            acc += sample * cmath.exp(-1j * order * theta)
-        coefficients.append(acc / (points * radius**order))
-    return coefficients
+    """Taylor coefficients of Delta(tau)[rho_S] for several orders |order| <
+    points from one set of samples on the contour and one FFT over them."""
+    if any(abs(order) >= points for order in orders):
+        raise ValueError(f"contour orders must be below the {points} contour points, got {orders}")
+    samples = [model.defect_state(radius * cmath.exp(2j * math.pi * j / points), rho_s) for j in range(points)]
+    spectrum = np.fft.fft(samples, axis=0)
+    return [spectrum[order] / (points * radius**order) for order in orders]
 
 
 def contour_coefficient(model, rho_s, order, radius=0.1, points=32):

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .generator import ThermoSpec, build_restricted_generator, kms_rates
-from .liouville import _cluster, assemble_superop, devectorize, eigenoperator_basis, vectorize
+from .liouville import _conjugated, _label_groups, _to_frame, assemble_superop, devectorize, eigenoperator_basis, vectorize
 
 log = logging.getLogger(__name__)
 
@@ -20,33 +20,18 @@ _DIAGONALIZABLE_COND = 1e8
 _SECTOR_BOUND = 1e-12
 
 
-def _to_frame(x, w):
-    """K^dag x for K = kron(conj(w), w), the superoperator of X -> w X w^dag:
-    each column of x, read as a column-stacked X, becomes vec(w^dag X w).
-    Batched N x N products cost O(N^3) per column, where K costs O(N^4)."""
-    n = w.shape[0]
-    transposed = x.T.reshape(-1, n, n)  # entry j is X_j^T
-    return (w.T @ transposed @ w.conj()).reshape(x.shape[::-1]).T
-
-
-def _conjugated(mat, w):
-    """K^dag M K, for K as in _to_frame."""
-    return _to_frame(_to_frame(mat, w).conj().T, w).conj().T
-
-
 class _Sectors:
     """A superoperator L split into the blocks the audit and Propagator work on.
 
     Given the eigenoperator basis of L's Hamiltonian, L is taken to the energy
     frame U^dag L U, U = kron(conj(V), V), whose index a + N b is |a><b|, and
-    each index is labelled by the Bohr frequency E_a - E_b clustered at the
-    basis' degeneracy_tol.  When the norm of everything between different
-    labels (off_sector_norm) is at most _SECTOR_BOUND * max(1, ||L||_F), and
-    the labels also split the Choi matrix (index i + N k of a Choi matrix
-    carries E_i - E_k), the route is "sector": the diagonal blocks are kept
-    and the rest is dropped.  Otherwise, and without a basis, the route is
-    "dense": L itself in the standard frame, as one block.  indices holds one
-    (K, s) array of frame indices per block size s.
+    split by the basis' sector_labels.  When the norm of everything between
+    different labels (off_sector_norm) is at most _SECTOR_BOUND * max(1,
+    ||L||_F), and the labels also split the Choi matrix (index i + N k of a
+    Choi matrix carries E_k - E_i), the route is "sector": the diagonal
+    blocks are kept and the rest is dropped.  Otherwise, and without a
+    basis, the route is "dense": L itself in the standard frame, as one
+    block.  indices holds one (K, s) array of frame indices per block size s.
     """
 
     def __init__(self, l_mat, basis=None):
@@ -57,16 +42,12 @@ class _Sectors:
             return
         if basis.n_levels**2 != n2:
             raise ValueError(f"basis has {basis.n_levels} levels, superoperator is {n2}x{n2}")
-        energies, vectors = basis.spectrum.energies, basis.spectrum.vectors
+        vectors, labels = basis.spectrum.vectors, basis.sector_labels
         frame = _conjugated(l_mat, vectors)
-        omegas = (energies[:, None] - energies[None, :]).ravel(order="F")
-        labels = np.empty(n2, dtype=int)
-        groups = [np.sort(g) for g in _cluster(omegas, basis.spectrum.degeneracy_tol)]
-        for gid, group in enumerate(groups):
-            labels[group] = gid
         self.off_sector_norm = float(np.linalg.norm(frame[labels[:, None] != labels[None, :]]))
-        sizes = sorted({g.size for g in groups})
-        indices = [np.array([g for g in groups if g.size == s]) for s in sizes]
+        groups = _label_groups(labels)
+        sizes = sorted({len(g) for g in groups})
+        indices = [np.array([g for g in groups if len(g) == s]) for s in sizes]
         if self.off_sector_norm <= _SECTOR_BOUND * max(1.0, np.linalg.norm(l_mat)) and _choi_closed(
             indices, labels, basis.n_levels
         ):

@@ -157,7 +157,9 @@ class ThermoSpec:
     symmetric PSD dephasing matrix over energy projectors.
     degenerate_mixing maps a Bohr frequency to a mixing matrix y applied
     within that frequency's degeneracy group: jump k of the group becomes
-    Y_k = sum_i y[k, i] F_i over the group members.
+    Y_k = sum_i y[k, i] F_i and carries the downward rate of F_k, where
+    F_0, F_1, ... are the group's transitions |n><m| (n < m) in ascending
+    transition index, that is in lexicographic order of (n, m).
     """
 
     hamiltonian: np.ndarray

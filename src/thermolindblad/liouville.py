@@ -176,8 +176,15 @@ class EigenoperatorBasis:
     order, followed by their adjoints in matching order.  invariants
     holds the N-1 traceless orthonormal diagonal operators (diagonal
     Gell-Mann matrices in the energy eigenbasis) plus I/sqrt(N) last.
-    degeneracy_groups partitions transition indices by equal Bohr
-    frequency within spectrum.degeneracy_tol.
+
+    sector_labels is the one Bohr-frequency partition of the operator
+    space: entry a + N b labels the energy-frame operator |a><b| by its
+    frequency E_b - E_a clustered at spectrum.degeneracy_tol, labels
+    ascending with frequency.  The zero-frequency label holds the
+    populations together with the coherences between degenerate levels.
+    degeneracy_groups reads the same labels off the transitions: one list
+    of transition indices per label that has any, members ascending,
+    groups in ascending frequency.
     """
 
     spectrum: Spectrum
@@ -185,6 +192,7 @@ class EigenoperatorBasis:
     transitions: list = field(repr=False)
     invariants: list = field(repr=False)
     degeneracy_groups: list
+    sector_labels: np.ndarray = field(repr=False)
 
     @property
     def n_levels(self):
@@ -238,22 +246,39 @@ def _fix_phases(vectors):
 
 
 def _cluster(values, tol):
-    """Partition indices of a 1-d array into groups of values equal within tol.
+    """Label the entries of a 1-d array by groups of values equal within tol.
 
-    Values closer than tol are chained into the same group, so the
-    partition is tolerance-transitive and order-independent.
+    Neighbours in sorted order closer than tol are chained into the same
+    group, so the partition is tolerance-transitive and order-independent.
+    Labels count 0, 1, ... in ascending value.
     """
-    order = np.argsort(values)
-    groups = []
-    current = [int(order[0])]
-    for idx in order[1:]:
-        if values[idx] - values[current[-1]] <= tol:
-            current.append(int(idx))
-        else:
-            groups.append(current)
-            current = [int(idx)]
-    groups.append(current)
-    return groups
+    order = np.argsort(values, kind="stable")
+    labels = np.zeros(len(values), dtype=int)
+    labels[order[1:]] = np.cumsum(np.diff(values[order]) > tol)
+    return labels
+
+
+def _label_groups(labels):
+    """Indices grouped by integer label, as lists: groups in ascending label,
+    members ascending; no group for an empty array."""
+    order = np.argsort(labels, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
+    order = order.tolist()
+    return [order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _to_frame(x, w):
+    """K^dag x for K = kron(conj(w), w), the superoperator of X -> w X w^dag:
+    each column of x, read as a column-stacked X, becomes vec(w^dag X w).
+    Batched N x N products cost O(N^3) per column, where K costs O(N^4)."""
+    n = w.shape[0]
+    transposed = x.T.reshape(-1, n, n)  # entry j is X_j^T
+    return (w.T @ transposed @ w.conj()).reshape(x.shape[::-1]).T
+
+
+def _conjugated(mat, w):
+    """K^dag M K, for K as in _to_frame."""
+    return _to_frame(_to_frame(mat, w).conj().T, w).conj().T
 
 
 def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
@@ -305,8 +330,9 @@ def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
         invariants.append(vectors @ np.diag(coeffs) @ vectors.conj().T)
     invariants.append(np.eye(n, dtype=complex) / np.sqrt(n))
 
-    omegas = np.array([t.omega for t in transitions])
-    groups = _cluster(omegas, degeneracy_tol) if transitions else []
+    # frame index a + N b is |a><b|, at Bohr frequency E_b - E_a
+    labels = _cluster((energies[None, :] - energies[:, None]).ravel(order="F"), degeneracy_tol)
+    groups = _label_groups(labels[[t.n + n * t.m for t in transitions]])
 
     return EigenoperatorBasis(
         spectrum=spectrum,
@@ -314,4 +340,5 @@ def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
         transitions=transitions,
         invariants=invariants,
         degeneracy_groups=groups,
+        sector_labels=labels,
     )

@@ -6,7 +6,8 @@ the full battery and shares one Propagator between its checks: L is split
 into Bohr-frequency sectors when its measured off-sector norm allows it and
 decomposed once, block by block or whole.  The checks that read that split
 (fixed_point, cptp, spectral) record the route taken ("sector" or "dense")
-and the off-sector norm in their details.
+and the off-sector norm in their details; structure_support is the
+off-sector norm of the dissipator under the same sector labels.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .dynamics import (
     null_dimension,
     relative_entropy,
 )
-from .liouville import assemble_superop, change_basis, choi_matrix, vectorize
+from .liouville import _conjugated, assemble_superop, change_basis, choi_matrix, vectorize
 from .presets import thermal_state
 
 DEFAULT_THRESHOLDS = {
@@ -202,26 +203,24 @@ def check_spectral(superoperator, basis=None, threshold=None):
     )
 
 
-def _support_mask(basis):
-    # one label per basis operator: its degeneracy group for a transition,
-    # -1 for every invariant, so the invariant sector is one block
-    labels = np.full(len(basis.transitions) + len(basis.invariants), -1)
-    for gid, group in enumerate(basis.degeneracy_groups):
-        labels[group] = gid
-    return labels[:, None] == labels[None, :]
-
-
 def check_structure_support(dissipator, basis, threshold=None):
-    """Leakage of the dissipator outside its allowed eigenoperator support.
+    """Leakage of the dissipator outside its Bohr-frequency sectors.
 
-    In the basis {transitions} + {invariants}, entries are allowed only
-    within a Bohr-frequency degeneracy group or within the invariant
-    sector; the defect is the Frobenius norm of everything else.
+    In the energy frame of basis, where index a + N b is |a><b|, entries
+    are allowed only between indices with the same basis.sector_labels:
+    within one group of equal Bohr frequency, the zero-frequency group
+    holding the populations and the coherences between degenerate levels.
+    The defect is the Frobenius norm of everything else: the off-sector
+    norm, as Propagator measures it on L.
     """
     threshold = DEFAULT_THRESHOLDS["structure_support"] if threshold is None else threshold
-    overlap = change_basis(dissipator, basis.full_basis())
-    allowed = _support_mask(basis)
-    disallowed = overlap[~allowed]
+    dissipator = np.asarray(dissipator, dtype=complex)
+    labels = basis.sector_labels
+    if dissipator.shape != (labels.size, labels.size):
+        raise ValueError(f"basis has {basis.n_levels} levels, dissipator is {dissipator.shape}")
+    frame = _conjugated(dissipator, basis.spectrum.vectors)
+    allowed = labels[:, None] == labels[None, :]
+    disallowed = frame[~allowed]
     defect = float(np.linalg.norm(disallowed))
     return CheckResult(
         name="structure_support",
@@ -230,7 +229,7 @@ def check_structure_support(dissipator, basis, threshold=None):
         threshold=threshold,
         details={
             "max_off_support": float(np.max(np.abs(disallowed))) if disallowed.size else 0.0,
-            "on_support_norm": float(np.linalg.norm(overlap[allowed])),
+            "on_support_norm": float(np.linalg.norm(frame[allowed])),
         },
     )
 

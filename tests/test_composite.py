@@ -361,6 +361,40 @@ def test_tau_expansion_samples_each_contour_point_once():
         assert np.array_equal(coefficient, contour_coefficient(model, rho_s, order))
 
 
+def reference_contour_sums(model, rho_s, orders, radius, points):
+    """The per-order Cauchy sums the FFT replaced, with the largest sample."""
+    thetas = [2 * np.pi * j / points for j in range(points)]
+    samples = [model.defect_state(radius * np.exp(1j * theta), rho_s) for theta in thetas]
+    sums = []
+    for order in orders:
+        acc = np.zeros((model.n_sys, model.n_sys), dtype=complex)
+        for theta, sample in zip(thetas, samples):
+            acc += sample * np.exp(-1j * order * theta)
+        sums.append(acc / (points * radius**order))
+    return sums, max(np.max(np.abs(x)) for x in samples)
+
+
+@pytest.mark.parametrize("make", [nonconserving_model, exchange_model])
+def test_contour_fft_matches_per_order_sums(make):
+    model = make()
+    rho_s = superposition_state()
+    orders = (1, 2, 3, 4, 7)
+    expected, largest = reference_contour_sums(model, rho_s, orders, 0.1, 32)
+    for order, reference in zip(orders, expected):
+        # both sum 32 samples, so they agree to a few ulps of the largest,
+        # amplified by 1 / radius^order
+        tol = 1e-14 * largest / 0.1**order
+        assert np.max(np.abs(contour_coefficient(model, rho_s, order) - reference)) <= tol
+
+
+def test_contour_rejects_orders_the_samples_alias():
+    model = nonconserving_model()
+    with pytest.raises(ValueError, match="contour orders"):
+        contour_coefficient(model, superposition_state(), 8, points=8)
+    with pytest.raises(ValueError, match="contour orders"):
+        tau_expansion(model, superposition_state(), contour_points=4)
+
+
 def test_contour_matches_finite_difference_ratio():
     # the tau^3 coefficient from the contour must reproduce the measured
     # defect at small tau

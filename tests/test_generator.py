@@ -288,6 +288,27 @@ def test_mixing_preserves_commutation():
     assert defect < 1e-12 * np.linalg.norm(gen.dissipator)
 
 
+def test_mixing_column_acts_on_transition_in_level_order():
+    # jump k of the unit-frequency group of ladder(8) is Y_k = sum_i y[k, i] F_i
+    # with F_i = |i><i+1|; a permutation y sends jump k to F_perm[k]
+    n = 8
+    perm = np.array([3, 0, 6, 1, 5, 2, 4])
+    y = np.eye(n - 1)[perm]
+    rates = {(i, i + 1): 0.5 + 0.1 * i for i in range(n - 1)}
+    gen = build_restricted_generator(
+        ThermoSpec(hamiltonian=presets.ladder(n, 1.0), beta=1.0, downward_rates=rates, degenerate_mixing={1.0: y})
+    )
+    downward = [t for t in gen.jump_terms if t.omega > 0]
+    assert len(downward) == n - 1
+    for k, term in enumerate(downward):
+        i = perm[k]
+        expected = np.zeros((n, n), dtype=complex)
+        expected[i, i + 1] = 1.0
+        np.testing.assert_allclose(term.operator, expected, atol=1e-14)
+        # the rate of jump k is the rate given for transition k in level order
+        assert term.rate == rates[(k, k + 1)]
+
+
 def test_build_rejections():
     h = presets.qutrit(0.0, 1.0, 3.0)
     with pytest.raises(ValueError):

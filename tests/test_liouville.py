@@ -6,16 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermolindblad import (
+    Propagator,
+    ThermoSpec,
     assemble_superop,
+    build_restricted_generator,
     conjugation_superop,
     devectorize,
     eigenoperator_basis,
     hs_inner,
     hs_norm,
     presets,
+    run_standard_checks,
     vectorize,
 )
-from thermolindblad.liouville import gkls_dissipator, sandwich_sum
+from thermolindblad import dynamics, liouville
+from thermolindblad.liouville import _cluster, gkls_dissipator, sandwich_sum
 
 
 def random_complex(shape, rng, scale=1.0):
@@ -215,6 +220,128 @@ def test_ladder_degeneracy_grouping():
     assert positive == pytest.approx([1.0, 1.0, 2.0])
     sizes = sorted(len(g) for g in basis.positive_degeneracy_groups())
     assert sizes == [1, 2]
+
+
+def reference_cluster(values, tol):
+    """The per-element loop _cluster replaced: chain sorted neighbours within tol."""
+    order = np.argsort(values)
+    groups = []
+    current = [int(order[0])]
+    for idx in order[1:]:
+        if values[idx] - values[current[-1]] <= tol:
+            current.append(int(idx))
+        else:
+            groups.append(current)
+            current = [int(idx)]
+    groups.append(current)
+    return groups
+
+
+def partition(groups):
+    return {frozenset(g) for g in groups}
+
+
+def bohr_frequencies(energies):
+    return (energies[None, :] - energies[:, None]).ravel(order="F")
+
+
+CLUSTER_INPUTS = {
+    "random": lambda rng: (bohr_frequencies(np.sort(rng.normal(size=6))), 1e-9),
+    "ladder": lambda rng: (bohr_frequencies(np.arange(7.0)), 1e-9),
+    "degenerate": lambda rng: (bohr_frequencies(np.array([0.0, 0.0, 1.0, 1.0, 2.5])), 1e-9),
+    # 1, 1 + 0.6t, 1 + 1.2t: the outer two differ by more than t but chain
+    "chained": lambda rng: (np.array([1.0, 1.0 + 1.2e-9, 3.0, 1.0 + 0.6e-9, 3.0]), 1e-9),
+    "n1": lambda rng: (np.array([0.0]), 1e-12),
+    "shuffled": lambda rng: (rng.permutation(np.repeat(rng.normal(size=5), 4)), 1e-12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTER_INPUTS))
+def test_cluster_matches_reference_loop(name, rng):
+    values, tol = CLUSTER_INPUTS[name](rng)
+    labels = _cluster(values, tol)
+    reference = reference_cluster(values, tol)  # groups in ascending value
+    assert labels.shape == values.shape
+    assert [sorted(set(labels[g].tolist())) for g in reference] == [[k] for k in range(len(reference))]
+
+
+@pytest.mark.parametrize("n", range(4, 21))
+def test_degeneracy_groups_in_ascending_transition_order(n):
+    basis = eigenoperator_basis(presets.ladder(n, 1.0))
+    omegas = [basis.transitions[g[0]].omega for g in basis.degeneracy_groups]
+    assert omegas == sorted(omegas)
+    for group in basis.degeneracy_groups:
+        assert group == sorted(group)
+        assert all(isinstance(k, int) for k in group)
+    # the unit-frequency group reads (0, 1), (1, 2), ... in level order
+    unit = basis.positive_degeneracy_groups()[0]
+    assert [(basis.transitions[k].n, basis.transitions[k].m) for k in unit] == [(i, i + 1) for i in range(n - 1)]
+
+
+def test_sector_labels_hold_populations_and_degenerate_coherences():
+    basis = eigenoperator_basis(np.diag([0.0, 1.0, 1.0]))
+    labels = basis.sector_labels.reshape(3, 3, order="F")  # labels[a, b] is |a><b|
+    zero = labels[0, 0]
+    assert np.array_equal(labels == zero, np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=bool))
+    assert labels[0, 1] == labels[0, 2] != labels[1, 0] == labels[2, 0]
+    assert labels[1, 0] < zero < labels[0, 1]  # ascending with E_b - E_a
+    # the degenerate coherences form the zero-frequency transition group
+    zero_group = [g for g in basis.degeneracy_groups if basis.transitions[g[0]].omega == 0.0]
+    assert [(basis.transitions[k].n, basis.transitions[k].m) for k in zero_group[0]] == [(1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        presets.qutrit(0.0, 1.0, 3.0),
+        presets.ladder(6, 1.0),
+        np.diag([0.0, 0.0, 1.0, 2.5]),
+        np.diag([0.0, 1.0, 1.0, 1.0, 3.0]),
+        presets.random_hermitian(6, np.random.default_rng(5)),
+    ],
+)
+def test_degeneracy_groups_match_transitions_only_clustering(h):
+    basis = eigenoperator_basis(h)
+    omegas = np.array([t.omega for t in basis.transitions])
+    expected = reference_cluster(omegas, basis.spectrum.degeneracy_tol)
+    assert partition(basis.degeneracy_groups) == partition(expected)
+
+
+def test_near_zero_frequencies_chain_through_the_populations():
+    # levels 0.6t apart: the transitions alone sit at -0.6t and +0.6t, more
+    # than t apart; with the populations' zeros between them they chain
+    t = 1e-6
+    basis = eigenoperator_basis(np.diag([0.0, 0.6 * t, 1.0]), degeneracy_tol=t)
+    omegas = np.array([tr.omega for tr in basis.transitions])
+    near_zero = sorted(basis.transition_index(*pair) for pair in [(0, 1), (1, 0)])
+    assert partition(reference_cluster(omegas, t)) >= {frozenset([near_zero[0]]), frozenset([near_zero[1]])}
+    assert near_zero in basis.degeneracy_groups
+    labels = basis.sector_labels.reshape(3, 3, order="F")
+    assert labels[0, 1] == labels[1, 0] == labels[0, 0] == labels[1, 1] == labels[2, 2]
+
+
+def test_one_cluster_call_per_basis(monkeypatch, rng):
+    calls = []
+
+    def counting(values, tol):
+        calls.append(len(values))
+        return _cluster(values, tol)
+
+    monkeypatch.setattr(liouville, "_cluster", counting)
+    monkeypatch.setattr(dynamics, "_cluster", counting, raising=False)
+    spec = ThermoSpec(
+        hamiltonian=presets.ladder(4, 1.0),
+        beta=1.0,
+        downward_rates={(0, 1): 1.0, (1, 2): 0.5, (0, 2): 0.3},
+        degenerate_mixing={1.0: presets.random_unitary(3, rng)},
+    )
+    gen = build_restricted_generator(spec)
+    assert calls == [16]
+    Propagator(gen.superoperator, gen.basis)
+    run_standard_checks(gen)
+    assert calls == [16]
+    eigenoperator_basis(presets.random_hermitian(3, rng))
+    assert calls == [16, 9]
 
 
 def test_adjoint_pairing_indices():

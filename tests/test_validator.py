@@ -29,6 +29,8 @@ from thermolindblad import (
     spohn_monitor,
     vectorize,
 )
+from thermolindblad.dynamics import _Sectors
+from thermolindblad.liouville import _conjugated, gkls_dissipator
 
 EXP_MINUS_ONE = 0.36787944117144233
 
@@ -115,6 +117,108 @@ def test_mixing_confined_to_degeneracy_block():
     assert (s1.n, s1.m) != (s2.n, s2.m)
     coupled = devectorize(gen.dissipator @ vectorize(s2.operator))
     assert abs(hs_inner(s1.operator, coupled)) > 0.05
+
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+# degenerate energy levels, so the zero-frequency sector holds coherences too
+DEGENERATE_MIXING_SPECS = {
+    "0,1,1": ThermoSpec(
+        hamiltonian=np.diag([0.0, 1.0, 1.0]),
+        beta=0.7,
+        downward_rates={(0, 1): 1.0, (0, 2): 0.4},
+        degenerate_mixing={1.0: HADAMARD},
+    ),
+    "0,0,1,2.5": ThermoSpec(
+        hamiltonian=np.diag([0.0, 0.0, 1.0, 2.5]),
+        beta=0.9,
+        downward_rates={(0, 2): 1.0, (1, 2): 0.3, (0, 3): 0.8, (1, 3): 0.5, (2, 3): 0.6},
+        degenerate_mixing={1.0: HADAMARD, 2.5: np.array([[0.6, 0.8], [0.8, -0.6]])},
+    ),
+}
+
+
+def zero_sector_coupling(dissipator, basis):
+    """Largest energy-frame entry of D between a population and a coherence
+    of the zero-frequency sector, either way."""
+    n = basis.n_levels
+    labels = basis.sector_labels
+    populations = np.arange(n) * (n + 1)
+    coherences = np.setdiff1d(np.flatnonzero(labels == labels[0]), populations)
+    frame = np.abs(_conjugated(dissipator, basis.spectrum.vectors))
+    return float(max(frame[np.ix_(populations, coherences)].max(), frame[np.ix_(coherences, populations)].max()))
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_MIXING_SPECS))
+def test_degenerate_mixing_passes_every_check(name):
+    gen = build_restricted_generator(DEGENERATE_MIXING_SPECS[name])
+    report = run_standard_checks(gen)
+    assert report.passed, [(c.name, c.defect) for c in report.checks if not c.passed]
+    assert report.get("structure_support").defect <= 1e-12
+    # the support check allows this coupling because it lies inside the zero sector
+    assert zero_sector_coupling(gen.dissipator, gen.basis) > 1e-3
+
+
+def rotated_dephasing(theta):
+    """Dephasing by projectors onto a rotated basis of the degenerate
+    eigenspace of H = diag(0, 1, 1)."""
+    u = np.array([0.0, np.cos(theta), np.sin(theta)])
+    v = np.array([0.0, -np.sin(theta), np.cos(theta)])
+    projectors = np.array([np.diag([1.0, 0.0, 0.0]), np.outer(u, u), np.outer(v, v)])
+    return np.diag([0.0, 1.0, 1.0]), gkls_dissipator(projectors, [0.5, 1.0, 0.7])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, 1.1])
+def test_rotated_degenerate_dephasing_stays_in_support(theta):
+    h, diss = rotated_dephasing(theta)
+    basis = eigenoperator_basis(h)
+    assert check_commutation(diss, h).defect <= 1e-14
+    support = check_structure_support(diss, basis)
+    assert support.passed
+    assert support.defect <= 1e-12
+    if theta:  # off the eigenbasis that eigh returns, D mixes populations and coherences
+        assert zero_sector_coupling(diss, basis) > 1e-3
+
+
+def test_kick_between_nonzero_sectors_fails_support(qutrit_generator):
+    # X -> |0><0| X |1><2| maps |0><1| (omega 1) onto |0><2| (omega 3)
+    gen = qutrit_generator
+    p0 = np.diag([1.0, 0.0, 0.0])
+    f12 = np.zeros((3, 3))
+    f12[1, 2] = 1.0
+    kick = 1e-6 * assemble_superop("sandwich", p0, f12)
+    result = check_structure_support(gen.dissipator + kick, gen.basis)
+    assert not result.passed
+    assert result.defect == pytest.approx(1e-6, rel=1e-9)
+    assert result.details["max_off_support"] == pytest.approx(1e-6, rel=1e-9)
+
+
+def test_support_rejects_basis_of_wrong_size(qutrit_generator):
+    with pytest.raises(ValueError, match="3 levels"):
+        check_structure_support(np.zeros((16, 16)), qutrit_generator.basis)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_foreign_dissipator_fails_support(n, rng):
+    gen = foreign(n, rng)
+    result = check_structure_support(gen.dissipator, gen.basis)
+    assert not result.passed
+    assert result.defect > 1e-3
+
+
+@pytest.mark.parametrize("make", ["random", "ladder", "foreign", "0,1,1", "0,0,1,2.5", "rotated"])
+def test_support_defect_is_the_sector_off_norm(make, rng):
+    if make == "rotated":
+        h, diss = rotated_dephasing(0.4)
+        basis = eigenoperator_basis(h)
+    else:
+        if make in DEGENERATE_MIXING_SPECS:
+            gen = build_restricted_generator(DEGENERATE_MIXING_SPECS[make])
+        else:
+            gen = {"random": random_restricted, "ladder": ladder_with_mixing, "foreign": foreign}[make](5, rng)
+        diss, basis = gen.dissipator, gen.basis
+    support = check_structure_support(diss, basis)
+    assert support.defect == _Sectors(diss, basis).off_sector_norm
 
 
 # -- fixed point -------------------------------------------------------------
