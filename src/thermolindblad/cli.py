@@ -120,7 +120,7 @@ def _run_evolve(cfg, tolerances, seed, out_dir):
     bath = cfg.baths[0]
     rho0 = resolve_state(cfg.evolve.initial_state, cfg.system_hamiltonian, bath.beta)
     trajectory = propagate(gen, rho0, cfg.evolve.times)
-    steady = steady_state(gen.superoperator)
+    steady = steady_state(gen)
     if steady.unique:
         reference, reference_label = steady.rho, "steady_state"
     else:

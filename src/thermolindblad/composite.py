@@ -152,10 +152,30 @@ class CompositeModel:
         e^{+i H tau}, which agrees with the adjoint on the real axis and
         continues the map analytically off it.
         """
+        return self._map_of_blocks(self._env_blocks(tau), self._env_blocks(-tau))
+
+    def _map_of_blocks(self, blocks, inverse_blocks):
+        """The reduced map from the _env_blocks of U(tau) and of U(-tau)."""
         keep = np.abs(self._env_evals) > 1e-15
-        lefts = self._env_blocks(tau)[keep].reshape(-1, self.n_sys, self.n_sys)
-        rights = self._env_blocks(-tau).transpose(1, 0, 2, 3)[keep].reshape(lefts.shape)
+        lefts = blocks[keep].reshape(-1, self.n_sys, self.n_sys)
+        rights = inverse_blocks.transpose(1, 0, 2, 3)[keep].reshape(lefts.shape)
         return sandwich_sum(lefts, rights, np.repeat(self._env_evals[keep], self.n_env))
+
+    def _contour_defect_states(self, rho_s, radius, points):
+        """defect_state at tau_j = radius exp(2 pi i j / points), j < points.
+        Each contour unitary's blocks are formed once: on an even contour
+        -tau_j is tau_{j + points/2}, so they also serve the inverse."""
+        taus = [radius * cmath.exp(2j * math.pi * j / points) for j in range(points)]
+        blocks = [self._env_blocks(tau) for tau in taus]
+        half = points // 2
+        if points % 2 == 0:
+            inverse = blocks[half:] + blocks[:half]
+        else:
+            inverse = [self._env_blocks(-tau) for tau in taus]
+        return [
+            devectorize(self._defect_of(self._map_of_blocks(b, ib), tau) @ vectorize(rho_s))
+            for tau, b, ib in zip(taus, blocks, inverse)
+        ]
 
     def free_conjugation(self, tau):
         """Superoperator of the free system evolution at (possibly complex)
@@ -166,7 +186,9 @@ class CompositeModel:
 
     def defect_superoperator(self, tau):
         """Commutator of the reduced map with free evolution at time tau."""
-        lam = self.reduced_map(tau)
+        return self._defect_of(self.reduced_map(tau), tau)
+
+    def _defect_of(self, lam, tau):
         free = self.free_conjugation(tau)
         return lam @ free - free @ lam
 
@@ -270,8 +292,7 @@ def _contour_coefficients(model, rho_s, orders, radius, points):
     points from one set of samples on the contour and one FFT over them."""
     if any(abs(order) >= points for order in orders):
         raise ValueError(f"contour orders must be below the {points} contour points, got {orders}")
-    samples = [model.defect_state(radius * cmath.exp(2j * math.pi * j / points), rho_s) for j in range(points)]
-    spectrum = np.fft.fft(samples, axis=0)
+    spectrum = np.fft.fft(model._contour_defect_states(rho_s, radius, points), axis=0)
     return [spectrum[order] / (points * radius**order) for order in orders]
 
 

@@ -9,7 +9,16 @@ import numpy as np
 import scipy.linalg
 
 from .generator import ThermoSpec, build_restricted_generator, kms_rates
-from .liouville import _conjugated, _label_groups, _to_frame, assemble_superop, devectorize, eigenoperator_basis, vectorize
+from .liouville import (
+    _conjugated,
+    _energy_frame,
+    _label_groups,
+    _to_frame,
+    assemble_superop,
+    devectorize,
+    eigenoperator_basis,
+    vectorize,
+)
 
 log = logging.getLogger(__name__)
 
@@ -23,35 +32,48 @@ _SECTOR_BOUND = 1e-12
 class _Sectors:
     """A superoperator L split into the blocks the audit and Propagator work on.
 
-    Given the eigenoperator basis of L's Hamiltonian, L is taken to the energy
-    frame U^dag L U, U = kron(conj(V), V), whose index a + N b is |a><b|, and
-    split by the basis' sector_labels.  When the norm of everything between
-    different labels (off_sector_norm) is at most _SECTOR_BOUND * max(1,
-    ||L||_F), and the labels also split the Choi matrix (index i + N k of a
-    Choi matrix carries E_k - E_i), the route is "sector": the diagonal
-    blocks are kept and the rest is dropped.  Otherwise, and without a
-    basis, the route is "dense": L itself in the standard frame, as one
-    block.  indices holds one (K, s) array of frame indices per block size s.
+    L is taken to the energy frame U^dag L U, U = kron(conj(V), V), whose
+    index a + N b is |a><b|, and split by Bohr-frequency labels.  The frame
+    V and the labels come from the basis when one is given (its
+    sector_labels), else from L's own Hamiltonian part (see
+    _hamiltonian_part), through the same clustering at the default
+    degeneracy_tol.  When the norm of everything between different labels
+    (off_sector_norm) is at most _SECTOR_BOUND * max(1, ||L||_F), and the
+    labels also split the Choi matrix (index i + N k of a Choi matrix
+    carries E_k - E_i), the route is "sector": the diagonal blocks are kept
+    and the rest is dropped.  Otherwise, and without a basis for an L that
+    is not finite or whose size is not a perfect square, the route is
+    "dense": L itself in the standard frame, as one block.  indices holds
+    one (K, s) array of frame indices per block size s.
     """
 
     def __init__(self, l_mat, basis=None):
         n2 = l_mat.shape[0]
         self.route, self.vectors, self.off_sector_norm = "dense", None, None
         self.frame, self.indices = l_mat, [np.arange(n2)[None]]
-        if basis is None:
-            return
-        if basis.n_levels**2 != n2:
-            raise ValueError(f"basis has {basis.n_levels} levels, superoperator is {n2}x{n2}")
-        vectors, labels = basis.spectrum.vectors, basis.sector_labels
+        if basis is not None:
+            if basis.n_levels**2 != n2:
+                raise ValueError(f"basis has {basis.n_levels} levels, superoperator is {n2}x{n2}")
+            n, vectors, labels = basis.n_levels, basis.spectrum.vectors, basis.sector_labels
+        else:
+            n = math.isqrt(n2)
+            if n == 0 or n * n != n2 or not np.isfinite(l_mat).all():
+                return
+            spectrum, labels = _energy_frame(_hamiltonian_part(l_mat, n))
+            vectors = spectrum.vectors
         frame = _conjugated(l_mat, vectors)
         self.off_sector_norm = float(np.linalg.norm(frame[labels[:, None] != labels[None, :]]))
         groups = _label_groups(labels)
         sizes = sorted({len(g) for g in groups})
         indices = [np.array([g for g in groups if len(g) == s]) for s in sizes]
         if self.off_sector_norm <= _SECTOR_BOUND * max(1.0, np.linalg.norm(l_mat)) and _choi_closed(
-            indices, labels, basis.n_levels
+            indices, labels, n
         ):
             self.route, self.vectors, self.frame, self.indices = "sector", vectors, frame, indices
+
+    def to_standard(self, x):
+        """Frame vectors (the columns of x) back in the standard frame."""
+        return x if self.route == "dense" else _to_frame(x, self.vectors.conj().T)
 
     def blocks(self, mat):
         """The diagonal blocks of a frame matrix, one (K, s, s) stack per size."""
@@ -70,6 +92,15 @@ class _Sectors:
         return out
 
 
+def _hamiltonian_part(l_mat, n):
+    """H of L = -i[H, .] + D up to a multiple of I: with X_ab = sum_k
+    L[a + N k, b + N k], the partial trace of L, H = i(X - X^dag) / (2N).
+    The GKS form is unique, so this is exact when D's jump operators are
+    traceless or Hermitian, as a restricted generator's are."""
+    x = np.trace(l_mat.reshape(n, n, n, n), axis1=0, axis2=2)
+    return 1j * (x - x.conj().T) / (2 * n)
+
+
 def _choi_closed(indices, labels, n):
     # block entry (a + N b, c + N d) is Choi entry (a + N c, b + N d); the
     # labels split the Choi matrix too when those two carry the same label
@@ -83,11 +114,12 @@ def _choi_closed(indices, labels, n):
 class Propagator:
     """Evaluates exp(L t) for a fixed superoperator L at arbitrary t.
 
-    With basis (the eigenoperator basis of L's Hamiltonian) L is split into
-    Bohr-frequency sectors when its measured off-sector norm allows it (see
-    _Sectors; route "sector"), and each block is decomposed on its own, with
-    one batched eig per block size; otherwise (route "dense") L is
-    decomposed whole.  The eigendecomposition is used when the eigenvector
+    L is split into Bohr-frequency sectors, in the frame of basis (the
+    eigenoperator basis of L's Hamiltonian) if given, else in the frame of
+    L's own Hamiltonian part, when its measured off-sector norm allows it
+    (see _Sectors; route "sector"), and each block is decomposed on its
+    own, with one batched eig per block size; otherwise (route "dense") L
+    is decomposed whole.  The eigendecomposition is used when the eigenvector
     matrix (block diagonal on the sector route) has cond < 1e8, and
     scaling-and-squaring of each block otherwise.  The eigenvalues, the
     condition number, the route and the off-sector norm are kept, so audits
@@ -158,9 +190,7 @@ class Propagator:
         else:
             maps = [self._frame_map(t) @ frame_vec for t in times]
             out = np.array(maps, dtype=complex).reshape(times.size, vec.size).T
-        if self.route == "dense":
-            return out
-        return _to_frame(out, self.sectors.vectors.conj().T)
+        return self.sectors.to_standard(out)
 
 
 def _superop_of(obj):
@@ -170,7 +200,7 @@ def _superop_of(obj):
 
 def _propagator_of(obj):
     """obj itself if it is a Propagator, else one built with obj's eigenoperator
-    basis when it has one."""
+    basis when it has one, in the frame of obj's Hamiltonian part otherwise."""
     return obj if isinstance(obj, Propagator) else Propagator(_superop_of(obj), getattr(obj, "basis", None))
 
 
@@ -208,8 +238,10 @@ def propagate(superoperator, rho0, times):
     """Evolve rho0 under exp(L t) for each t in times.
 
     superoperator may be an array, a Propagator, or an object with a
-    superoperator, such as a generator; one with an eigenoperator basis
-    lets the Propagator work by sector.  States are re-Hermitized as (rho + rho^dag)/2; the defect removed at
+    superoperator, such as a generator.  The Propagator works by sector
+    when L's off-sector norm allows it, in the frame of the object's
+    eigenoperator basis if it has one, else of L's own Hamiltonian part.
+    States are re-Hermitized as (rho + rho^dag)/2; the defect removed at
     each step is recorded in the trajectory.
     """
     rho0 = check_density_matrix(rho0)
@@ -242,12 +274,19 @@ class SteadyState:
 def steady_state(superoperator, null_tol=1e-10):
     """Stationary state from the smallest singular vector of L.
 
-    Uniqueness is decided by counting singular values below
-    null_tol * smax.  Raises LinAlgError when L has no null direction at
-    that tolerance or the null direction is traceless.
+    superoperator is read as in propagate.  L's singular values are those
+    of its sector blocks together (L whole on the dense route), one batched
+    SVD per block size; uniqueness is decided by counting those below
+    null_tol * smax.  The state is the right singular vector of the
+    smallest one, taken from its block back to the standard frame.  Raises
+    LinAlgError when L has no null direction at that tolerance, the null
+    direction is traceless, or the state's residual ||L rho|| exceeds
+    1e-6 * max(smax, 1).
     """
     l_mat = _superop_of(superoperator)
-    _, svals, vh = np.linalg.svd(l_mat)
+    sectors = _sectors_of(superoperator)
+    decomps = [np.linalg.svd(block) for block in sectors.blocks(sectors.frame)]
+    svals = np.sort(np.concatenate([s.ravel() for _, s, _ in decomps]))[::-1]
     smax = svals[0]
     null_dim = null_dimension(svals, null_tol)
     if null_dim == 0:
@@ -255,7 +294,12 @@ def steady_state(superoperator, null_tol=1e-10):
             f"no stationary state found: smallest singular value {svals[-1]:.3e} "
             f"exceeds {null_tol:.1e} * {smax:.3e}"
         )
-    rho = devectorize(vh[-1].conj())
+    k = int(np.argmin([s[:, -1].min() for _, s, _ in decomps]))
+    _, s, vh = decomps[k]
+    j = int(np.argmin(s[:, -1]))
+    frame_vec = np.zeros(l_mat.shape[0], dtype=complex)
+    frame_vec[sectors.indices[k][j]] = vh[j, -1].conj()
+    rho = devectorize(sectors.to_standard(frame_vec))
     rho = (rho + rho.conj().T) / 2
     tr = np.trace(rho).real
     if abs(tr) < 1e-10:
@@ -279,29 +323,33 @@ def relative_entropy(rho, sigma, support_cutoff=1e-12):
     """Quantum relative entropy S(rho || sigma) = tr(rho ln rho - rho ln sigma).
 
     rho may be one state (returns a float) or a stack of states (...,
-    N, N) (returns an array); sigma is decomposed once either way.
+    N, N) (returns an array).  Only the eigenvalues of each rho are taken;
+    sigma is decomposed once, and ln sigma is formed once on its support
+    (eigenvalues above support_cutoff) and contracted with every rho.
     Returns +inf where rho has weight above support_cutoff on the null
-    space of sigma.  Eigenvalues are clipped at 1e-300 before logs.
+    space of sigma.  Eigenvalues are clipped at 1e-300 before logs, and
+    those of rho at 0.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape[-2:] != sigma.shape or sigma.ndim != 2:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
+    n = sigma.shape[0]
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
     sigma = (sigma + sigma.conj().T) / 2
-    p, u = np.linalg.eigh(rho)
+    p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     q, v = np.linalg.eigh(sigma)
-    p = np.clip(p, 0.0, None)
 
     null_mask = q <= support_cutoff
     null_vecs = v[:, null_mask]
     weight = np.einsum("ji,...jk,ki->...", null_vecs.conj(), rho, null_vecs).real
 
     entropy_term = np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
-    keep = ~null_mask
-    overlaps = np.abs(u.conj().swapaxes(-1, -2) @ v[:, keep]) ** 2
-    log_q = np.log(np.clip(q[keep], 1e-300, None))
-    cross_term = (p[..., None, :] @ overlaps @ log_q[:, None])[..., 0, 0]
+    support = v[:, ~null_mask]
+    log_sigma = (support * np.log(np.clip(q[~null_mask], 1e-300, None))) @ support.conj().T
+    # tr(rho ln sigma) = sum_ij rho_ij (ln sigma)_ji, one row-by-column product per state
+    rows = rho.reshape(*rho.shape[:-2], 1, n * n)
+    cross_term = (rows @ log_sigma.T.reshape(n * n, 1))[..., 0, 0].real
     result = np.where(weight > support_cutoff, math.inf, entropy_term - cross_term)
     return float(result) if result.ndim == 0 else result
 
@@ -388,17 +436,21 @@ class TransportReport:
 
 def transport_steady_report(model):
     """Steady state of a multi-bath model with per-bath heat currents and
-    the largest energy-basis coherence."""
+    the largest energy-basis coherence: the largest |<a|rho|b>| over the
+    pairs at nonzero Bohr frequency E_b - E_a, so coherences inside a
+    degenerate eigenspace, which commute with H, do not count."""
     ss = steady_state(model.superoperator)
     currents = [
         heat_current(model.hamiltonian, gen.dissipator, ss.rho) for gen in model.generators
     ]
-    vectors = model.generators[0].basis.spectrum.vectors
+    basis = model.generators[0].basis
+    vectors, labels = basis.spectrum.vectors, basis.sector_labels
     rho_eig = vectors.conj().T @ ss.rho @ vectors
-    off_diag = rho_eig - np.diag(np.diag(rho_eig))
+    # |a><b| is an energy coherence when its Bohr frequency is not that of |0><0|
+    coherences = np.abs(rho_eig.ravel(order="F")[labels != labels[0]])
     return TransportReport(
         steady=ss,
         currents=currents,
         current_sum=float(sum(currents)),
-        max_coherence=float(np.max(np.abs(off_diag))),
+        max_coherence=float(coherences.max()) if coherences.size else 0.0,
     )

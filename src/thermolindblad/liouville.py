@@ -281,6 +281,21 @@ def _conjugated(mat, w):
     return _to_frame(_to_frame(mat, w).conj().T, w).conj().T
 
 
+def _energy_frame(h, degeneracy_tol=None):
+    """Spectrum of a Hermitian h (eigenvectors phase-fixed, degeneracy_tol
+    defaulting to 1e-9 * max|energy| with floor 1e-12) and the Bohr-frequency
+    label of each energy-frame index: index a + N b is |a><b|, at frequency
+    E_b - E_a, clustered at degeneracy_tol."""
+    energies, vectors = np.linalg.eigh(h)
+    vectors = _fix_phases(vectors)
+    if degeneracy_tol is None:
+        scale = float(np.max(np.abs(energies))) if energies.size else 0.0
+        degeneracy_tol = max(1e-9 * scale, 1e-12)
+    spectrum = Spectrum(energies=energies, vectors=vectors, degeneracy_tol=float(degeneracy_tol))
+    labels = _cluster((energies[None, :] - energies[:, None]).ravel(order="F"), degeneracy_tol)
+    return spectrum, labels
+
+
 def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
     """Decompose a Hermitian H into projectors, transition eigenoperators,
     and the unitary-invariant (diagonal) basis.
@@ -300,16 +315,9 @@ def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
     sym_defect = hs_norm((h - h.conj().T) / 2)
     if sym_defect > 1e-12:
         raise ValueError(f"hamiltonian is not Hermitian (symmetrized defect {sym_defect:.3e})")
-    h = (h + h.conj().T) / 2
-    n = h.shape[0]
-
-    energies, vectors = np.linalg.eigh(h)
-    vectors = _fix_phases(vectors)
-
-    if degeneracy_tol is None:
-        scale = float(np.max(np.abs(energies))) if n else 0.0
-        degeneracy_tol = max(1e-9 * scale, 1e-12)
-    spectrum = Spectrum(energies=energies, vectors=vectors, degeneracy_tol=float(degeneracy_tol))
+    spectrum, labels = _energy_frame((h + h.conj().T) / 2, degeneracy_tol)
+    energies, vectors = spectrum.energies, spectrum.vectors
+    n = energies.size
 
     # outers[i, j] = |v_i><v_j|, the same elementwise product np.outer forms
     outers = vectors.T[:, None, :, None] * vectors.T.conj()[None, :, None, :]
@@ -330,8 +338,6 @@ def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
         invariants.append(vectors @ np.diag(coeffs) @ vectors.conj().T)
     invariants.append(np.eye(n, dtype=complex) / np.sqrt(n))
 
-    # frame index a + N b is |a><b|, at Bohr frequency E_b - E_a
-    labels = _cluster((energies[None, :] - energies[:, None]).ravel(order="F"), degeneracy_tol)
     groups = _label_groups(labels[[t.n + n * t.m for t in transitions]])
 
     return EigenoperatorBasis(

@@ -4,7 +4,9 @@ Each check returns a CheckResult whose pass verdict is defect <= threshold;
 what the defect measures is stated per check.  run_standard_checks bundles
 the full battery and shares one Propagator between its checks: L is split
 into Bohr-frequency sectors when its measured off-sector norm allows it and
-decomposed once, block by block or whole.  The checks that read that split
+decomposed once, block by block or whole.  The frame of that split is the
+eigenoperator basis of the object passed if it has one, else L's own
+Hamiltonian part, so a bare array is split too.  The checks that read it
 (fixed_point, cptp, spectral) record the route taken ("sector" or "dense")
 and the off-sector norm in their details; structure_support is the
 off-sector norm of the dissipator under the same sector labels.
@@ -96,7 +98,9 @@ def _route_details(sectors):
 def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     """Residual norm of L applied to the Gibbs state at inverse temperature
     beta, with a zeroth-law uniqueness flag from the null-space dimension.
-    The singular values of L are those of its sector blocks together."""
+    The singular values of L are those of its sector blocks together, split
+    in the frame of superoperator's basis if it has one, else of L's own
+    Hamiltonian part (L whole on the dense route)."""
     threshold = DEFAULT_THRESHOLDS["fixed_point"] if threshold is None else threshold
     l_mat = _superop_of(superoperator)
     sectors = _sectors_of(superoperator)
@@ -116,10 +120,12 @@ def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
 def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
     """Complete positivity (Choi spectrum) and trace preservation of
     exp(L t) across a time grid; the defect is the worst violation.
-    superoperator may be a Propagator, whose decomposition is then reused.
-    On the sector route the maps and their Choi matrices are block diagonal
-    in the energy frame, so the smallest Choi eigenvalue is taken block by
-    block; vec(I) is the same in either frame."""
+    superoperator may be a Propagator, whose decomposition is then reused;
+    otherwise one is built as propagate builds it, in the frame of the
+    object's basis if it has one, else of L's own Hamiltonian part.  On the
+    sector route the maps and their Choi matrices are block diagonal in the
+    energy frame, so the smallest Choi eigenvalue is taken block by block;
+    vec(I) is the same in either frame."""
     threshold = DEFAULT_THRESHOLDS["cptp"] if threshold is None else threshold
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
@@ -161,7 +167,9 @@ def check_spectral(superoperator, basis=None, threshold=None):
     supplied, the largest imaginary part of the population-block
     eigenvalues against 1e-9.  Raw numbers live in details.  The spectrum
     and the condition number are read from a Propagator, built here unless
-    superoperator is one; on the sector route they come from the blocks.
+    superoperator is one (split in the frame of the object's basis if it
+    has one, else of L's own Hamiltonian part; the basis argument only adds
+    the population block); on the sector route they come from the blocks.
     """
     threshold = DEFAULT_THRESHOLDS["spectral"] if threshold is None else threshold
     try:

@@ -343,11 +343,15 @@ def test_mean_field_of_product_coupling():
 class CountingModel(CompositeModel):
     def __post_init__(self):
         super().__post_init__()
-        self.reduced_map_calls = 0
+        self.maps = self.unitary_blocks = 0
 
-    def reduced_map(self, tau):
-        self.reduced_map_calls += 1
-        return super().reduced_map(tau)
+    def _map_of_blocks(self, blocks, inverse_blocks):
+        self.maps += 1
+        return super()._map_of_blocks(blocks, inverse_blocks)
+
+    def _env_blocks(self, tau):
+        self.unitary_blocks += 1
+        return super()._env_blocks(tau)
 
 
 def test_tau_expansion_samples_each_contour_point_once():
@@ -355,7 +359,10 @@ def test_tau_expansion_samples_each_contour_point_once():
     model = CountingModel(base.system_hamiltonian, base.env_hamiltonian, base.coupling, base.env_state)
     rho_s = superposition_state()
     scan = tau_expansion(model, rho_s, contour_points=32)
-    assert model.reduced_map_calls == len(scan.taus) + 32
+    assert model.maps == len(scan.taus) + 32
+    # U(tau) and U(-tau) per grid point; one U per contour point, which
+    # also serves the opposite point's inverse
+    assert model.unitary_blocks == 2 * len(scan.taus) + 32
     # the shared samples give every order what the one-order call gives
     for order, coefficient in zip((2, 3, 4), (scan.coefficient_two, scan.coefficient_three, scan.coefficient_four)):
         assert np.array_equal(coefficient, contour_coefficient(model, rho_s, order))
@@ -385,6 +392,15 @@ def test_contour_fft_matches_per_order_sums(make):
         # amplified by 1 / radius^order
         tol = 1e-14 * largest / 0.1**order
         assert np.max(np.abs(contour_coefficient(model, rho_s, order) - reference)) <= tol
+
+
+def test_odd_contour_matches_per_order_sums():
+    # no contour point is the negative of another, so each inverse is its own
+    model = nonconserving_model()
+    rho_s = superposition_state()
+    expected, largest = reference_contour_sums(model, rho_s, (3,), 0.1, 9)
+    tol = 1e-14 * largest / 0.1**3
+    assert np.max(np.abs(contour_coefficient(model, rho_s, 3, points=9) - expected[0])) <= tol
 
 
 def test_contour_rejects_orders_the_samples_alias():

@@ -244,6 +244,43 @@ def test_relative_entropy_of_stack_matches_single_states(n, rng):
     assert np.isinf(relative_entropy(np.array(states), sigma)).tolist() == [False, True, False, False]
 
 
+def overlap_relative_entropy(rho, sigma, support_cutoff=1e-12):
+    """S(rho || sigma) from both eigendecompositions: the cross term as
+    sum_ij p_i |<u_i|v_j>|^2 ln q_j over the support of sigma."""
+    rho, sigma = (rho + rho.conj().T) / 2, (sigma + sigma.conj().T) / 2
+    p, u = np.linalg.eigh(rho)
+    q, v = np.linalg.eigh(sigma)
+    p = np.clip(p, 0.0, None)
+    null_vecs = v[:, q <= support_cutoff]
+    if np.trace(null_vecs.conj().T @ rho @ null_vecs).real > support_cutoff:
+        return np.inf
+    keep = q > support_cutoff
+    overlaps = np.abs(u.conj().T @ v[:, keep]) ** 2
+    log_q = np.log(np.clip(q[keep], 1e-300, None))
+    return float(np.sum(p * np.log(np.where(p > 0.0, p, 1.0))) - p @ overlaps @ log_q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_relative_entropy_matches_overlap_formula(n, rng):
+    u = presets.random_unitary(n, rng)
+    weights = np.concatenate([[0.0], rng.uniform(0.1, 1.0, n - 1)]) if n > 1 else np.ones(1)
+    partial = (u * (weights / weights.sum())) @ u.conj().T
+    support = u[:, 1:] if n > 1 else u
+    pure = np.outer(support[:, -1], support[:, -1].conj())
+    states = [presets.random_density_matrix(n, rng), pure, support @ support.conj().T / support.shape[1]]
+    for sigma in (partial, presets.random_density_matrix(n, rng), pure):
+        for rho in states:
+            expected = overlap_relative_entropy(rho, sigma)
+            value = relative_entropy(rho, sigma)
+            if np.isinf(expected):
+                assert value == np.inf
+            else:
+                assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    if n > 1:
+        # full-rank states are off the support of a rank-deficient sigma
+        assert relative_entropy(states[0], partial) == np.inf
+
+
 # -- transport ---------------------------------------------------------------
 
 
@@ -296,6 +333,25 @@ def test_two_bath_ladder_has_no_cycle_current():
     assert abs(report.current_sum) < 1e-12
     for j in report.currents:
         assert abs(j) < 1e-12
+
+
+def test_coherence_inside_degenerate_eigenspace_is_not_energy_coherence():
+    # H = diag(0, 1, 1): the hot bath's Hadamard-mixed jumps leave a
+    # stationary coherence between the degenerate levels 1 and 2, which
+    # commutes with H; only pairs at nonzero Bohr frequency count
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    rates = {(0, 1): 1.0, (0, 2): 0.5}
+    model = build_transport_model(
+        np.diag([0.0, 1.0, 1.0]),
+        [
+            BathSpec(beta=0.1, downward_rates=rates, degenerate_mixing={1.0: hadamard}, label="hot"),
+            BathSpec(beta=5.0, downward_rates=rates, label="cold"),
+        ],
+    )
+    report = transport_steady_report(model)
+    assert report.steady.unique
+    assert abs(report.steady.rho[1, 2]) > 1e-2
+    assert report.max_coherence <= 1e-10
 
 
 def test_equal_temperature_baths_thermalize():

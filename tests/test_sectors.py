@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from thermolindblad import (
@@ -14,12 +15,17 @@ from thermolindblad import (
     check_cptp,
     check_fixed_point,
     check_spectral,
+    choi_matrix,
+    devectorize,
     eigenoperator_basis,
     presets,
     propagate,
     run_standard_checks,
+    steady_state,
     vectorize,
 )
+from thermolindblad.dynamics import _hamiltonian_part, _Sectors, null_dimension
+from thermolindblad.validator import CPTP_TIME_GRID
 
 ROUTED = ("fixed_point", "cptp", "spectral")
 
@@ -70,32 +76,78 @@ def paired_distance(a, b):
     return distance[rows, cols].max()
 
 
+def dense_cptp_details(l_mat, times=CPTP_TIME_GRID):
+    """Choi minima and trace defects of expm(L t), from the whole L."""
+    eye_vec = vectorize(np.eye(int(round(np.sqrt(l_mat.shape[0])))))
+    min_eigs, tp_defects = [], []
+    for lam in expm(l_mat * np.reshape(times, (-1, 1, 1))):
+        choi = choi_matrix(lam)
+        min_eigs.append(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
+        tp_defects.append(np.linalg.norm(lam.conj().T @ eye_vec - eye_vec))
+    return {"choi_eigenvalues_by_time": min_eigs, "trace_defects_by_time": tp_defects}
+
+
+def dense_states(l_mat, rho0, times):
+    """expm(L t) vec(rho0) for every t, Hermitized, from the whole L."""
+    vecs = expm(l_mat * times[:, None, None]) @ vectorize(rho0)
+    states = vecs.reshape(-1, *rho0.shape).swapaxes(1, 2)
+    return (states + states.conj().swapaxes(1, 2)) / 2
+
+
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_sector_route_matches_dense_route(name, rng):
     gen = INPUTS[name](rng)
     l_mat = gen.superoperator
     bound = 1e-12 * max(1.0, np.linalg.norm(l_mat))
-    sector, dense = Propagator(l_mat, gen.basis), Propagator(l_mat)
-    assert sector.route == "sector" and dense.route == "dense"
+    sector = Propagator(l_mat, gen.basis)
+    assert sector.route == "sector"
     assert sector.off_sector_norm <= bound
-    assert paired_distance(sector.eigenvalues, dense.eigenvalues) <= bound
-    assert abs(sector.condition_number - dense.condition_number) <= bound
-    assert np.max(np.abs(sector(0.7) - dense(0.7))) <= bound
+    dense_evals, dense_evecs = np.linalg.eig(l_mat)
+    assert paired_distance(sector.eigenvalues, dense_evals) <= bound
+    assert abs(sector.condition_number - np.linalg.cond(dense_evecs)) <= bound
+    assert np.max(np.abs(sector(0.7) - expm(l_mat * 0.7))) <= bound
 
-    cptp_s, cptp_d = check_cptp(sector), check_cptp(dense)
+    cptp_s, cptp_d = check_cptp(sector), dense_cptp_details(l_mat)
     for key in ("choi_eigenvalues_by_time", "trace_defects_by_time"):
-        assert np.max(np.abs(np.subtract(cptp_s.details[key], cptp_d.details[key]))) <= bound
-    assert cptp_s.passed == cptp_d.passed
+        assert np.max(np.abs(np.subtract(cptp_s.details[key], cptp_d[key]))) <= bound
+    assert cptp_s.passed == (max(-min(cptp_d["choi_eigenvalues_by_time"]), max(cptp_d["trace_defects_by_time"])) <= 1e-10)
     fixed_s = check_fixed_point(sector, gen.hamiltonian, gen.beta)
-    fixed_d = check_fixed_point(l_mat, gen.hamiltonian, gen.beta)
-    assert fixed_s.details["null_dimension"] == fixed_d.details["null_dimension"]
-    assert fixed_s.details["route"] == "sector" and fixed_d.details["route"] == "dense"
+    assert fixed_s.details["null_dimension"] == null_dimension(np.linalg.svd(l_mat, compute_uv=False))
+    assert fixed_s.details["route"] == "sector"
 
     rho0 = presets.random_density_matrix(gen.dim, rng)
     times = np.linspace(0.0, 30.0, 16)
     states_s = propagate(gen, rho0, times).states
-    states_d = propagate(l_mat, rho0, times).states
-    assert np.max(np.abs(states_s - states_d)) <= bound
+    assert np.max(np.abs(states_s - dense_states(l_mat, rho0, times))) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_bare_restricted_array_takes_sector_route(name, rng):
+    # the frame comes from L's own Hamiltonian part, not from gen.basis
+    gen = INPUTS[name](rng)
+    l_mat = gen.superoperator
+    bound = 1e-12 * max(1.0, np.linalg.norm(l_mat))
+    bare, given = Propagator(l_mat), Propagator(l_mat, gen.basis)
+    assert bare.route == "sector"
+    assert bare.off_sector_norm <= bound
+    assert [idx.shape for idx in bare.sectors.indices] == [idx.shape for idx in given.sectors.indices]
+    assert paired_distance(bare.eigenvalues, given.eigenvalues) <= bound
+    assert np.max(np.abs(bare(0.7) - given(0.7))) <= bound
+    rho0 = presets.random_density_matrix(gen.dim, rng)
+    times = np.linspace(0.0, 30.0, 16)
+    assert np.max(np.abs(propagate(l_mat, rho0, times).states - propagate(gen, rho0, times).states)) <= bound
+    for check in (check_fixed_point(l_mat, gen.hamiltonian, gen.beta), check_cptp(l_mat), check_spectral(l_mat)):
+        assert check.details["route"] == "sector"
+    assert np.max(np.abs(steady_state(l_mat).rho - steady_state(gen).rho)) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_hamiltonian_part_is_the_generator_hamiltonian(name, rng):
+    gen = INPUTS[name](rng)
+    derived = _hamiltonian_part(gen.superoperator, gen.dim)
+    shift = derived - gen.hamiltonian
+    bound = 1e-12 * max(1.0, np.linalg.norm(gen.superoperator))
+    assert np.max(np.abs(shift - np.trace(shift) / gen.dim * np.eye(gen.dim))) <= bound
 
 
 def test_degenerate_zero_sector_holds_coherences(rng):
@@ -112,9 +164,10 @@ def test_report_names_route_and_off_sector_norm(qutrit_generator):
         details = report.get(name).details
         assert details["route"] == "sector"
         assert details["off_sector_norm"] == pytest.approx(0.0, abs=1e-14)
-    # checks given a bare array measure nothing and stay dense
+    # a bare array is measured in the frame of its own Hamiltonian part
     details = check_spectral(qutrit_generator.superoperator).details
-    assert details["route"] == "dense" and details["off_sector_norm"] is None
+    assert details["route"] == "sector"
+    assert details["off_sector_norm"] <= 1e-12 * np.linalg.norm(qutrit_generator.superoperator)
 
 
 def foreign(n, rng):
@@ -166,6 +219,101 @@ def assert_same_results(a, b):
     assert pa[3].keys() == pb[3].keys()
     for key, value in pa[3].items():
         np.testing.assert_array_equal(value, pb[3][key])
+
+
+def whole_l_steady_state(l_mat):
+    """rho, null dimension and residual from one SVD of the whole L."""
+    _, svals, vh = np.linalg.svd(l_mat)
+    rho = devectorize(vh[-1].conj())
+    rho = (rho + rho.conj().T) / 2
+    rho = rho / np.trace(rho).real
+    return rho, null_dimension(svals), float(np.linalg.norm(l_mat @ vectorize(rho)))
+
+
+def whole_l_states(l_mat, rho0, times):
+    """Hermitized states from one eigendecomposition of the whole L."""
+    evals, evecs = np.linalg.eig(l_mat)
+    vecs = evecs @ (np.exp(evals[:, None] * times) * (np.linalg.inv(evecs) @ vectorize(rho0)[:, None]))
+    states = vecs.T.reshape(-1, *rho0.shape).swapaxes(1, 2)
+    return (states + states.conj().swapaxes(1, 2)) / 2
+
+
+def dephasing_only(h, rng):
+    """No rates: every population, and every coherence between degenerate
+    levels that the dephasing spares, is stationary."""
+    n = h.shape[0]
+    a = np.diag(rng.uniform(0.5, 1.5, n))
+    return build_restricted_generator(ThermoSpec(hamiltonian=h, beta=1.0, alpha=a))
+
+
+MANY_STATIONARY = {
+    "qubit": lambda rng: dephasing_only(presets.qubit(1.0), rng),
+    "qutrit": lambda rng: dephasing_only(presets.qutrit(0.0, 1.0, 3.0), rng),
+    "degenerate": lambda rng: dephasing_only(np.diag([0.0, 0.0, 1.0, 2.5]), rng),
+    "hamiltonian_only": lambda rng: build_restricted_generator(ThermoSpec(hamiltonian=presets.ladder(4, 1.0), beta=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS) + [f"many_{k}" for k in sorted(MANY_STATIONARY)])
+def test_blockwise_steady_state_matches_whole_svd(name, rng):
+    gen = MANY_STATIONARY[name[5:]](rng) if name.startswith("many_") else INPUTS[name](rng)
+    l_mat = gen.superoperator
+    ss = steady_state(l_mat)
+    rho, null_dim, _ = whole_l_steady_state(l_mat)
+    assert Propagator(l_mat).route == "sector"
+    assert ss.null_dimension == null_dim and ss.unique == (null_dim == 1)
+    assert ss.residual <= 1e-12 * max(1.0, np.linalg.norm(l_mat))
+    assert np.trace(ss.rho) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_array_equal(ss.rho, ss.rho.conj().T)
+    if null_dim == 1:
+        assert np.max(np.abs(ss.rho - rho)) <= 1e-10
+    else:
+        assert null_dim > 1 and name.startswith("many_")
+
+
+UNRESTRICTED = {
+    "foreign": lambda rng: foreign(4, rng).superoperator,
+    "kicked": lambda rng: perturbed(restricted(presets.random_hermitian(4, rng), 1.0, rng)).superoperator,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNRESTRICTED))
+def test_unrestricted_bare_array_stays_dense(name, rng):
+    l_mat = UNRESTRICTED[name](rng)
+    prop = Propagator(l_mat)
+    assert prop.route == "dense" and prop.off_sector_norm > 1e-9
+    np.testing.assert_array_equal(prop.eigenvalues, np.linalg.eig(l_mat)[0])
+    rho0 = presets.random_density_matrix(4, rng)
+    times = np.linspace(0.0, 5.0, 7)
+    np.testing.assert_array_equal(propagate(l_mat, rho0, times).states, whole_l_states(l_mat, rho0, times))
+    ss = steady_state(l_mat)
+    rho, null_dim, residual = whole_l_steady_state(l_mat)
+    np.testing.assert_array_equal(ss.rho, rho)
+    assert (ss.null_dimension, ss.residual) == (null_dim, residual)
+
+
+def test_jordan_arrays_stay_dense():
+    # 2x2 is no N^2 x N^2 superoperator; the 4x4 block's own Hamiltonian
+    # part does not block-diagonalize it
+    for n2 in (2, 4):
+        l_mat = np.zeros((n2, n2), dtype=complex)
+        l_mat[0, 1] = 1.0
+        prop = Propagator(l_mat)
+        assert prop.route == "dense" and not prop.diagonalizable
+        assert (prop.off_sector_norm is None) == (n2 == 2)
+        np.testing.assert_array_equal(prop.eigenvalues, np.linalg.eig(l_mat)[0])
+        np.testing.assert_array_equal(prop(0.7), expm(l_mat * 0.7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_bare_array_is_not_split(bad):
+    l_mat = np.zeros((4, 4), dtype=complex)
+    l_mat[0, 1] = bad
+    sectors = _Sectors(l_mat)
+    assert sectors.route == "dense" and sectors.off_sector_norm is None
+    with pytest.raises(np.linalg.LinAlgError):
+        Propagator(l_mat)
+    assert check_spectral(l_mat).details["inconclusive"]
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -468,15 +468,21 @@ def test_spohn_decomposes_each_state_once(qutrit_generator, monkeypatch):
     traj = propagate(qutrit_generator, np.diag([0.0, 0.0, 1.0]), np.linspace(0.0, 10.0, 40))
     reference = presets.thermal_state(qutrit_generator.hamiltonian, 1.0)
     calls = []
-    eigh = np.linalg.eigh
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def counting_eigh(matrix):
-        calls.append(np.shape(matrix))
+        calls.append(("eigh", np.shape(matrix)))
         return eigh(matrix)
 
+    def counting_eigvalsh(matrix):
+        calls.append(("eigvalsh", np.shape(matrix)))
+        return eigvalsh(matrix)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     series, result = spohn_monitor(traj, reference)
-    assert sorted(calls) == [(3, 3), (40, 3, 3)]
+    # the eigenvalues of the state stack, and one decomposition of sigma
+    assert sorted(calls) == [("eigh", (3, 3)), ("eigvalsh", (40, 3, 3))]
     assert result.passed is True
     assert type(result.defect) is float
     assert type(result.details["steps_compared"]) is int
