@@ -3,8 +3,11 @@
 Each subcommand loads a JSON config, runs one experiment, and writes
 report.json (plus trajectory.csv or tauscan.csv where applicable) into
 the output directory.  Exit codes: 0 all requested checks pass, 1 a
-check failed (report still written), 2 config parse or schema error,
-3 physically inadmissible config, 4 numerical failure (partial report).
+check failed (report still written), 2 config parse or schema error (a
+non-finite number included), 3 physically inadmissible config, 4
+numerical failure (partial report).  Every threshold defaults from
+validator.DEFAULT_THRESHOLDS; the config's tolerances and --tol override
+it by name.
 """
 from __future__ import annotations
 
@@ -22,20 +25,18 @@ from .config import (
     PhysicsError,
     RunConfig,
     SchemaError,
-    TOLERANCE_NAMES,
     check_state_literal,
     load_config,
+    parse_tolerance,
     resolve_state,
 )
-from .dynamics import BathSpec, build_transport_model, propagate, steady_state, transport_steady_report
+from .dynamics import BathSpec, Propagator, build_transport_model, propagate, steady_state, transport_steady_report
 from .generator import flat_rate, ohmic_rate
 from .liouville import hs_norm
 from .reporting import write_csv, write_report
-from .validator import CheckResult, check_commutation, run_standard_checks, spohn_monitor
+from .validator import DEFAULT_THRESHOLDS, CheckResult, check_commutation, run_standard_checks, spohn_monitor
 
 log = logging.getLogger(__name__)
-
-_EXPERIMENT_DEFAULTS = {"theorem1": 1e-10, "tau_slope": 0.05, "tau_formula": 1e-6, "transport": 1e-10}
 
 
 def _parse_tol_overrides(pairs):
@@ -44,15 +45,7 @@ def _parse_tol_overrides(pairs):
         name, sep, value = pair.partition("=")
         if not sep:
             raise SchemaError(f"--tol expects name=value, got {pair!r}")
-        if name not in TOLERANCE_NAMES:
-            raise SchemaError(f"--tol: unknown name {name!r} (known: {', '.join(TOLERANCE_NAMES)})")
-        try:
-            tol = float(value)
-        except ValueError:
-            raise SchemaError(f"--tol {name}: {value!r} is not a number") from None
-        if tol <= 0:
-            raise SchemaError(f"--tol {name}: must be positive")
-        out[name] = tol
+        out[name] = parse_tolerance(name, value, f"--tol {name}")
     return out
 
 
@@ -103,30 +96,31 @@ def _generator_summary(gen, evals):
     }
 
 
-def _run_build(cfg, tolerances, seed, out_dir):
+def _run_build(cfg, thresholds, seed, out_dir):
     gen = _single_generator(cfg, "build")
-    return {"generator": _generator_summary(gen, np.linalg.eigvals(gen.superoperator))}, [], True
+    return {"generator": _generator_summary(gen, np.linalg.eigvals(gen.superoperator))}, []
 
 
-def _run_validate(cfg, tolerances, seed, out_dir):
+def _run_validate(cfg, thresholds, seed, out_dir):
     gen = _single_generator(cfg, "validate")
-    report = run_standard_checks(gen, thresholds=tolerances)
+    report = run_standard_checks(gen, thresholds=thresholds)
     evals = report.get("spectral").details["eigenvalues"]
-    return {"generator": _generator_summary(gen, evals)}, report.checks, report.passed
+    return {"generator": _generator_summary(gen, evals)}, report.checks
 
 
-def _run_evolve(cfg, tolerances, seed, out_dir):
+def _run_evolve(cfg, thresholds, seed, out_dir):
     gen = _single_generator(cfg, "evolve")
     bath = cfg.baths[0]
     rho0 = resolve_state(cfg.evolve.initial_state, cfg.system_hamiltonian, bath.beta)
-    trajectory = propagate(gen, rho0, cfg.evolve.times)
-    steady = steady_state(gen)
+    prop = Propagator(gen.superoperator, gen.basis)  # one sector split serves both
+    trajectory = propagate(prop, rho0, cfg.evolve.times)
+    steady = steady_state(prop)
     if steady.unique:
         reference, reference_label = steady.rho, "steady_state"
     else:
         reference = presets.thermal_state(cfg.system_hamiltonian, bath.beta)
         reference_label = "thermal"
-    series, spohn = spohn_monitor(trajectory, reference, slack=tolerances.get("spohn"))
+    series, spohn = spohn_monitor(trajectory, reference, slack=thresholds["spohn"])
 
     n = gen.dim
     entries = [f"rho_{part}_{i}{j}" for i in range(n) for j in range(n) for part in ("re", "im")]
@@ -145,7 +139,7 @@ def _run_evolve(cfg, tolerances, seed, out_dir):
         "final_state": trajectory.states[-1],
         "max_hermitization_defect": float(np.max(trajectory.hermitization_defects)),
     }
-    return sections, [spohn], spohn.passed
+    return sections, [spohn]
 
 
 def _resolve_env_state(comp, h_env):
@@ -198,24 +192,21 @@ def _build_composite(cfg, comp, seed):
     return model, witnesses
 
 
-def _run_theorem1(cfg, tolerances, seed, out_dir):
+def _run_theorem1(cfg, thresholds, seed, out_dir):
     comp = cfg.composite_for("theorem1")
     model, witnesses = _build_composite(cfg, comp, seed)
-    threshold = tolerances.get("theorem1", _EXPERIMENT_DEFAULTS["theorem1"])
     defects = [(float(t), theorem1_defect(model, t)) for t in comp.times]
-    worst = max(d for _, d in defects)
     check = CheckResult(
         name="theorem1",
-        passed=worst <= threshold,
-        defect=worst,
-        threshold=threshold,
+        defect=max(d for _, d in defects),
+        threshold=thresholds["theorem1"],
         details={"defects_by_time": defects},
     )
     sections = {"composite": witnesses, "defects": defects}
-    return sections, [check], check.passed
+    return sections, [check]
 
 
-def _run_tau_scan(cfg, tolerances, seed, out_dir):
+def _run_tau_scan(cfg, thresholds, seed, out_dir):
     comp = cfg.composite_for("tau-scan")
     model, witnesses = _build_composite(cfg, comp, seed)
     rho_s = resolve_state(comp.initial_state, cfg.system_hamiltonian, comp.env_beta)
@@ -225,23 +216,19 @@ def _run_tau_scan(cfg, tolerances, seed, out_dir):
         ["tau", "defect"],
         list(zip(scan.taus, scan.defects)),
     )
+    # a scan at the rounding floor has no slope to fit, and passes
     strict_floor = all(d < 1e-13 for d in scan.defects)
-    slope_tol = tolerances.get("tau_slope", _EXPERIMENT_DEFAULTS["tau_slope"])
-    formula_tol = tolerances.get("tau_formula", _EXPERIMENT_DEFAULTS["tau_formula"])
-    slope_defect = 0.0 if strict_floor else abs(scan.fitted_slope - 3.0)
     checks = [
         CheckResult(
             name="tau_slope",
-            passed=strict_floor or slope_defect <= slope_tol,
-            defect=slope_defect,
-            threshold=slope_tol,
+            defect=0.0 if strict_floor else abs(scan.fitted_slope - 3.0),
+            threshold=thresholds["tau_slope"],
             details={"fitted_slope": scan.fitted_slope, "all_defects_at_floor": strict_floor},
         ),
         CheckResult(
             name="tau_formula",
-            passed=scan.upsilon_relative_error <= formula_tol,
             defect=scan.upsilon_relative_error,
-            threshold=formula_tol,
+            threshold=thresholds["tau_formula"],
             details={
                 "tau3_coefficient_norm": scan.tau3_coefficient,
                 "upsilon_norm": float(np.linalg.norm(scan.upsilon)),
@@ -261,32 +248,23 @@ def _run_tau_scan(cfg, tolerances, seed, out_dir):
             "xi_relative_error": scan.xi_relative_error,
         },
     }
-    return sections, checks, all(c.passed for c in checks)
+    return sections, checks
 
 
-def _run_transport(cfg, tolerances, seed, out_dir):
+def _run_transport(cfg, thresholds, seed, out_dir):
     if len(cfg.baths) < 2:
         raise SchemaError(f"transport needs at least two baths, got {len(cfg.baths)}")
     model = build_transport_model(cfg.system_hamiltonian, _bath_specs(cfg))
     report = transport_steady_report(model)
-    tol = tolerances.get("transport", _EXPERIMENT_DEFAULTS["transport"])
-    commutation = check_commutation(
-        model.superoperator, cfg.system_hamiltonian, tolerances.get("commutation")
-    )
+    tol = thresholds["transport"]
+    commutation = check_commutation(model.superoperator, cfg.system_hamiltonian, thresholds["commutation"])
     first_law = CheckResult(
         name="first_law",
-        passed=abs(report.current_sum) <= tol,
         defect=abs(report.current_sum),
         threshold=tol,
         details={"currents": dict(zip([b.label for b in model.baths], report.currents))},
     )
-    coherence = CheckResult(
-        name="energy_basis_coherence",
-        passed=report.max_coherence <= tol,
-        defect=report.max_coherence,
-        threshold=tol,
-        details={},
-    )
+    coherence = CheckResult(name="energy_basis_coherence", defect=report.max_coherence, threshold=tol)
     checks = [commutation, first_law, coherence]
     sections = {
         "steady_state": {
@@ -298,16 +276,18 @@ def _run_transport(cfg, tolerances, seed, out_dir):
         "current_sum": report.current_sum,
         "max_coherence": report.max_coherence,
     }
-    return sections, checks, all(c.passed for c in checks)
+    return sections, checks
 
 
-_HANDLERS = {
-    "build": _run_build,
-    "validate": _run_validate,
-    "evolve": _run_evolve,
-    "theorem1": _run_theorem1,
-    "tau-scan": _run_tau_scan,
-    "transport": _run_transport,
+# each experiment's runner and help line; a runner returns the report
+# sections and the checks, and the run passes iff every check does
+_COMMANDS = {
+    "build": (_run_build, "construct a restricted generator and report its structure"),
+    "validate": (_run_validate, "run the full audit battery on a constructed generator"),
+    "evolve": (_run_evolve, "propagate an initial state and monitor relative entropy"),
+    "theorem1": (_run_theorem1, "composite-system commutation test of the reduced map"),
+    "tau-scan": (_run_tau_scan, "small-time scaling of the map/free-evolution defect"),
+    "transport": (_run_transport, "multi-bath steady state, currents, and coherence audit"),
 }
 
 
@@ -329,8 +309,9 @@ def _execute(args):
         "tolerances_used": tolerances,
     }
     report_path = os.path.join(out_dir, "report.json")
+    run, _ = _COMMANDS[args.command]
     try:
-        sections, checks, overall = _HANDLERS[args.command](cfg, tolerances, seed, out_dir)
+        sections, checks = run(cfg, {**DEFAULT_THRESHOLDS, **tolerances}, seed, out_dir)
     except np.linalg.LinAlgError as exc:
         report["error"] = str(exc)
         report["overall"] = False
@@ -339,11 +320,11 @@ def _execute(args):
         return 4
     report.update(sections)
     report["checks"] = checks
-    report["overall"] = overall
+    report["overall"] = all(c.passed for c in checks)
     write_report(report_path, report)
     for c in checks:
         log.info("%s: %s (defect %.3e, threshold %.3e)", c.name, "pass" if c.passed else "FAIL", c.defect, c.threshold)
-    return 0 if overall else 1
+    return 0 if report["overall"] else 1
 
 
 def main(argv=None):
@@ -353,16 +334,8 @@ def main(argv=None):
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "build": "construct a restricted generator and report its structure",
-        "validate": "run the full audit battery on a constructed generator",
-        "evolve": "propagate an initial state and monitor relative entropy",
-        "theorem1": "composite-system commutation test of the reduced map",
-        "tau-scan": "small-time scaling of the map/free-evolution defect",
-        "transport": "multi-bath steady state, currents, and coherence audit",
-    }
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=helps[name])
+        p = sub.add_parser(name, help=_COMMANDS[name][1])
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output directory (default: config or cwd)")
         p.add_argument(

@@ -4,11 +4,14 @@ Configs are JSON objects.  Unknown keys anywhere are rejected (schema
 error), malformed structure is a schema error, and structurally valid but
 physically inadmissible values (negative rates, non-Hermitian Hamiltonian
 literals) are physics errors.  The two cases map to different process exit
-codes, so they are distinct exception types here.
+codes, so they are distinct exception types here.  Every number must be
+finite: NaN, Infinity and literals beyond the float range, all of which
+Python's json reads, are schema errors.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -17,22 +20,12 @@ import numpy as np
 from . import presets
 from .composite import DEFAULT_TAU_GRID
 from .dynamics import check_density_matrix
+from .validator import DEFAULT_THRESHOLDS
 
 EXPERIMENTS = ("build", "validate", "evolve", "theorem1", "tau-scan", "transport")
 
-CHECK_NAMES = (
-    "commutation",
-    "fixed_point",
-    "cptp",
-    "spectral",
-    "structure_support",
-    "detailed_balance",
-    "spohn",
-)
-
-# every --tol / tolerances key the CLI understands: the validator checks
-# plus the experiment-level acceptance thresholds
-TOLERANCE_NAMES = CHECK_NAMES + ("theorem1", "tau_slope", "tau_formula", "transport")
+# every --tol / tolerances key the CLI understands
+TOLERANCE_NAMES = tuple(DEFAULT_THRESHOLDS)
 
 STATE_PRESETS = ("ground", "excited", "maximally_mixed", "thermal", "superposition")
 
@@ -60,16 +53,38 @@ def _check_keys(obj, allowed, path):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: expected a finite number")
+    return number
 
 
 def _entry(value, path):
     """A matrix entry: a real number or an [re, im] pair."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], path), _number(value[1], path))
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return complex(_number(value, path))
     raise SchemaError(f"{path}: expected a number or [re, im] pair")
+
+
+def parse_tolerance(name, value, path):
+    """A threshold override: name must be in DEFAULT_THRESHOLDS and value a
+    finite positive number (a JSON number, or a string from --tol)."""
+    if name not in TOLERANCE_NAMES:
+        raise SchemaError(f"{path}: unknown tolerance {name!r} (known: {', '.join(TOLERANCE_NAMES)})")
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            raise SchemaError(f"{path}: {value!r} is not a number") from None
+    tol = _number(value, path)
+    if tol <= 0:
+        raise SchemaError(f"{path}: must be positive")
+    return tol
 
 
 def parse_matrix(value, path, hermitian=False):
@@ -115,9 +130,10 @@ def parse_hamiltonian(value, path):
         if argstr:
             for k, piece in enumerate(argstr.split(",")):
                 try:
-                    args.append(float(piece))
+                    arg = float(piece)
                 except ValueError:
                     raise SchemaError(f"{path}: argument {k} of {name} is not a number") from None
+                args.append(_number(arg, f"{path}: argument {k} of {name}"))
         if not min_args <= len(args) <= max_args:
             raise SchemaError(
                 f"{path}: {name} takes {min_args}..{max_args} arguments, got {len(args)}"
@@ -196,9 +212,7 @@ def _parse_bath(value, path, index):
     return BathConfig(beta=beta, rates=rates, rate_function=rate_function, alpha=alpha, label=label)
 
 
-def _parse_times(value, path, default):
-    if value is None:
-        return np.asarray(default, dtype=float)
+def _parse_times(value, path):
     if isinstance(value, list):
         times = np.array([_number(v, f"{path}[{k}]") for k, v in enumerate(value)])
     else:
@@ -276,10 +290,29 @@ def _parse_evolve(value, path):
     cfg = EvolveConfig()
     if "initial_state" in value:
         cfg.initial_state = _parse_state(value["initial_state"], f"{path}.initial_state")
-    cfg.times = _parse_times(value.get("times"), f"{path}.times", cfg.times)
+    if "times" in value:
+        cfg.times = _parse_times(value["times"], f"{path}.times")
     if cfg.times[0] < 0:
         raise SchemaError(f"{path}.times: must start at t >= 0")
     return cfg
+
+
+# The raw config section each composite experiment runs when the config
+# has none; a given section overrides it key by key, and its keys are the
+# only ones allowed.  The two-qubit exchange model is the canonical scan
+# target.
+_COMPOSITE_COMMON = {
+    "env_beta": 1.0,
+    "env_state": "thermal",
+    "coupling_scale": 0.5,
+    "times": [0.1, 1.0, 10.0],
+    "taus": list(DEFAULT_TAU_GRID),
+    "initial_state": "superposition",
+}
+COMPOSITE_DEFAULTS = {
+    "theorem1": {"environment": "ladder(4, 1.0)", "coupling": "strict", **_COMPOSITE_COMMON},
+    "tau-scan": {"environment": "qubit(1.0)", "coupling": "nonconserving", **_COMPOSITE_COMMON},
+}
 
 
 @dataclass
@@ -287,78 +320,49 @@ class CompositeConfig:
     """Environment + coupling description shared by the theorem1 and
     tau-scan experiments."""
 
-    env_hamiltonian: np.ndarray = None
-    env_label: str = "ladder(4, 1.0)"
-    env_beta: float = 1.0
-    env_state: object = "thermal"  # "thermal", "nonstationary", or a matrix
-    coupling: object = "strict"  # "strict", "nonconserving", or a matrix
-    coupling_scale: float = 0.5
-    times: np.ndarray = field(default_factory=lambda: np.array([0.1, 1.0, 10.0]))
-    taus: np.ndarray = field(default_factory=lambda: np.asarray(DEFAULT_TAU_GRID))
-    initial_state: object = "superposition"
-
-    def __post_init__(self):
-        if self.env_hamiltonian is None:
-            self.env_hamiltonian = presets.ladder(4, 1.0)
+    env_hamiltonian: np.ndarray
+    env_label: str
+    env_beta: float
+    env_state: object  # "thermal", "nonstationary", or a matrix
+    coupling: object  # "strict", "nonconserving", or a matrix
+    coupling_scale: float
+    times: np.ndarray
+    taus: np.ndarray
+    initial_state: object
 
 
-def _parse_composite(value, path, default_env, default_env_label, default_coupling="strict"):
-    allowed = (
-        "environment",
-        "env_beta",
-        "env_state",
-        "coupling",
-        "coupling_scale",
-        "times",
-        "taus",
-        "initial_state",
-    )
-    _check_keys(value, allowed, path)
-    cfg = CompositeConfig(
-        env_hamiltonian=default_env, env_label=default_env_label, coupling=default_coupling
-    )
-    if "environment" in value:
-        cfg.env_hamiltonian, cfg.env_label = parse_hamiltonian(
-            value["environment"], f"{path}.environment"
-        )
-    if "env_beta" in value:
-        cfg.env_beta = _number(value["env_beta"], f"{path}.env_beta")
-        if cfg.env_beta < 0:
-            raise PhysicsError(f"{path}.env_beta: must be nonnegative")
-    if "env_state" in value:
-        raw = value["env_state"]
-        if isinstance(raw, str):
-            if raw not in ("thermal", "nonstationary"):
-                raise SchemaError(f"{path}.env_state: expected 'thermal', 'nonstationary', or a matrix")
-            cfg.env_state = raw
-        else:
-            cfg.env_state = parse_matrix(raw, f"{path}.env_state", hermitian=True)
-    if "coupling" in value:
-        raw = value["coupling"]
-        if isinstance(raw, str):
-            if raw not in ("strict", "nonconserving"):
-                raise SchemaError(f"{path}.coupling: expected 'strict', 'nonconserving', or a matrix")
-            cfg.coupling = raw
-        else:
-            cfg.coupling = parse_matrix(raw, f"{path}.coupling", hermitian=True)
-    if "coupling_scale" in value:
-        cfg.coupling_scale = _number(value["coupling_scale"], f"{path}.coupling_scale")
-        if cfg.coupling_scale <= 0:
-            raise PhysicsError(f"{path}.coupling_scale: must be positive")
-    cfg.times = _parse_times(value.get("times"), f"{path}.times", cfg.times)
-    cfg.taus = _parse_times(value.get("taus"), f"{path}.taus", cfg.taus)
-    if "initial_state" in value:
-        cfg.initial_state = _parse_state(value["initial_state"], f"{path}.initial_state")
-    return cfg
+def _parse_choice(value, choices, path):
+    """One of the named choices, or a Hermitian matrix literal."""
+    if not isinstance(value, str):
+        return parse_matrix(value, path, hermitian=True)
+    if value not in choices:
+        raise SchemaError(f"{path}: expected {', '.join(map(repr, choices))}, or a matrix")
+    return value
 
 
-def default_theorem1_config():
-    return CompositeConfig(env_hamiltonian=presets.ladder(4, 1.0), env_label="ladder(4, 1.0)")
-
-
-def default_tau_scan_config():
+def _parse_composite(value, path, experiment):
+    defaults = COMPOSITE_DEFAULTS[experiment]
+    _check_keys(value, defaults, path)
+    raw = {**defaults, **value}
+    env_hamiltonian, env_label = parse_hamiltonian(raw["environment"], f"{path}.environment")
+    env_beta = _number(raw["env_beta"], f"{path}.env_beta")
+    if env_beta < 0:
+        raise PhysicsError(f"{path}.env_beta: must be nonnegative")
+    env_state = _parse_choice(raw["env_state"], ("thermal", "nonstationary"), f"{path}.env_state")
+    coupling = _parse_choice(raw["coupling"], ("strict", "nonconserving"), f"{path}.coupling")
+    coupling_scale = _number(raw["coupling_scale"], f"{path}.coupling_scale")
+    if coupling_scale <= 0:
+        raise PhysicsError(f"{path}.coupling_scale: must be positive")
     return CompositeConfig(
-        env_hamiltonian=presets.qubit(1.0), env_label="qubit(1.0)", coupling="nonconserving"
+        env_hamiltonian=env_hamiltonian,
+        env_label=env_label,
+        env_beta=env_beta,
+        env_state=env_state,
+        coupling=coupling,
+        coupling_scale=coupling_scale,
+        times=_parse_times(raw["times"], f"{path}.times"),
+        taus=_parse_times(raw["taus"], f"{path}.taus"),
+        initial_state=_parse_state(raw["initial_state"], f"{path}.initial_state"),
     )
 
 
@@ -376,9 +380,10 @@ class RunConfig:
     seed: int
 
     def composite_for(self, experiment):
-        if experiment == "tau-scan":
-            return self.tau_scan if self.tau_scan is not None else default_tau_scan_config()
-        return self.theorem1 if self.theorem1 is not None else default_theorem1_config()
+        """The composite section of experiment ("theorem1" or "tau-scan"),
+        parsed from COMPOSITE_DEFAULTS when the config gives none."""
+        section = self.tau_scan if experiment == "tau-scan" else self.theorem1
+        return section if section is not None else _parse_composite({}, experiment, experiment)
 
 
 _TOP_KEYS = (
@@ -420,35 +425,13 @@ def parse_config(doc):
 
     if "theorem1" in doc and "tau_scan" in doc:
         raise SchemaError("config: give at most one of 'theorem1' and 'tau_scan'")
-    theorem1 = None
-    if "theorem1" in doc:
-        theorem1 = _parse_composite(
-            doc["theorem1"], "config.theorem1", presets.ladder(4, 1.0), "ladder(4, 1.0)"
-        )
-    tau_scan = None
-    if "tau_scan" in doc:
-        # the two-qubit exchange model is the canonical scan target
-        tau_scan = _parse_composite(
-            doc["tau_scan"],
-            "config.tau_scan",
-            presets.qubit(1.0),
-            "qubit(1.0)",
-            default_coupling="nonconserving",
-        )
+    theorem1 = _parse_composite(doc["theorem1"], "config.theorem1", "theorem1") if "theorem1" in doc else None
+    tau_scan = _parse_composite(doc["tau_scan"], "config.tau_scan", "tau-scan") if "tau_scan" in doc else None
 
-    tolerances = {}
     tol_raw = doc.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         raise SchemaError("config.tolerances: expected an object")
-    for name, val in tol_raw.items():
-        if name not in TOLERANCE_NAMES:
-            raise SchemaError(
-                f"config.tolerances: unknown check {name!r} (known: {', '.join(TOLERANCE_NAMES)})"
-            )
-        tol = _number(val, f"config.tolerances.{name}")
-        if tol <= 0:
-            raise SchemaError(f"config.tolerances.{name}: must be positive")
-        tolerances[name] = tol
+    tolerances = {name: parse_tolerance(name, val, f"config.tolerances.{name}") for name, val in tol_raw.items()}
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):

@@ -23,6 +23,8 @@ from .liouville import (
 log = logging.getLogger(__name__)
 
 _DIAGONALIZABLE_COND = 1e8
+# Relative singular-value level at or below which a direction counts as null
+NULL_TOL = 1e-10
 # Largest off-sector norm, relative to max(1, ||L||_F), at which L counts as
 # block diagonal by Bohr frequency; restricted generators measure below
 # 1.9e-16 * N * ||L||_F.
@@ -256,7 +258,7 @@ def propagate(superoperator, rho0, times):
     return Trajectory(times=times, states=(states + adjoints) / 2, hermitization_defects=defects)
 
 
-def null_dimension(svals, rel_tol=1e-10):
+def null_dimension(svals, rel_tol=NULL_TOL):
     """Number of singular values (descending) at or below rel_tol times the
     largest one."""
     smax = svals[0] if svals.size else 0.0
@@ -271,7 +273,7 @@ class SteadyState:
     null_dimension: int
 
 
-def steady_state(superoperator, null_tol=1e-10):
+def steady_state(superoperator, null_tol=NULL_TOL):
     """Stationary state from the smallest singular vector of L.
 
     superoperator is read as in propagate.  L's singular values are those

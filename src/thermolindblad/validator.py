@@ -1,15 +1,22 @@
 """Structural and thermodynamic audits for candidate generators.
 
-Each check returns a CheckResult whose pass verdict is defect <= threshold;
-what the defect measures is stated per check.  run_standard_checks bundles
-the full battery and shares one Propagator between its checks: L is split
-into Bohr-frequency sectors when its measured off-sector norm allows it and
-decomposed once, block by block or whole.  The frame of that split is the
-eigenoperator basis of the object passed if it has one, else L's own
-Hamiltonian part, so a bare array is split too.  The checks that read it
-(fixed_point, cptp, spectral) record the route taken ("sector" or "dense")
-and the off-sector norm in their details; structure_support is the
-off-sector norm of the dissipator under the same sector labels.
+Each check returns a CheckResult, which passes iff defect <= threshold: the
+type computes that verdict, no check decides it.  A NaN defect fails every
+threshold, and a threshold of inf passes every check, the structural
+failures of detailed_balance and an inconclusive spectral check (both
+defect inf) included.  What the defect measures is stated per check.
+DEFAULT_THRESHOLDS is the one table of threshold names and defaults: the
+six audit checks, the Spohn slack and the CLI's experiment-level checks.
+
+run_standard_checks bundles the full battery and shares one Propagator
+between its checks: L is split into Bohr-frequency sectors when its
+measured off-sector norm allows it and decomposed once, block by block or
+whole.  The frame of that split is the eigenoperator basis of the object
+passed if it has one, else L's own Hamiltonian part, so a bare array is
+split too.  The checks that read it (fixed_point, cptp, spectral) record
+the route taken ("sector" or "dense") and the off-sector norm in their
+details; structure_support is the off-sector norm of the dissipator under
+the same sector labels.
 """
 from __future__ import annotations
 
@@ -38,6 +45,11 @@ DEFAULT_THRESHOLDS = {
     "structure_support": 1e-10,
     "detailed_balance": 1e-10,
     "spohn": 1e-9,
+    # experiment-level checks of the CLI's theorem1, tau-scan and transport
+    "theorem1": 1e-10,
+    "tau_slope": 0.05,
+    "tau_formula": 1e-6,
+    "transport": 1e-10,
 }
 
 CPTP_TIME_GRID = (1e-3, 1e-1, 1.0, 10.0, 100.0)
@@ -50,10 +62,13 @@ _POPULATION_REALITY_TOL = 1e-9
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
+    passed: bool = field(init=False)
     defect: float
     threshold: float
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.passed = bool(self.defect <= self.threshold)
 
 
 @dataclass
@@ -84,7 +99,6 @@ def check_commutation(superoperator, hamiltonian, threshold=None):
         defect = float(np.linalg.norm(h_tilde @ l_mat - l_mat @ h_tilde) / l_norm)
     return CheckResult(
         name="commutation",
-        passed=defect <= threshold,
         defect=defect,
         threshold=threshold,
         details={"generator_norm": float(l_norm)},
@@ -110,7 +124,6 @@ def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     null_dim = null_dimension(np.sort(svals)[::-1])
     return CheckResult(
         name="fixed_point",
-        passed=defect <= threshold,
         defect=defect,
         threshold=threshold,
         details={"null_dimension": null_dim, "unique": null_dim == 1, "beta": float(beta), **_route_details(sectors)},
@@ -145,7 +158,6 @@ def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
     defect = max(positivity, trace_defect)
     return CheckResult(
         name="cptp",
-        passed=defect <= threshold,
         defect=defect,
         threshold=threshold,
         details={
@@ -175,10 +187,9 @@ def check_spectral(superoperator, basis=None, threshold=None):
     try:
         prop = _propagator_of(superoperator)
     except np.linalg.LinAlgError as exc:
-        # an eigensolver failure is inconclusive, never a pass
+        # an eigensolver failure is inconclusive: defect inf
         return CheckResult(
             name="spectral",
-            passed=False,
             defect=math.inf,
             threshold=threshold,
             details={"inconclusive": True, "error": str(exc)},
@@ -204,7 +215,6 @@ def check_spectral(superoperator, basis=None, threshold=None):
     defect = float(max(max(ratios), 0.0))
     return CheckResult(
         name="spectral",
-        passed=defect <= threshold,
         defect=defect,
         threshold=threshold,
         details=details,
@@ -232,7 +242,6 @@ def check_structure_support(dissipator, basis, threshold=None):
     defect = float(np.linalg.norm(disallowed))
     return CheckResult(
         name="structure_support",
-        passed=defect <= threshold,
         defect=defect,
         threshold=threshold,
         details={
@@ -310,12 +319,9 @@ def check_detailed_balance(generator, beta=None, threshold=None):
             structural.append(f"upward jump at omega={other.omega:.6g} has no downward partner")
         if other.omega == 0:
             structural.append("zero-frequency jump term present")
-    defect = max((p["defect"] for p in pairs), default=0.0)
-    if structural:
-        defect = math.inf
+    defect = math.inf if structural else max((p["defect"] for p in pairs), default=0.0)
     return CheckResult(
         name="detailed_balance",
-        passed=not structural and defect <= threshold,
         defect=defect,
         threshold=threshold,
         details={"pairs": pairs, "structural_failures": structural, "beta": float(beta)},
@@ -340,7 +346,6 @@ def spohn_monitor(trajectory, reference, slack=None):
     compared = int(steps.sum())
     result = CheckResult(
         name="spohn",
-        passed=worst <= slack,
         defect=float(worst),
         threshold=slack,
         details={"inconclusive_steps": inconclusive, "steps_compared": compared},

@@ -1,11 +1,15 @@
 """Config parsing, report serialization, and the command-line surface."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermolindblad.cli as cli_module
+from thermolindblad import dynamics
 from thermolindblad.cli import main
 from thermolindblad.config import (
+    EXPERIMENTS,
     PhysicsError,
     SchemaError,
     parse_config,
@@ -13,7 +17,10 @@ from thermolindblad.config import (
     resolve_state,
 )
 from thermolindblad.reporting import emit_json, float_token, to_jsonable
+from thermolindblad.validator import DEFAULT_THRESHOLDS
 from thermolindblad import presets
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def minimal_config(**extra):
@@ -369,8 +376,6 @@ def test_transport_cycle_runs(tmp_path):
 
 
 def test_numerical_failure_writes_partial_report(tmp_path, monkeypatch):
-    import thermolindblad.cli as cli_module
-
     def explode(model):
         raise np.linalg.LinAlgError("no stationary state found")
 
@@ -419,3 +424,151 @@ def test_seed_changes_strict_coupling(tmp_path):
     rep_b = json.loads((out_b / "report.json").read_text())
     assert rep_a["seed"] == 1 and rep_b["seed"] == 2
     assert rep_a["composite"]["mean_field_norm"] != rep_b["composite"]["mean_field_norm"]
+
+
+# -- non-finite numbers ------------------------------------------------------
+
+
+QUBIT = '"qubit(1.0)"'
+NON_FINITE_CONFIGS = {
+    # Python's json reads NaN, Infinity and 1e400 (as inf) without complaint
+    "times_nan": ("evolve", QUBIT, "1.0", ', "evolve": {"times": [0.0, NaN]}'),
+    "beta_nan": ("validate", QUBIT, "NaN", ""),
+    "beta_infinity": ("validate", QUBIT, "Infinity", ""),
+    "beta_1e400": ("validate", QUBIT, "1e400", ""),
+    "beta_huge_integer": ("validate", QUBIT, "1" + "0" * 400, ""),
+    "tolerance_nan": ("validate", QUBIT, "1.0", ', "tolerances": {"cptp": NaN}'),
+    "matrix_entry_nan": ("validate", "[[0.0, 0.0], [0.0, NaN]]", "1.0", ""),
+    "matrix_pair_infinity": ("validate", "[[0.0, [0.0, Infinity]], [0.0, 1.0]]", "1.0", ""),
+    "preset_argument_nan": ("validate", '"qubit(nan)"', "1.0", ""),
+    "preset_argument_inf": ("validate", '"ladder(3, inf)"', "1.0", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CONFIGS))
+def test_non_finite_numbers_are_schema_errors(tmp_path, case, capsys):
+    experiment, hamiltonian, beta, extra = NON_FINITE_CONFIGS[case]
+    text = (
+        f'{{"system": {{"hamiltonian": {hamiltonian}}}, '
+        f'"baths": [{{"beta": {beta}, "rates": {{"0->1": 1.0}}}}], "experiment": "{experiment}"{extra}}}'
+    )
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_tol_override_is_schema_error(tmp_path, value):
+    path = write_config(tmp_path, minimal_config())
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "out"), "--tol", f"cptp={value}"]) == 2
+
+
+# -- one threshold table, one command table ----------------------------------
+
+
+def test_every_threshold_name_is_settable_both_ways():
+    overrides = {name: 0.5 for name in DEFAULT_THRESHOLDS}
+    assert len(overrides) == 11
+    assert parse_config(minimal_config(tolerances=overrides)).tolerances == overrides
+    assert cli_module._parse_tol_overrides([f"{name}=0.5" for name in DEFAULT_THRESHOLDS]) == overrides
+
+
+def test_unknown_threshold_name_is_rejected_alike():
+    with pytest.raises(SchemaError) as from_config:
+        parse_config(minimal_config(tolerances={"warp": 1.0}))
+    with pytest.raises(SchemaError) as from_flag:
+        cli_module._parse_tol_overrides(["warp=1.0"])
+    known = "(known: " + ", ".join(DEFAULT_THRESHOLDS) + ")"
+    assert str(from_config.value).endswith(known)
+    assert str(from_flag.value).endswith(known)
+
+
+def test_experiment_thresholds_default_from_the_table(tmp_path):
+    path = write_config(tmp_path, minimal_config(experiment="tau-scan"))
+    out = tmp_path / "out"
+    assert main(["tau-scan", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert {c["name"]: c["threshold"] for c in report["checks"]} == {"tau_slope": 0.05, "tau_formula": 1e-6}
+    assert report["tolerances_used"] == {}
+
+
+@pytest.mark.parametrize(
+    "experiment, env_hamiltonian, env_label, coupling",
+    [
+        ("theorem1", np.diag([0.0, 1.0, 2.0, 3.0]), "ladder(4, 1.0)", "strict"),
+        ("tau-scan", np.diag([-0.5, 0.5]), "qubit(1.0)", "nonconserving"),
+    ],
+)
+def test_absent_composite_section_takes_the_defaults(experiment, env_hamiltonian, env_label, coupling):
+    comp = parse_config(minimal_config()).composite_for(experiment)
+    assert np.array_equal(comp.env_hamiltonian, env_hamiltonian)
+    assert comp.env_label == env_label
+    assert comp.env_beta == 1.0
+    assert comp.env_state == "thermal"
+    assert comp.coupling == coupling
+    assert comp.coupling_scale == 0.5
+    assert np.array_equal(comp.times, [0.1, 1.0, 10.0])
+    assert np.array_equal(comp.taus, np.geomspace(1e-4, 1e-2, 8))
+    assert comp.initial_state == "superposition"
+
+
+def test_given_composite_section_overrides_key_by_key():
+    cfg = parse_config(minimal_config(experiment="tau-scan", tau_scan={"coupling_scale": 0.3}))
+    comp = cfg.composite_for("tau-scan")
+    assert comp.coupling_scale == 0.3
+    assert comp.coupling == "nonconserving"
+    assert comp.env_label == "qubit(1.0)"
+    assert cfg.theorem1 is None
+    assert cfg.composite_for("theorem1").coupling == "strict"
+
+
+def test_every_experiment_has_exactly_one_command():
+    assert tuple(cli_module._COMMANDS) == EXPERIMENTS
+
+
+def test_evolve_splits_the_generator_once(tmp_path, monkeypatch):
+    payload = minimal_config(experiment="evolve", evolve={"times": {"start": 0.0, "stop": 5.0, "count": 6}})
+    path = write_config(tmp_path, payload)
+    splits = []
+
+    class CountingSectors(dynamics._Sectors):
+        def __init__(self, *args, **kwargs):
+            splits.append(args[0].shape)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_Sectors", CountingSectors)
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    # one Propagator serves propagate and steady_state
+    assert splits == [(4, 4)]
+
+
+# -- the shipped configs -----------------------------------------------------
+
+# theorem1_nonconserving fails its check by design
+SHIPPED_EXIT_CODES = {
+    "evolve_qubit": 0,
+    "tau_scan_xx": 0,
+    "theorem1_nonconserving": 1,
+    "theorem1_strict": 0,
+    "transport_cycle": 0,
+    "validate_qutrit": 0,
+}
+
+
+def test_shipped_configs_are_the_documented_ones():
+    assert sorted(p.stem for p in CONFIG_DIR.glob("*.json")) == sorted(SHIPPED_EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_EXIT_CODES))
+def test_shipped_config_exit_code_and_stable_report(tmp_path, name):
+    path = CONFIG_DIR / f"{name}.json"
+    experiment = json.loads(path.read_text())["experiment"]
+    reports = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([experiment, "--config", str(path), "--out", str(out)]) == SHIPPED_EXIT_CODES[name]
+        reports.append((out / "report.json").read_bytes())
+    assert json.loads(reports[0])["overall"] is (SHIPPED_EXIT_CODES[name] == 0)
+    assert reports[0] == reports[1]

@@ -1,12 +1,17 @@
 """The audit battery: each check catches its target violation and stays
 quiet on compliant generators."""
+import dataclasses
+import math
 import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermolindblad import (
+    CheckResult,
     ThermoSpec,
     Trajectory,
     assemble_superop,
@@ -31,6 +36,7 @@ from thermolindblad import (
 )
 from thermolindblad.dynamics import _Sectors
 from thermolindblad.liouville import _conjugated, gkls_dissipator
+from thermolindblad.reporting import to_jsonable
 
 EXP_MINUS_ONE = 0.36787944117144233
 
@@ -326,6 +332,8 @@ def test_spectral_eigensolver_failure_is_inconclusive(qubit_generator, monkeypat
     assert not result.passed
     assert result.defect == np.inf
     assert result.details["inconclusive"]
+    # inf passes every check, inconclusive ones included
+    assert check_spectral(qubit_generator.superoperator, threshold=math.inf).passed
 
 
 def test_spectral_on_pure_commutator():
@@ -334,6 +342,29 @@ def test_spectral_on_pure_commutator():
     assert result.passed
     eigs = np.asarray(result.details["eigenvalues"])
     assert np.max(np.abs(eigs.real)) < 1e-12  # purely imaginary spectrum
+
+
+
+# -- the pass rule -----------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    defect=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.inf), st.just(math.nan)),
+    threshold=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_check_result_passes_iff_defect_within_threshold(defect, threshold):
+    result = CheckResult(name="probe", defect=defect, threshold=threshold)
+    # inf and NaN exceed every finite threshold
+    expected = math.isfinite(defect) and defect <= threshold
+    assert result.passed is expected
+    assert to_jsonable(result)["passed"] is expected
+
+
+def test_check_result_verdict_is_not_an_argument():
+    assert [f.name for f in dataclasses.fields(CheckResult)] == ["name", "passed", "defect", "threshold", "details"]
+    with pytest.raises(TypeError):
+        CheckResult(name="probe", passed=True, defect=1.0, threshold=0.5)
 
 
 # -- detailed balance --------------------------------------------------------
@@ -363,6 +394,7 @@ def test_unpaired_jump_is_structural_failure(qubit_generator):
     assert not result.passed
     assert result.defect == np.inf
     assert result.details["structural_failures"]
+    assert check_detailed_balance(fake_generator(down_only, 1.0), threshold=math.inf).passed
 
 
 def test_zero_frequency_jump_is_structural_failure():
