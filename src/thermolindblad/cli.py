@@ -25,7 +25,6 @@ from .config import (
     PhysicsError,
     RunConfig,
     SchemaError,
-    check_state_literal,
     load_config,
     parse_tolerance,
     resolve_state,
@@ -98,7 +97,7 @@ def _generator_summary(gen, evals):
 
 def _run_build(cfg, thresholds, seed, out_dir):
     gen = _single_generator(cfg, "build")
-    return {"generator": _generator_summary(gen, np.linalg.eigvals(gen.superoperator))}, []
+    return {"generator": _generator_summary(gen, Propagator(gen.superoperator, gen.basis).eigenvalues)}, []
 
 
 def _run_validate(cfg, thresholds, seed, out_dir):
@@ -142,18 +141,6 @@ def _run_evolve(cfg, thresholds, seed, out_dir):
     return sections, [spohn]
 
 
-def _resolve_env_state(comp, h_env):
-    if isinstance(comp.env_state, np.ndarray):
-        return check_state_literal(comp.env_state, "env_state")
-    if comp.env_state == "thermal":
-        return presets.thermal_state(h_env, comp.env_beta)
-    # equal superposition of the two lowest environment levels: stationary
-    # only if they happen to be degenerate
-    _, vectors = np.linalg.eigh(np.asarray(h_env, dtype=complex))
-    v = (vectors[:, 0] + vectors[:, 1]) / np.sqrt(2.0)
-    return np.outer(v, v.conj())
-
-
 def _build_composite(cfg, comp, seed):
     h_sys = cfg.system_hamiltonian
     h_env = comp.env_hamiltonian
@@ -174,12 +161,11 @@ def _build_composite(cfg, comp, seed):
     else:
         coupling = presets.adjacency_coupling(ns, ne, comp.coupling_scale)
         kind = "nonconserving"
-    env_state = _resolve_env_state(comp, h_env)
     model = CompositeModel(
         system_hamiltonian=h_sys,
         env_hamiltonian=h_env,
         coupling=coupling,
-        env_state=env_state,
+        env_state=resolve_state(comp.env_state, h_env, comp.env_beta, "env_state"),
     )
     witnesses = {
         "coupling_kind": kind,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .dynamics import check_density_matrix
 from .liouville import devectorize, hs_norm, sandwich_sum, vectorize
 
 _HERM_TOL = 1e-12
@@ -88,8 +89,10 @@ class CompositeModel:
         ):
             if hs_norm(op - op.conj().T) > _HERM_TOL * max(1.0, hs_norm(op)):
                 raise ValueError(f"{name} is not Hermitian")
-        if abs(np.trace(self.env_state) - 1) > 1e-10:
-            raise ValueError("env_state must have unit trace")
+        try:
+            check_density_matrix(self.env_state)
+        except ValueError as exc:
+            raise ValueError(f"env_state: {exc}") from None
         self.total_hamiltonian = (
             np.kron(self.system_hamiltonian, np.eye(self.n_env))
             + self.coupling
@@ -98,6 +101,8 @@ class CompositeModel:
         self._total_evals, self._total_evecs = np.linalg.eigh(self.total_hamiltonian)
         self._sys_evals, self._sys_evecs = np.linalg.eigh(self.system_hamiltonian)
         self._env_evals, self._env_evecs = np.linalg.eigh(self.env_state)
+        # the support of rho_E: the only environment eigenstates any map reads
+        self._env_support = self._env_evals > 1e-15
 
     # -- hypothesis witnesses ------------------------------------------------
 
@@ -138,9 +143,8 @@ class CompositeModel:
     def kraus_set(self, tau):
         """Kraus decomposition of the reduced map at real time tau: the
         blocks <chi_j|U|chi_i> scaled by sqrt(w_i), i outer and j inner."""
-        weights = np.clip(self._env_evals, 0.0, None)
-        keep = weights > 1e-15
-        blocks = np.sqrt(weights[keep])[:, None, None, None] * self._env_blocks(tau)[keep]
+        keep = self._env_support
+        blocks = np.sqrt(self._env_evals[keep])[:, None, None, None] * self._env_blocks(tau)[keep]
         stack = blocks.reshape(-1, self.n_sys)
         defect = float(np.linalg.norm(stack.conj().T @ stack - np.eye(self.n_sys)))
         return KrausSet(operators=list(blocks.reshape(-1, self.n_sys, self.n_sys)), completeness_defect=defect)
@@ -156,7 +160,7 @@ class CompositeModel:
 
     def _map_of_blocks(self, blocks, inverse_blocks):
         """The reduced map from the _env_blocks of U(tau) and of U(-tau)."""
-        keep = np.abs(self._env_evals) > 1e-15
+        keep = self._env_support
         lefts = blocks[keep].reshape(-1, self.n_sys, self.n_sys)
         rights = inverse_blocks.transpose(1, 0, 2, 3)[keep].reshape(lefts.shape)
         return sandwich_sum(lefts, rights, np.repeat(self._env_evals[keep], self.n_env))

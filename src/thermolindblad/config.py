@@ -29,6 +29,11 @@ TOLERANCE_NAMES = tuple(DEFAULT_THRESHOLDS)
 
 STATE_PRESETS = ("ground", "excited", "maximally_mixed", "thermal", "superposition")
 
+# the most points a times block may ask for: 500 times the largest count of
+# any shipped or benchmark config, and few enough that np.linspace can
+# always allocate them
+MAX_TIME_COUNT = 100_000
+
 
 class SchemaError(Exception):
     """Config is missing, unparseable, or structurally invalid (exit 2)."""
@@ -224,6 +229,8 @@ def _parse_times(value, path):
         count = value.get("count", 100)
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise SchemaError(f"{path}.count: expected a positive integer")
+        if count > MAX_TIME_COUNT:
+            raise SchemaError(f"{path}.count: at most {MAX_TIME_COUNT} time points, got {count}")
         if value.get("log", False):
             if start <= 0:
                 raise SchemaError(f"{path}: log spacing needs start > 0")
@@ -235,32 +242,25 @@ def _parse_times(value, path):
     return times
 
 
-def _parse_state(value, path):
-    """An initial-state spec: preset name or density-matrix literal.
-    Presets are resolved against a Hamiltonian at run time."""
-    if isinstance(value, str):
-        if value not in STATE_PRESETS:
-            raise SchemaError(
-                f"{path}: unknown state preset {value!r} (known: {', '.join(STATE_PRESETS)})"
-            )
-        return value
-    return parse_matrix(value, path, hermitian=True)
+def _parse_choice(value, choices, path):
+    """One of the named choices, or a Hermitian matrix literal."""
+    if not isinstance(value, str):
+        return parse_matrix(value, path, hermitian=True)
+    if value not in choices:
+        raise SchemaError(f"{path}: expected {', '.join(map(repr, choices))}, or a matrix")
+    return value
 
 
-def check_state_literal(state, name):
-    """A density-matrix literal from a config, validated; PhysicsError if
-    it is not a density matrix."""
-    try:
-        return check_density_matrix(state)
-    except ValueError as exc:
-        raise PhysicsError(f"{name} literal: {exc}") from None
-
-
-def resolve_state(spec, hamiltonian, beta):
-    """Turn a state spec (preset name or matrix) into a density matrix in
-    the eigenbasis conventions of the given Hamiltonian."""
+def resolve_state(spec, hamiltonian, beta, name="initial state"):
+    """Turn a state spec (preset name or matrix literal) into a density
+    matrix in the eigenbasis conventions of the given Hamiltonian; name
+    labels the state in errors.  A literal that is not a density matrix,
+    or "nonstationary" on a single level, is a PhysicsError."""
     if isinstance(spec, np.ndarray):
-        return check_state_literal(spec, "initial state")
+        try:
+            return check_density_matrix(spec)
+        except ValueError as exc:
+            raise PhysicsError(f"{name} literal: {exc}") from None
     energies, vectors = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
     n = len(energies)
     if spec == "ground":
@@ -276,6 +276,13 @@ def resolve_state(spec, hamiltonian, beta):
         return np.outer(v, v.conj())
     if spec == "thermal":
         return presets.thermal_state(hamiltonian, beta)
+    if spec == "nonstationary":
+        # equal superposition of the two lowest levels: stationary only if
+        # they happen to be degenerate
+        if n < 2:
+            raise PhysicsError(f"{name}: 'nonstationary' needs at least two levels, got {n}")
+        v = (vectors[:, 0] + vectors[:, 1]) / np.sqrt(2.0)
+        return np.outer(v, v.conj())
     raise SchemaError(f"unknown state preset {spec!r}")
 
 
@@ -289,7 +296,7 @@ def _parse_evolve(value, path):
     _check_keys(value, ("initial_state", "times"), path)
     cfg = EvolveConfig()
     if "initial_state" in value:
-        cfg.initial_state = _parse_state(value["initial_state"], f"{path}.initial_state")
+        cfg.initial_state = _parse_choice(value["initial_state"], STATE_PRESETS, f"{path}.initial_state")
     if "times" in value:
         cfg.times = _parse_times(value["times"], f"{path}.times")
     if cfg.times[0] < 0:
@@ -331,15 +338,6 @@ class CompositeConfig:
     initial_state: object
 
 
-def _parse_choice(value, choices, path):
-    """One of the named choices, or a Hermitian matrix literal."""
-    if not isinstance(value, str):
-        return parse_matrix(value, path, hermitian=True)
-    if value not in choices:
-        raise SchemaError(f"{path}: expected {', '.join(map(repr, choices))}, or a matrix")
-    return value
-
-
 def _parse_composite(value, path, experiment):
     defaults = COMPOSITE_DEFAULTS[experiment]
     _check_keys(value, defaults, path)
@@ -362,7 +360,7 @@ def _parse_composite(value, path, experiment):
         coupling_scale=coupling_scale,
         times=_parse_times(raw["times"], f"{path}.times"),
         taus=_parse_times(raw["taus"], f"{path}.taus"),
-        initial_state=_parse_state(raw["initial_state"], f"{path}.initial_state"),
+        initial_state=_parse_choice(raw["initial_state"], STATE_PRESETS, f"{path}.initial_state"),
     )
 
 

@@ -14,7 +14,6 @@ from .liouville import (
     _energy_frame,
     _label_groups,
     _to_frame,
-    assemble_superop,
     devectorize,
     eigenoperator_basis,
     vectorize,
@@ -417,8 +416,9 @@ def build_transport_model(hamiltonian, baths, degeneracy_tol=None):
             degeneracy_tol=degeneracy_tol,
         )
         generators.append(build_restricted_generator(spec))
-    total = -1j * assemble_superop("commutator", hamiltonian)
-    for gen in generators:
+    # the first generator's L carries the one commutator part
+    total = generators[0].superoperator
+    for gen in generators[1:]:
         total = total + gen.dissipator
     return TransportModel(
         hamiltonian=hamiltonian,

@@ -204,6 +204,12 @@ def _resolve_mixing_groups(basis, degenerate_mixing):
         if len(matches) > 1:
             raise ValueError(f"mixing frequency {omega_key} is ambiguous")
         group = matches[0]
+        omega = basis.transitions[group[0]].omega
+        if omega <= tol:
+            raise ValueError(
+                f"mixing frequency {omega_key} is a zero Bohr frequency (omega={omega:.3e}); "
+                "zero-frequency transitions carry no rate"
+            )
         y = np.asarray(y, dtype=complex)
         if y.shape != (len(group), len(group)):
             raise ValueError(
@@ -254,11 +260,9 @@ def build_restricted_generator(spec):
     for group, y in mixing.items():
         y_ops = np.tensordot(y, np.stack([basis.transitions[k].operator for k in group]), axes=1)
         for k, y_op in zip(group, y_ops):
-            gamma_down = rates.get(k, 0.0)
-            omega = basis.transitions[k].omega
-            gamma_up = gamma_down * math.exp(-spec.beta * omega)
-            jump_terms.append(JumpTerm(operator=y_op, rate=gamma_down, omega=omega))
-            jump_terms.append(JumpTerm(operator=y_op.conj().T, rate=gamma_up, omega=-omega))
+            pair = fix_detailed_balance(rates.get(k, 0.0), basis.transitions[k].omega, spec.beta)
+            jump_terms.append(JumpTerm(operator=y_op, rate=pair.gamma_down, omega=pair.omega))
+            jump_terms.append(JumpTerm(operator=y_op.conj().T, rate=pair.gamma_up, omega=-pair.omega))
 
     for k, gamma_down in sorted(rates.items()):
         if k in mixed_members:

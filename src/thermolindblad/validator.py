@@ -332,17 +332,20 @@ def spohn_monitor(trajectory, reference, slack=None):
     """Relative entropy to a reference state along a trajectory.
 
     Returns ([(t, S)], CheckResult): the check passes when S never
-    increases by more than the per-step slack; steps where S is infinite
-    (support violation) are marked inconclusive and skipped.
+    increases by more than the per-step slack; steps where S is +inf
+    (support violation) are marked inconclusive and skipped.  A NaN S
+    anywhere makes the defect NaN, so the check fails.
     """
     slack = DEFAULT_THRESHOLDS["spohn"] if slack is None else slack
     entropies = relative_entropy(trajectory.states, reference)
     series = list(zip([float(t) for t in trajectory.times], entropies.tolist()))
-    finite = np.isfinite(entropies)
-    inconclusive = np.flatnonzero(~finite).tolist()
-    steps = finite[:-1] & finite[1:]
+    infinite = entropies == math.inf
+    inconclusive = np.flatnonzero(infinite).tolist()
+    steps = ~infinite[:-1] & ~infinite[1:]
     rises = entropies[1:][steps] - entropies[:-1][steps]
     worst = max(0.0, float(rises.max())) if rises.size else 0.0
+    if np.isnan(entropies).any():
+        worst = math.nan
     compared = int(steps.sum())
     result = CheckResult(
         name="spohn",

@@ -434,6 +434,21 @@ def test_model_rejects_bad_inputs():
         CompositeModel(h, h, np.zeros((6, 6)), thermal)  # wrong joint dimension
     with pytest.raises(ValueError):
         CompositeModel(h, h, np.zeros((4, 4)), 2.0 * thermal)  # trace != 1
+    # unit trace and Hermitian, but not positive: the reduced map would not
+    # be completely positive
+    with pytest.raises(ValueError, match="env_state.*negative eigenvalue"):
+        CompositeModel(h, h, 0.3 * np.kron(presets.SIGMA_X, presets.SIGMA_X), np.diag([1.5, -0.5]))
+
+
+def test_kraus_set_and_reduced_map_share_the_env_support():
+    # an eigenvalue below zero by less than the validator's tolerance is
+    # outside the support for both the map and its Kraus operators
+    h = presets.qubit(1.0)
+    model = CompositeModel(h, h, 0.3 * np.kron(presets.SIGMA_X, presets.SIGMA_X), np.diag([1.0 + 1e-12, -1e-12]))
+    kraus = model.kraus_set(0.8)
+    assert len(kraus.operators) == 2
+    rebuilt = sum(np.kron(k.conj(), k) for k in kraus.operators)
+    assert np.linalg.norm(rebuilt - model.reduced_map(0.8)) < 1e-14
 
 
 def test_effective_generator_reconstructs_map():

@@ -10,6 +10,7 @@ from thermolindblad import dynamics
 from thermolindblad.cli import main
 from thermolindblad.config import (
     EXPERIMENTS,
+    MAX_TIME_COUNT,
     PhysicsError,
     SchemaError,
     parse_config,
@@ -168,8 +169,32 @@ def test_resolve_state_presets():
 
 
 def test_resolve_state_rejects_unnormalized_literal():
-    with pytest.raises(PhysicsError):
+    with pytest.raises(PhysicsError, match="initial state literal"):
         resolve_state(np.eye(2), presets.qubit(1.0), 1.0)
+    with pytest.raises(PhysicsError, match="env_state literal"):
+        resolve_state(np.eye(2), presets.qubit(1.0), 1.0, "env_state")
+
+
+def test_resolve_state_nonstationary_preset():
+    # the equal superposition of the two lowest levels
+    rho = resolve_state("nonstationary", presets.ladder(3, 1.0), 1.0, "env_state")
+    expected = np.zeros((3, 3))
+    expected[:2, :2] = 0.5
+    assert np.allclose(rho, expected, atol=1e-15)
+    with pytest.raises(PhysicsError, match="env_state.*two levels"):
+        resolve_state("nonstationary", np.array([[0.5]]), 1.0, "env_state")
+
+
+def test_initial_state_cannot_be_nonstationary():
+    with pytest.raises(SchemaError):
+        parse_config(minimal_config(evolve={"initial_state": "nonstationary"}))
+    with pytest.raises(SchemaError):
+        parse_config(minimal_config(tau_scan={"initial_state": "nonstationary"}))
+
+
+def test_time_count_limit_is_accepted():
+    times = {"stop": 1.0, "count": MAX_TIME_COUNT}
+    assert len(parse_config(minimal_config(evolve={"times": times})).evolve.times) == MAX_TIME_COUNT
 
 
 # -- reporting ---------------------------------------------------------------
@@ -215,10 +240,8 @@ def test_validate_command_passes(tmp_path):
     assert all(c["threshold"] > 0 for c in report["checks"])
 
 
-def test_validate_decomposes_generator_once(tmp_path, monkeypatch):
-    payload = minimal_config(system={"hamiltonian": "qutrit(0.0, 1.0, 3.0)"})
-    payload["baths"][0]["rates"] = {"0->1": 1.0, "0->2": 0.5, "1->2": 0.8}
-    path = write_config(tmp_path, payload)
+def count_eig_calls(monkeypatch):
+    """Record (name, shape) of every np.linalg.eig and eigvals call."""
     calls = []
     for name in ("eig", "eigvals"):
         solver = getattr(np.linalg, name)
@@ -228,12 +251,35 @@ def test_validate_decomposes_generator_once(tmp_path, monkeypatch):
             return _solver(matrix)
 
         monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_validate_decomposes_generator_once(tmp_path, monkeypatch):
+    payload = minimal_config(system={"hamiltonian": "qutrit(0.0, 1.0, 3.0)"})
+    payload["baths"][0]["rates"] = {"0->1": 1.0, "0->2": 0.5, "1->2": 0.8}
+    path = write_config(tmp_path, payload)
+    calls = count_eig_calls(monkeypatch)
     assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 0
     # the spectral check's eigenvalues also feed the generator summary; L is
     # decomposed once, by sector: one batched eig of its 3x3 zero-frequency
     # block and none of the 9x9 L; the only eigvals call is on the 3x3
     # population block
     assert calls == [("eig", (1, 3, 3)), ("eigvals", (3, 3))]
+
+
+def test_build_reads_the_validate_spectrum(tmp_path, monkeypatch):
+    payload = minimal_config(system={"hamiltonian": "qutrit(0.0, 1.0, 3.0)"})
+    payload["baths"][0]["rates"] = {"0->1": 1.0, "0->2": 0.5, "1->2": 0.8}
+    payload["baths"][0]["alpha"] = [[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 0.5]]
+    path = write_config(tmp_path, payload)
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "validate")]) == 0
+    calls = count_eig_calls(monkeypatch)
+    assert main(["build", "--config", path, "--out", str(tmp_path / "build")]) == 0
+    # one batched eig of the 3x3 zero-frequency block, as in validate
+    assert calls == [("eig", (1, 3, 3))]
+    built, validated = (json.loads((tmp_path / d / "report.json").read_text()) for d in ("build", "validate"))
+    # the same floats, so the same tokens in both reports
+    assert built["generator"]["eigenvalues"] == validated["generator"]["eigenvalues"]
 
 
 def test_tol_override_can_force_failure(tmp_path):
@@ -282,6 +328,24 @@ def test_non_psd_env_state_literal_exits_with_physics_code(tmp_path, capsys):
     path = write_config(tmp_path, payload)
     assert main(["tau-scan", "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert "env_state literal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment,section", [("theorem1", "theorem1"), ("tau-scan", "tau_scan")])
+def test_one_level_nonstationary_env_exits_with_physics_code(tmp_path, capsys, experiment, section):
+    payload = minimal_config(
+        experiment=experiment,
+        **{section: {"environment": [[0.5]], "env_state": "nonstationary", "coupling": "nonconserving"}},
+    )
+    path = write_config(tmp_path, payload)
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "two levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [MAX_TIME_COUNT + 1, 10**13])
+def test_huge_time_count_exits_with_schema_code(tmp_path, count):
+    payload = minimal_config(experiment="evolve", evolve={"times": {"stop": 1.0, "count": count}})
+    path = write_config(tmp_path, payload)
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_unnormalized_tau_scan_initial_state_exits_with_physics_code(tmp_path, capsys):

@@ -1,0 +1,77 @@
+"""Property test of the command line's exit-code contract: whatever small
+config it is given, main returns 0, 1, 2, 3 or 4 and no exception escapes."""
+import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from thermolindblad.cli import main
+from thermolindblad.config import EXPERIMENTS, STATE_PRESETS
+
+HAMILTONIANS = ["qubit(1.0)", "ladder(3, 1.0)", "qutrit(0, 1, 3)", [[0.5]], [[0.0, 0.3], [0.3, 1.0]]]
+STATES = [*STATE_PRESETS, "nonstationary", [[0.6, 0.1], [0.1, 0.4]], [[1.5, 0.0], [0.0, -0.5]]]
+ENV_STATES = ["thermal", "nonstationary", [[0.7, 0.0], [0.0, 0.3]], [[1.5, 0.0], [0.0, -0.5]]]
+BETAS = [0.0, 1.0, 50.0]
+BATH_CONTENTS = [
+    {"rates": {"0->1": 1.0}},
+    {"rates": {"0->2": 0.5, "1->2": 1.0}},
+    {"rate_function": {"kind": "ohmic", "kappa": 0.5}},
+    {"rate_function": {"kind": "flat"}},
+    {"alpha": [[1.0, 0.2], [0.2, 0.5]]},
+]
+
+baths = st.lists(
+    st.builds(lambda beta, content: {"beta": beta, **content}, st.sampled_from(BETAS), st.sampled_from(BATH_CONTENTS)),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    system=st.sampled_from(HAMILTONIANS),
+    bath_list=baths,
+    initial_state=st.sampled_from(STATES),
+    section=st.sampled_from(["theorem1", "tau_scan"]),
+    environment=st.sampled_from(HAMILTONIANS),
+    env_state=st.sampled_from(ENV_STATES),
+    env_beta=st.sampled_from(BETAS),
+    coupling=st.sampled_from(["strict", "nonconserving"]),
+)
+@example(
+    experiment="theorem1",
+    system="qubit(1.0)",
+    bath_list=[{"beta": 1.0, "rates": {"0->1": 1.0}}],
+    initial_state="superposition",
+    section="theorem1",
+    environment=[[0.5]],
+    env_state="nonstationary",
+    env_beta=1.0,
+    coupling="nonconserving",
+)
+def test_every_config_exits_with_a_contract_code(
+    experiment, system, bath_list, initial_state, section, environment, env_state, env_beta, coupling
+):
+    doc = {
+        "system": {"hamiltonian": system},
+        "baths": bath_list,
+        "experiment": experiment,
+        "evolve": {"initial_state": initial_state, "times": {"stop": 2.0, "count": 5}},
+        section: {
+            "environment": environment,
+            "env_state": env_state,
+            "env_beta": env_beta,
+            "coupling": coupling,
+            "initial_state": initial_state,
+            "times": [0.1, 1.0],
+        },
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = main([experiment, "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3, 4)

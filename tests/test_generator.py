@@ -346,6 +346,16 @@ def test_degenerate_levels_rejected_for_zero_frequency_pair():
         )
 
 
+def test_mixing_at_zero_frequency_rejected():
+    # the zero-frequency group {|0><1|} would get jump terms at omega = +-0.0,
+    # which the detailed-balance audit cannot judge
+    h = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    with pytest.raises(ValueError, match="zero-frequency transitions carry no rate"):
+        build_restricted_generator(
+            ThermoSpec(hamiltonian=h, beta=1.0, downward_rates={(0, 2): 1.0}, degenerate_mixing={0.0: [[1]]})
+        )
+
+
 # -- Kossakowski extraction --------------------------------------------------
 
 

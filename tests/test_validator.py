@@ -539,6 +539,18 @@ def test_spohn_compares_finite_neighbours_only():
     assert result.passed is False
 
 
+def test_spohn_fails_on_a_nan_entropy(qubit_generator):
+    # a NaN time gives a NaN state; only +inf (off support) is inconclusive
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    traj = propagate(qubit_generator, rho0, [0.0, 1.0, math.nan])
+    reference = presets.thermal_state(qubit_generator.hamiltonian, 1.0)
+    series, result = spohn_monitor(traj, reference)
+    assert math.isnan(series[2][1])
+    assert math.isnan(result.defect)
+    assert result.passed is False
+    assert result.details == {"inconclusive_steps": [], "steps_compared": 2}
+
+
 def test_spohn_on_empty_trajectory(qubit_generator):
     reference = presets.thermal_state(qubit_generator.hamiltonian, 1.0)
     traj = propagate(qubit_generator, reference, [])
