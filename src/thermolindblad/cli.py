@@ -203,13 +203,12 @@ def _run_tau_scan(cfg, thresholds, seed, out_dir):
         list(zip(scan.taus, scan.defects)),
     )
     # a scan at the rounding floor has no slope to fit, and passes
-    strict_floor = all(d < 1e-13 for d in scan.defects)
     checks = [
         CheckResult(
             name="tau_slope",
-            defect=0.0 if strict_floor else abs(scan.fitted_slope - 3.0),
+            defect=0.0 if scan.at_floor else abs(scan.fitted_slope - 3.0),
             threshold=thresholds["tau_slope"],
-            details={"fitted_slope": scan.fitted_slope, "all_defects_at_floor": strict_floor},
+            details={"fitted_slope": scan.fitted_slope, "all_defects_at_floor": scan.at_floor},
         ),
         CheckResult(
             name="tau_formula",

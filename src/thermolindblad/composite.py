@@ -20,10 +20,12 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import check_density_matrix
-from .liouville import devectorize, hs_norm, sandwich_sum, vectorize
+from .liouville import devectorize, hermitian_operator, hs_norm, sandwich_sum, vectorize
 
-_HERM_TOL = 1e-12
 _STRICT_FLOOR = 1e-13
+# relative energy gap below which build_strict_coupling joins two product states
+STRICT_DEGENERACY_TOL = 1e-9
+CONTOUR_RADIUS = 0.1  # of the complex-time circle of the contour coefficients
 
 DEFAULT_TAU_GRID = tuple(np.geomspace(1e-4, 1e-2, 8))
 
@@ -69,10 +71,8 @@ class CompositeModel:
     total_hamiltonian: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.system_hamiltonian = np.asarray(self.system_hamiltonian, dtype=complex)
-        self.env_hamiltonian = np.asarray(self.env_hamiltonian, dtype=complex)
-        self.coupling = np.asarray(self.coupling, dtype=complex)
-        self.env_state = np.asarray(self.env_state, dtype=complex)
+        for name in ("system_hamiltonian", "env_hamiltonian", "coupling", "env_state"):
+            setattr(self, name, hermitian_operator(getattr(self, name), name))
         self.n_sys = self.system_hamiltonian.shape[0]
         self.n_env = self.env_hamiltonian.shape[0]
         total = self.n_sys * self.n_env
@@ -81,14 +81,11 @@ class CompositeModel:
                 f"coupling must act on the {total}-dimensional joint space, "
                 f"got shape {self.coupling.shape}"
             )
-        for name, op in (
-            ("system_hamiltonian", self.system_hamiltonian),
-            ("env_hamiltonian", self.env_hamiltonian),
-            ("coupling", self.coupling),
-            ("env_state", self.env_state),
-        ):
-            if hs_norm(op - op.conj().T) > _HERM_TOL * max(1.0, hs_norm(op)):
-                raise ValueError(f"{name} is not Hermitian")
+        if self.env_state.shape != self.env_hamiltonian.shape:
+            raise ValueError(
+                f"env_state must have the shape {self.env_hamiltonian.shape} of env_hamiltonian, "
+                f"got {self.env_state.shape}"
+            )
         try:
             check_density_matrix(self.env_state)
         except ValueError as exc:
@@ -165,11 +162,11 @@ class CompositeModel:
         rights = inverse_blocks.transpose(1, 0, 2, 3)[keep].reshape(lefts.shape)
         return sandwich_sum(lefts, rights, np.repeat(self._env_evals[keep], self.n_env))
 
-    def _contour_defect_states(self, rho_s, radius, points):
-        """defect_state at tau_j = radius exp(2 pi i j / points), j < points.
+    def _contour_defect_states(self, rho_s, points):
+        """defect_state at tau_j = CONTOUR_RADIUS exp(2 pi i j / points), j < points.
         Each contour unitary's blocks are formed once: on an even contour
         -tau_j is tau_{j + points/2}, so they also serve the inverse."""
-        taus = [radius * cmath.exp(2j * math.pi * j / points) for j in range(points)]
+        taus = [CONTOUR_RADIUS * cmath.exp(2j * math.pi * j / points) for j in range(points)]
         blocks = [self._env_blocks(tau) for tau in taus]
         half = points // 2
         if points % 2 == 0:
@@ -209,7 +206,7 @@ def theorem1_defect(model, tau, rho_s=None):
     return float(np.linalg.norm(model.defect_state(tau, rho_s)))
 
 
-def build_strict_coupling(h_sys, h_env, rng, scale=1.0, degeneracy_tol=1e-9):
+def build_strict_coupling(h_sys, h_env, rng, scale=1.0):
     """Random coupling commuting with the free Hamiltonian H_S + H_E.
 
     A seeded random Hermitian is projected onto the total-energy-degenerate
@@ -231,7 +228,7 @@ def build_strict_coupling(h_sys, h_env, rng, scale=1.0, degeneracy_tol=1e-9):
 
     raw = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
     raw = (raw + raw.conj().T) / 2
-    keep = np.abs(energies[:, None] - energies[None, :]) <= degeneracy_tol * max(
+    keep = np.abs(energies[:, None] - energies[None, :]) <= STRICT_DEGENERACY_TOL * max(
         1.0, float(np.abs(energies).max())
     )
     blocked = raw * keep
@@ -259,8 +256,8 @@ class TauScan:
     """Small-time behavior of the commutation defect for one initial state.
 
     defects[k] = ||Delta(taus[k])[rho_S]||.  fitted_slope is the log-log
-    slope over the interior grid points (nan when every defect sits at
-    numerical zero).  coefficient_p is the order-tau^p Taylor coefficient
+    slope over the interior grid points, nan when at_floor: every defect at
+    numerical zero (below 1e-13).  coefficient_p is the order-tau^p Taylor coefficient
     of Delta(tau)[rho_S] extracted by contour integration; upsilon and xi
     are the closed trace-formula predictions for orders three and four,
     compared in upsilon_relative_error / xi_relative_error (absolute when
@@ -269,6 +266,7 @@ class TauScan:
 
     taus: np.ndarray
     defects: np.ndarray
+    at_floor: bool
     fitted_slope: float
     coefficient_two: np.ndarray
     coefficient_three: np.ndarray
@@ -291,19 +289,19 @@ class TauScan:
         return float(np.linalg.norm(self.xi))
 
 
-def _contour_coefficients(model, rho_s, orders, radius, points):
+def _contour_coefficients(model, rho_s, orders, points):
     """Taylor coefficients of Delta(tau)[rho_S] for several orders |order| <
     points from one set of samples on the contour and one FFT over them."""
     if any(abs(order) >= points for order in orders):
         raise ValueError(f"contour orders must be below the {points} contour points, got {orders}")
-    spectrum = np.fft.fft(model._contour_defect_states(rho_s, radius, points), axis=0)
-    return [spectrum[order] / (points * radius**order) for order in orders]
+    spectrum = np.fft.fft(model._contour_defect_states(rho_s, points), axis=0)
+    return [spectrum[order] / (points * CONTOUR_RADIUS**order) for order in orders]
 
 
-def contour_coefficient(model, rho_s, order, radius=0.1, points=32):
+def contour_coefficient(model, rho_s, order, points=32):
     """Taylor coefficient of Delta(tau)[rho_S] at tau=0 by Cauchy integral
-    over a circle of the given radius in complex time."""
-    return _contour_coefficients(model, rho_s, (order,), radius, points)[0]
+    over the circle of radius CONTOUR_RADIUS in complex time."""
+    return _contour_coefficients(model, rho_s, (order,), points)[0]
 
 
 def expansion_trace_formulas(model, rho_s):
@@ -383,7 +381,7 @@ def _compare(extracted, formula):
     return diff
 
 
-def tau_expansion(model, rho_s, taus=None, contour_radius=0.1, contour_points=32):
+def tau_expansion(model, rho_s, taus=None, contour_points=32):
     """Scan the commutation defect over small times and extract its Taylor
     coefficients, comparing the extraction against the trace formulas."""
     taus = np.asarray(DEFAULT_TAU_GRID if taus is None else taus, dtype=float)
@@ -396,15 +394,14 @@ def tau_expansion(model, rho_s, taus=None, contour_radius=0.1, contour_points=32
             1.0 / h_norm,
         )
     defects = np.array([theorem1_defect(model, t, rho_s) for t in taus])
-    if np.all(defects < _STRICT_FLOOR):
-        slope = math.nan
-    else:
-        slope = _loglog_slope(taus, defects)
-    c2, c3, c4 = _contour_coefficients(model, rho_s, (2, 3, 4), contour_radius, contour_points)
+    at_floor = bool(np.all(defects < _STRICT_FLOOR))
+    slope = math.nan if at_floor else _loglog_slope(taus, defects)
+    c2, c3, c4 = _contour_coefficients(model, rho_s, (2, 3, 4), contour_points)
     _, upsilon, xi = expansion_trace_formulas(model, rho_s)
     return TauScan(
         taus=taus,
         defects=defects,
+        at_floor=at_floor,
         fitted_slope=slope,
         coefficient_two=c2,
         coefficient_three=c3,

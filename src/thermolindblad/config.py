@@ -20,6 +20,7 @@ import numpy as np
 from . import presets
 from .composite import DEFAULT_TAU_GRID
 from .dynamics import check_density_matrix
+from .liouville import hermitian_operator
 from .validator import DEFAULT_THRESHOLDS
 
 EXPERIMENTS = ("build", "validate", "evolve", "theorem1", "tau-scan", "transport")
@@ -92,7 +93,7 @@ def parse_tolerance(name, value, path):
     return tol
 
 
-def parse_matrix(value, path, hermitian=False):
+def parse_matrix(value, path):
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{path}: expected a non-empty list of rows")
     n = len(value)
@@ -102,9 +103,10 @@ def parse_matrix(value, path, hermitian=False):
             raise SchemaError(f"{path}[{i}]: expected a row of length {n} (square matrix)")
         for j, cell in enumerate(row):
             mat[i, j] = _entry(cell, f"{path}[{i}][{j}]")
-    if hermitian and np.linalg.norm(mat - mat.conj().T) > 1e-12 * max(1.0, np.linalg.norm(mat)):
-        raise PhysicsError(f"{path}: matrix literal is not Hermitian")
-    return mat
+    try:
+        return hermitian_operator(mat, path)
+    except ValueError:
+        raise PhysicsError(f"{path}: matrix literal is not Hermitian") from None
 
 
 _PRESET_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*\((.*)\)\s*$")
@@ -151,7 +153,7 @@ def parse_hamiltonian(value, path):
             return fn(*args), value.strip()
         except ValueError as exc:
             raise PhysicsError(f"{path}: {exc}") from None
-    return parse_matrix(value, path, hermitian=True), "matrix"
+    return parse_matrix(value, path), "matrix"
 
 
 _RATE_KEY_RE = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*$")
@@ -208,7 +210,10 @@ def _parse_bath(value, path, index):
         rate_function = _parse_rate_function(value["rate_function"], f"{path}.rate_function")
     alpha = None
     if "alpha" in value:
-        alpha = parse_matrix(value["alpha"], f"{path}.alpha", hermitian=True).real
+        alpha = parse_matrix(value["alpha"], f"{path}.alpha")
+        if np.any(alpha.imag):
+            raise PhysicsError(f"{path}.alpha: alpha must be real")
+        alpha = alpha.real
     if not rates and rate_function is None and alpha is None:
         raise SchemaError(f"{path}: bath needs at least one of rates, rate_function, alpha")
     label = value.get("label", f"bath{index}")
@@ -245,7 +250,7 @@ def _parse_times(value, path):
 def _parse_choice(value, choices, path):
     """One of the named choices, or a Hermitian matrix literal."""
     if not isinstance(value, str):
-        return parse_matrix(value, path, hermitian=True)
+        return parse_matrix(value, path)
     if value not in choices:
         raise SchemaError(f"{path}: expected {', '.join(map(repr, choices))}, or a matrix")
     return value

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from .generator import ThermoSpec, build_restricted_generator, kms_rates
 from .liouville import (
+    _as_square,
     _conjugated,
     _energy_frame,
     _label_groups,
@@ -24,6 +25,8 @@ log = logging.getLogger(__name__)
 _DIAGONALIZABLE_COND = 1e8
 # Relative singular-value level at or below which a direction counts as null
 NULL_TOL = 1e-10
+STATE_TOL = 1e-10  # bound on each defect check_density_matrix allows a state
+SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside a reference state's support
 # Largest off-sector norm, relative to max(1, ||L||_F), at which L counts as
 # block diagonal by Bohr frequency; restricted generators measure below
 # 1.9e-16 * N * ||L||_F.
@@ -217,20 +220,18 @@ class Trajectory:
     hermitization_defects: np.ndarray = field(repr=False)
 
 
-def check_density_matrix(rho, tol=1e-10):
+def check_density_matrix(rho):
     """Validate a density matrix (square, Hermitian, unit trace, PSD, each
-    within tol) and return its Hermitian part; raises ValueError."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"state must be square, got shape {rho.shape}")
+    within STATE_TOL) and return its Hermitian part; raises ValueError."""
+    rho = _as_square(rho, "state")
     herm = np.linalg.norm(rho - rho.conj().T) / 2
-    if herm > tol:
+    if herm > STATE_TOL:
         raise ValueError(f"state is not Hermitian (defect {herm:.3e})")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > STATE_TOL:
         raise ValueError(f"state trace is {tr}, expected 1")
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if min_eig < -tol:
+    if min_eig < -STATE_TOL:
         raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
     return (rho + rho.conj().T) / 2
 
@@ -257,11 +258,11 @@ def propagate(superoperator, rho0, times):
     return Trajectory(times=times, states=(states + adjoints) / 2, hermitization_defects=defects)
 
 
-def null_dimension(svals, rel_tol=NULL_TOL):
-    """Number of singular values (descending) at or below rel_tol times the
+def null_dimension(svals):
+    """Number of singular values (descending) at or below NULL_TOL times the
     largest one."""
     smax = svals[0] if svals.size else 0.0
-    return int(np.sum(svals <= rel_tol * max(smax, 1e-300)))
+    return int(np.sum(svals <= NULL_TOL * max(smax, 1e-300)))
 
 
 @dataclass
@@ -272,13 +273,13 @@ class SteadyState:
     null_dimension: int
 
 
-def steady_state(superoperator, null_tol=NULL_TOL):
+def steady_state(superoperator):
     """Stationary state from the smallest singular vector of L.
 
     superoperator is read as in propagate.  L's singular values are those
     of its sector blocks together (L whole on the dense route), one batched
     SVD per block size; uniqueness is decided by counting those below
-    null_tol * smax.  The state is the right singular vector of the
+    NULL_TOL * smax.  The state is the right singular vector of the
     smallest one, taken from its block back to the standard frame.  Raises
     LinAlgError when L has no null direction at that tolerance, the null
     direction is traceless, or the state's residual ||L rho|| exceeds
@@ -289,11 +290,11 @@ def steady_state(superoperator, null_tol=NULL_TOL):
     decomps = [np.linalg.svd(block) for block in sectors.blocks(sectors.frame)]
     svals = np.sort(np.concatenate([s.ravel() for _, s, _ in decomps]))[::-1]
     smax = svals[0]
-    null_dim = null_dimension(svals, null_tol)
+    null_dim = null_dimension(svals)
     if null_dim == 0:
         raise np.linalg.LinAlgError(
             f"no stationary state found: smallest singular value {svals[-1]:.3e} "
-            f"exceeds {null_tol:.1e} * {smax:.3e}"
+            f"exceeds {NULL_TOL:.1e} * {smax:.3e}"
         )
     k = int(np.argmin([s[:, -1].min() for _, s, _ in decomps]))
     _, s, vh = decomps[k]
@@ -320,14 +321,14 @@ def heat_current(hamiltonian, dissipator, rho):
     return float(np.trace(h @ d_rho).real)
 
 
-def relative_entropy(rho, sigma, support_cutoff=1e-12):
+def relative_entropy(rho, sigma):
     """Quantum relative entropy S(rho || sigma) = tr(rho ln rho - rho ln sigma).
 
     rho may be one state (returns a float) or a stack of states (...,
     N, N) (returns an array).  Only the eigenvalues of each rho are taken;
     sigma is decomposed once, and ln sigma is formed once on its support
-    (eigenvalues above support_cutoff) and contracted with every rho.
-    Returns +inf where rho has weight above support_cutoff on the null
+    (eigenvalues above SUPPORT_CUTOFF) and contracted with every rho.
+    Returns +inf where rho has weight above SUPPORT_CUTOFF on the null
     space of sigma.  Eigenvalues are clipped at 1e-300 before logs, and
     those of rho at 0.
     """
@@ -341,7 +342,7 @@ def relative_entropy(rho, sigma, support_cutoff=1e-12):
     p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     q, v = np.linalg.eigh(sigma)
 
-    null_mask = q <= support_cutoff
+    null_mask = q <= SUPPORT_CUTOFF
     null_vecs = v[:, null_mask]
     weight = np.einsum("ji,...jk,ki->...", null_vecs.conj(), rho, null_vecs).real
 
@@ -351,7 +352,7 @@ def relative_entropy(rho, sigma, support_cutoff=1e-12):
     # tr(rho ln sigma) = sum_ij rho_ij (ln sigma)_ji, one row-by-column product per state
     rows = rho.reshape(*rho.shape[:-2], 1, n * n)
     cross_term = (rows @ log_sigma.T.reshape(n * n, 1))[..., 0, 0].real
-    result = np.where(weight > support_cutoff, math.inf, entropy_term - cross_term)
+    result = np.where(weight > SUPPORT_CUTOFF, math.inf, entropy_term - cross_term)
     return float(result) if result.ndim == 0 else result
 
 
@@ -395,7 +396,7 @@ def _bath_rates(bath, basis):
     return rates
 
 
-def build_transport_model(hamiltonian, baths, degeneracy_tol=None):
+def build_transport_model(hamiltonian, baths):
     """Attach several thermal baths to one system Hamiltonian.
 
     Each bath contributes an independently constructed restricted
@@ -405,7 +406,7 @@ def build_transport_model(hamiltonian, baths, degeneracy_tol=None):
         raise ValueError("at least one bath is required")
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     generators = []
-    basis = eigenoperator_basis(hamiltonian, degeneracy_tol)
+    basis = eigenoperator_basis(hamiltonian)
     for bath in baths:
         spec = ThermoSpec(
             hamiltonian=hamiltonian,
@@ -413,7 +414,6 @@ def build_transport_model(hamiltonian, baths, degeneracy_tol=None):
             downward_rates=_bath_rates(bath, basis),
             alpha=bath.alpha,
             degenerate_mixing=bath.degenerate_mixing,
-            degeneracy_tol=degeneracy_tol,
         )
         generators.append(build_restricted_generator(spec))
     # the first generator's L carries the one commutator part

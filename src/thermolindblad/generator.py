@@ -22,6 +22,7 @@ from .liouville import (
     choi_matrix,
     eigenoperator_basis,
     gkls_dissipator,
+    hermitian_operator,
 )
 
 __all__ = [
@@ -134,12 +135,8 @@ def dephasing_from_alpha(alpha, projectors):
         raise ValueError(f"alpha must be {n}x{n} to match the projectors, got {alpha.shape}")
     if np.iscomplexobj(alpha) and np.max(np.abs(alpha.imag)) > 1e-12:
         raise ValueError("alpha must be real")
-    alpha = alpha.real.astype(float)
-    asym = np.linalg.norm(alpha - alpha.T)
-    if asym > 1e-12:
-        raise ValueError(f"alpha must be symmetric (defect {asym:.3e})")
-    alpha = (alpha + alpha.T) / 2
-    eigenvalues, q = np.linalg.eigh(alpha)
+    alpha = hermitian_operator(alpha.real, "alpha").real
+    eigenvalues, q = np.linalg.eigh((alpha + alpha.T) / 2)
     if eigenvalues.min() < -1e-10:
         raise ValueError(f"alpha must be positive semidefinite (min eigenvalue {eigenvalues.min():.3e})")
     eigenvalues = np.clip(eigenvalues, 0.0, None)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+HERMITIAN_TOL = 1e-12  # bound on ||a - a^dag||_F / max(1, ||a||_F) of every input operator
+
 _SUPEROP_KINDS = (
     "left",
     "right",
@@ -31,6 +33,16 @@ def _as_square(a, name="operator"):
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError(f"{name} must be nonempty")
+    return a
+
+
+def hermitian_operator(a, name="operator"):
+    """a as a square complex array; ValueError naming the input unless
+    ||a - a^dag||_F <= HERMITIAN_TOL * max(1, ||a||_F), which a NaN fails."""
+    a = _as_square(a, name)
+    defect = hs_norm(a - a.conj().T)
+    if not defect <= HERMITIAN_TOL * max(1.0, hs_norm(a)):
+        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
     return a
 
 
@@ -283,9 +295,12 @@ def _conjugated(mat, w):
 
 def _energy_frame(h, degeneracy_tol=None):
     """Spectrum of a Hermitian h (eigenvectors phase-fixed, degeneracy_tol
-    defaulting to 1e-9 * max|energy| with floor 1e-12) and the Bohr-frequency
-    label of each energy-frame index: index a + N b is |a><b|, at frequency
-    E_b - E_a, clustered at degeneracy_tol."""
+    defaulting to 1e-9 * max|energy| with floor 1e-12; a NaN, infinite or
+    negative one is a ValueError) and the Bohr-frequency label of each
+    energy-frame index: index a + N b is |a><b|, at frequency E_b - E_a,
+    clustered at degeneracy_tol."""
+    if degeneracy_tol is not None and not 0 <= degeneracy_tol < np.inf:
+        raise ValueError(f"degeneracy_tol must be finite and nonnegative, got {degeneracy_tol}")
     energies, vectors = np.linalg.eigh(h)
     vectors = _fix_phases(vectors)
     if degeneracy_tol is None:
@@ -302,19 +317,16 @@ def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
 
     Parameters
     ----------
-    hamiltonian : (N, N) array_like, Hermitian
+    hamiltonian : (N, N) array_like, Hermitian as hermitian_operator tests it
     degeneracy_tol : float, optional
-        Bohr frequencies closer than this are treated as degenerate.
-        Defaults to 1e-9 * max|energy| (floor 1e-12).
+        Bohr frequencies closer than this are treated as degenerate; finite
+        and nonnegative.  Defaults to 1e-9 * max|energy| (floor 1e-12).
 
     Returns
     -------
     EigenoperatorBasis
     """
-    h = _as_square(hamiltonian, "hamiltonian")
-    sym_defect = hs_norm((h - h.conj().T) / 2)
-    if sym_defect > 1e-12:
-        raise ValueError(f"hamiltonian is not Hermitian (symmetrized defect {sym_defect:.3e})")
+    h = hermitian_operator(hamiltonian, "hamiltonian")
     spectrum, labels = _energy_frame((h + h.conj().T) / 2, degeneracy_tol)
     energies, vectors = spectrum.energies, spectrum.vectors
     n = energies.size

@@ -356,14 +356,14 @@ def spohn_monitor(trajectory, reference, slack=None):
     return series, result
 
 
-def run_standard_checks(generator, times=CPTP_TIME_GRID, thresholds=None, label=""):
+def run_standard_checks(generator, thresholds=None, label=""):
     """Run the full audit battery on a constructed generator.
 
     thresholds maps check names to overrides.  One Propagator, built with
     the generator's eigenoperator basis, serves check_fixed_point, check_cptp
-    and check_spectral, so L is split into sectors once and decomposed once:
-    one batched eig per block size on the sector route, one eig of L on the
-    dense route.
+    (at CPTP_TIME_GRID) and check_spectral, so L is split into sectors once and
+    decomposed once: one batched eig per block size on the sector route, one
+    eig of L on the dense route.
     """
     th = dict(thresholds or {})
     l_mat = generator.superoperator
@@ -371,7 +371,7 @@ def run_standard_checks(generator, times=CPTP_TIME_GRID, thresholds=None, label=
     checks = [
         check_commutation(l_mat, generator.hamiltonian, th.get("commutation")),
         check_fixed_point(prop, generator.hamiltonian, generator.beta, th.get("fixed_point")),
-        check_cptp(prop, times, th.get("cptp")),
+        check_cptp(prop, threshold=th.get("cptp")),
         check_spectral(prop, generator.basis, th.get("spectral")),
         check_structure_support(generator.dissipator, generator.basis, th.get("structure_support")),
         check_detailed_balance(generator, threshold=th.get("detailed_balance")),

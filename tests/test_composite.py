@@ -272,6 +272,11 @@ def test_strict_model_sits_at_numerical_zero():
     assert scan.xi_norm < 1e-12
 
 
+def test_scan_carries_its_floor_verdict():
+    assert tau_expansion(exchange_model(), np.diag([0.5, 0.5]).astype(complex)).at_floor is True
+    assert tau_expansion(nonconserving_model(), superposition_state()).at_floor is False
+
+
 def superposition_state():
     psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
     return np.outer(psi, psi)
@@ -438,6 +443,12 @@ def test_model_rejects_bad_inputs():
     # be completely positive
     with pytest.raises(ValueError, match="env_state.*negative eigenvalue"):
         CompositeModel(h, h, 0.3 * np.kron(presets.SIGMA_X, presets.SIGMA_X), np.diag([1.5, -0.5]))
+
+
+def test_model_rejects_env_state_of_the_wrong_shape():
+    # a two-level state for a one-level environment
+    with pytest.raises(ValueError, match="env_state must have the shape"):
+        CompositeModel(presets.qubit(1.0), [[0.5]], np.zeros((2, 2)), np.eye(2) / 2)
 
 
 def test_kraus_set_and_reduced_map_share_the_env_support():

@@ -341,6 +341,63 @@ def test_one_level_nonstationary_env_exits_with_physics_code(tmp_path, capsys, e
     assert "two levels" in capsys.readouterr().err
 
 
+def test_env_state_of_the_wrong_shape_exits_with_physics_code(tmp_path, capsys):
+    # a valid two-level state for a one-level environment
+    payload = minimal_config(
+        experiment="tau-scan", tau_scan={"environment": [[0.5]], "env_state": [[0.5, 0.0], [0.0, 0.5]]}
+    )
+    path = write_config(tmp_path, payload)
+    assert main(["tau-scan", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "env_state must have the shape" in capsys.readouterr().err
+
+
+def test_complex_alpha_literal_exits_with_physics_code(tmp_path, capsys):
+    payload = minimal_config()
+    payload["baths"][0]["alpha"] = [[1.0, [0.0, 0.2]], [[0.0, -0.2], 1.0]]  # Hermitian, not real
+    with pytest.raises(PhysicsError, match=r"config\.baths\[0\]\.alpha: alpha must be real"):
+        parse_config(payload)
+    path = write_config(tmp_path, payload)
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "alpha must be real" in capsys.readouterr().err
+
+
+def test_real_alpha_literal_is_kept_as_given():
+    alpha = [[1.0, 0.3], [0.3, [0.8, 0.0]]]  # a zero imaginary part is real
+    payload = minimal_config()
+    payload["baths"][0]["alpha"] = alpha
+    parsed = parse_config(payload).baths[0].alpha
+    assert parsed.dtype == float
+    assert parsed.tolist() == [[1.0, 0.3], [0.3, 0.8]]
+
+
+def test_coupling_literal_is_run_as_given(tmp_path):
+    exchange = [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.3, 0.0], [0.0, 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    payload = minimal_config(experiment="theorem1", theorem1={"environment": "qubit(1.0)", "coupling": exchange})
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["theorem1", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["composite"]["coupling_kind"] == "matrix"
+    payload["theorem1"]["coupling"] = [[0.0, 1.0], [1.0, 0.0]]  # not on the joint space
+    path = write_config(tmp_path, payload)
+    assert main(["theorem1", "--config", path, "--out", str(tmp_path / "out2")]) == 2
+
+
+def test_evolve_without_a_unique_steady_state_uses_the_thermal_reference(tmp_path):
+    # level 2 is coupled to nothing, so every mixture of the 0-1 steady state
+    # with it is stationary
+    payload = {
+        "system": {"hamiltonian": "qutrit(0, 1, 3)"},
+        "baths": [{"beta": 1.0, "rates": {"0->1": 1.0}}],
+        "experiment": "evolve",
+    }
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["entropy_reference"] == "thermal"
+    assert report["steady_state"]["unique"] is False
+
+
 @pytest.mark.parametrize("count", [MAX_TIME_COUNT + 1, 10**13])
 def test_huge_time_count_exits_with_schema_code(tmp_path, count):
     payload = minimal_config(experiment="evolve", evolve={"times": {"stop": 1.0, "count": count}})
@@ -412,6 +469,17 @@ def test_tau_scan_writes_scan_table(tmp_path):
     report = json.loads((out / "report.json").read_text())
     slope = report["scan"]["fitted_slope"]
     assert abs(slope - 3.0) < 0.05
+
+
+def test_tau_scan_at_the_rounding_floor_passes_its_slope_check(tmp_path):
+    # a strict coupling and a thermal environment: every defect is zero to rounding
+    payload = minimal_config(experiment="tau-scan", tau_scan={"coupling": "strict"})
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["tau-scan", "--config", path, "--out", str(out)]) == 0
+    slope_check = json.loads((out / "report.json").read_text())["checks"][0]
+    assert slope_check["details"]["all_defects_at_floor"] is True
+    assert slope_check["defect"] == 0.0
 
 
 def test_transport_needs_two_baths(tmp_path):

@@ -383,6 +383,15 @@ def test_rate_function_covers_every_transition():
     )
 
 
+def test_rate_function_skips_zero_bohr_frequencies():
+    # levels 1 and 2 are degenerate: the pair (1, 2) is at omega = 0 and gets
+    # no rate, the pairs (0, 1) and (0, 2) get one each
+    model = build_transport_model(np.diag([0.0, 1.0, 1.0]), [BathSpec(beta=1.0, rate_function=flat_rate(1.0))])
+    (gen,) = model.generators
+    assert len(gen.jump_terms) == 4
+    assert sorted(t.omega for t in gen.jump_terms) == [-1.0, -1.0, 1.0, 1.0]
+
+
 def test_explicit_rates_take_precedence_over_rate_function():
     model = build_transport_model(
         presets.qubit(1.0),
