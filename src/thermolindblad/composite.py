@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import check_density_matrix
 from .liouville import devectorize, hermitian_operator, hs_norm, sandwich_sum, vectorize
@@ -418,6 +417,8 @@ def effective_generator(model, tau):
     reproducing the reduced map at time tau, with the reconstruction
     defect ||exp(L tau) - Lambda(tau)||.  Branch ambiguity makes this
     meaningful only for tau small against the inverse spectral spread."""
+    import scipy.linalg  # slow to import, and only this function uses it
+
     lam = model.reduced_map(tau)
     l_eff = scipy.linalg.logm(lam) / tau
     defect = float(np.linalg.norm(scipy.linalg.expm(l_eff * tau) - lam))

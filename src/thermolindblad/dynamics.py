@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .generator import ThermoSpec, build_restricted_generator, kms_rates
+from .generator import ThermoSpec, _build_restricted_generator, kms_rates
 from .liouville import (
     _as_square,
     _conjugated,
@@ -105,12 +104,20 @@ def _hamiltonian_part(l_mat, n):
     return 1j * (x - x.conj().T) / (2 * n)
 
 
+def _choi_sources(idx, n):
+    """The map entries behind the Choi blocks of a (K, s) stack of frame
+    indices: Choi block entry (a + N b, c + N d) is map entry
+    (a + N c, b + N d), returned as (rows, cols), each (K, s, s)."""
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    return rows % n + n * (cols % n), rows // n + n * (cols // n)
+
+
 def _choi_closed(indices, labels, n):
-    # block entry (a + N b, c + N d) is Choi entry (a + N c, b + N d); the
-    # labels split the Choi matrix too when those two carry the same label
+    # the labels split the Choi matrix too when every map entry behind a
+    # Choi block lies inside one sector of the map
     for idx in indices:
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        if np.any(labels[rows % n + n * (cols % n)] != labels[rows // n + n * (cols // n)]):
+        rows, cols = _choi_sources(idx, n)
+        if np.any(labels[rows] != labels[cols]):
             return False
     return True
 
@@ -162,17 +169,24 @@ class Propagator:
         else:
             log.debug("eigenvector condition %.3e; using expm fallback", self.condition_number)
 
+    def _block_maps(self, times):
+        """exp(B t) of every block B at every t in times, in the frame of the
+        route: one (T, K, s, s) stack per block size, as the blocks are
+        stacked in sectors.indices."""
+        times = np.asarray(times, dtype=float)
+        if self.diagonalizable:
+            return [
+                (evecs * np.exp(evals * times[:, None, None])[:, :, None, :]) @ inv
+                for evals, evecs, inv in zip(self._evals, self._evecs, self._inv)
+            ]
+        import scipy.linalg  # slow to import, and only this route uses it
+
+        return [np.array([scipy.linalg.expm(block * t) for t in times]) for block in self._blocks]
+
     def _frame_map(self, t):
         """exp(L t) in the frame of the route: U^dag exp(L t) U on the sector
         route, exp(L t) itself on the dense route."""
-        if self.diagonalizable:
-            stacks = [
-                (evecs * np.exp(evals * t)[:, None, :]) @ inv
-                for evals, evecs, inv in zip(self._evals, self._evecs, self._inv)
-            ]
-        else:
-            stacks = [scipy.linalg.expm(block * t) for block in self._blocks]
-        return self.sectors.assemble(stacks)
+        return self.sectors.assemble([stack[0] for stack in self._block_maps([t])])
 
     def __call__(self, t):
         lam = self._frame_map(t)
@@ -400,7 +414,8 @@ def build_transport_model(hamiltonian, baths):
     """Attach several thermal baths to one system Hamiltonian.
 
     Each bath contributes an independently constructed restricted
-    dissipator; the total generator shares a single Hamiltonian part.
+    dissipator; the total generator shares a single Hamiltonian part, and
+    every bath's generator is built on one eigenoperator basis of it.
     """
     if not baths:
         raise ValueError("at least one bath is required")
@@ -415,7 +430,7 @@ def build_transport_model(hamiltonian, baths):
             alpha=bath.alpha,
             degenerate_mixing=bath.degenerate_mixing,
         )
-        generators.append(build_restricted_generator(spec))
+        generators.append(_build_restricted_generator(spec, basis))
     # the first generator's L carries the one commutator part
     total = generators[0].superoperator
     for gen in generators[1:]:

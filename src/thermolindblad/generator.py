@@ -23,6 +23,7 @@ from .liouville import (
     eigenoperator_basis,
     gkls_dissipator,
     hermitian_operator,
+    hs_norm,
 )
 
 __all__ = [
@@ -127,17 +128,23 @@ def dephasing_from_alpha(alpha, projectors):
     Returns DephasingTerm(V_n, w_n) with V_n = sum_i Q[i, n] Pi_i from the
     orthogonal diagonalization Q^T alpha Q = diag(lambda) and weights
     w_n = lambda_n / 2, so that -sum_n w_n [V_n, [V_n, .]] reproduces the
-    alpha-weighted projector-form dissipator exactly.
+    alpha-weighted projector-form dissipator exactly.  alpha is rejected if
+    an imaginary part exceeds 1e-12, or its smallest eigenvalue lies below
+    -1e-10, times max(1, ||Re alpha||_F); the eigenvalues are then clipped
+    at 0.
     """
     alpha = np.asarray(alpha)
     n = len(projectors)
     if alpha.shape != (n, n):
         raise ValueError(f"alpha must be {n}x{n} to match the projectors, got {alpha.shape}")
-    if np.iscomplexobj(alpha) and np.max(np.abs(alpha.imag)) > 1e-12:
+    # both bounds are relative, as in hermitian_operator; the scale is taken
+    # from the real part, so that a NaN or infinite imaginary part fails
+    scale = max(1.0, hs_norm(alpha.real))
+    if np.iscomplexobj(alpha) and not np.max(np.abs(alpha.imag)) <= 1e-12 * scale:
         raise ValueError("alpha must be real")
     alpha = hermitian_operator(alpha.real, "alpha").real
     eigenvalues, q = np.linalg.eigh((alpha + alpha.T) / 2)
-    if eigenvalues.min() < -1e-10:
+    if eigenvalues.min() < -1e-10 * scale:
         raise ValueError(f"alpha must be positive semidefinite (min eigenvalue {eigenvalues.min():.3e})")
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     ops = np.tensordot(q.T, np.stack(projectors), axes=1)
@@ -223,9 +230,17 @@ def build_restricted_generator(spec):
     of the dissipator with the free-evolution superoperator, and CPTP
     propagation for all t >= 0.
     """
+    return _build_restricted_generator(spec)
+
+
+def _build_restricted_generator(spec, basis=None):
+    """build_restricted_generator on a given eigenoperator basis of
+    spec.hamiltonian (at spec.degeneracy_tol), so that several generators
+    of one Hamiltonian share one decomposition; None computes it."""
     if spec.beta < 0:
         raise ValueError(f"inverse temperature must be nonnegative, got {spec.beta}")
-    basis = eigenoperator_basis(spec.hamiltonian, spec.degeneracy_tol)
+    if basis is None:
+        basis = eigenoperator_basis(spec.hamiltonian, spec.degeneracy_tol)
     n = basis.n_levels
     tol = basis.spectrum.degeneracy_tol
 

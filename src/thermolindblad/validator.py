@@ -28,13 +28,14 @@ import numpy as np
 from .dynamics import (
     _DIAGONALIZABLE_COND,
     Propagator,
+    _choi_sources,
     _propagator_of,
     _sectors_of,
     _superop_of,
     null_dimension,
     relative_entropy,
 )
-from .liouville import _conjugated, assemble_superop, change_basis, choi_matrix, vectorize
+from .liouville import _as_square, _conjugated, change_basis, choi_matrix, vectorize
 from .presets import thermal_state
 
 DEFAULT_THRESHOLDS = {
@@ -88,15 +89,26 @@ class ValidationReport:
 
 
 def check_commutation(superoperator, hamiltonian, threshold=None):
-    """Relative Frobenius defect of [free-evolution superoperator, L]."""
+    """Relative Frobenius defect ||[H~, L]||_F / ||L||_F of L against the
+    free-evolution superoperator H~ = [H, .] (0 for L = 0).
+
+    H~ acts on one index factor at a time: with L[a + N b, c + N d] read as
+    T[b, a, d, c], H~ L multiplies H into a and b, and L H~ into c and d,
+    O(N^5) in all, with no Kronecker product or N^2 x N^2 product.  No
+    frame, sector label or Propagator is used: this check is the audit's
+    independent reference for the sector split.
+    """
     threshold = DEFAULT_THRESHOLDS["commutation"] if threshold is None else threshold
     l_mat = _superop_of(superoperator)
-    h_tilde = assemble_superop("commutator", hamiltonian)
+    h = _as_square(hamiltonian, "hamiltonian")
+    n = h.shape[0]
     l_norm = np.linalg.norm(l_mat)
     if l_norm == 0:
         defect = 0.0
     else:
-        defect = float(np.linalg.norm(h_tilde @ l_mat - l_mat @ h_tilde) / l_norm)
+        h_l = h @ l_mat.reshape(n, n, n * n) - (h.T @ l_mat.reshape(n, -1)).reshape(n, n, n * n)
+        l_h = (l_mat.reshape(-1, n) @ h).reshape(n * n, n, n) - h @ l_mat.reshape(n * n, n, n)
+        defect = float(np.linalg.norm(h_l.reshape(n * n, n * n) - l_h.reshape(n * n, n * n)) / l_norm)
     return CheckResult(
         name="commutation",
         defect=defect,
@@ -130,31 +142,77 @@ def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     )
 
 
+def _dense_choi_minima(prop, times):
+    """Smallest Choi eigenvalue and trace defect of exp(L t) at each t, for
+    L whole (the dense route), one map at a time: a stack of all T maps
+    (T N^4 entries) was measured slower here, from the page faults of
+    allocating it, than one eigvalsh per time."""
+    eye_vec = vectorize(np.eye(math.isqrt(prop.superoperator.shape[0])))
+    min_eigs, tp_defects = [], []
+    for t in times:
+        lam = prop._frame_map(t)
+        choi = choi_matrix(lam)
+        min_eigs.append(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
+        tp_defects.append(np.linalg.norm(lam.conj().T @ eye_vec - eye_vec))
+    return np.array(min_eigs), np.array(tp_defects)
+
+
+def _sector_choi_minima(prop, times):
+    """As _dense_choi_minima, from the block maps exp(B t) of the sector
+    route at every t at once.  Each Choi block is gathered straight from
+    them, with its adjoint gathered too so that every operand is
+    contiguous: Choi block entry (a + N b, c + N d) is map entry
+    (a + N c, b + N d), which the sector route keeps inside one block.
+    One eigvalsh per Choi block size covers every time, and vec(I), the
+    same in either frame, lives in the block that holds the populations."""
+    n = math.isqrt(prop.superoperator.shape[0])
+    # the block maps flattened per time: frame index i lies in the block
+    # that starts at start[i], at position pos[i] of size[i]
+    flat = np.concatenate([stack.reshape(times.size, -1) for stack in prop._block_maps(times)], axis=1)
+    start, pos, size = (np.empty(n * n, dtype=int) for _ in range(3))
+    offset = 0
+    for idx in prop.sectors.indices:
+        k, s = idx.shape
+        start[idx] = offset + s * s * np.arange(k)[:, None]
+        pos[idx], size[idx] = np.arange(s), s
+        offset += k * s * s
+    min_eigs = np.full(times.size, np.inf)
+    for idx in prop.sectors.indices:
+        rows, cols = _choi_sources(idx, n)
+        gather = start[rows] + pos[rows] * size[rows] + pos[cols]
+        choi = (flat[:, gather] + flat[:, gather.swapaxes(-1, -2)].conj()) / 2
+        eigs = np.linalg.eigvalsh(choi.reshape(-1, idx.shape[1], idx.shape[1]))
+        min_eigs = np.minimum(min_eigs, eigs.reshape(times.size, -1).min(axis=1))
+    # frame index 0 is the population |0><0|, and index a + N a the others
+    s = size[0]
+    populations = flat[:, start[0] : start[0] + s * s].reshape(-1, s, s)
+    eye_vec = np.zeros(s)
+    eye_vec[pos[:: n + 1]] = 1.0
+    return min_eigs, np.linalg.norm(eye_vec @ populations - eye_vec, axis=-1)
+
+
 def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
     """Complete positivity (Choi spectrum) and trace preservation of
     exp(L t) across a time grid; the defect is the worst violation.
+
     superoperator may be a Propagator, whose decomposition is then reused;
     otherwise one is built as propagate builds it, in the frame of the
     object's basis if it has one, else of L's own Hamiltonian part.  On the
-    sector route the maps and their Choi matrices are block diagonal in the
-    energy frame, so the smallest Choi eigenvalue is taken block by block;
-    vec(I) is the same in either frame."""
+    sector route the Choi blocks are gathered from the block maps of every
+    time at once, with one eigvalsh per Choi block size and no N^2 x N^2
+    map or Choi matrix; on the dense route each map exp(L t) is reshuffled
+    into its Choi matrix.  The trace defect is
+    ||exp(L t)^dag vec(I) - vec(I)||.
+    """
     threshold = DEFAULT_THRESHOLDS["cptp"] if threshold is None else threshold
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("complete positivity is only audited at t >= 0")
     prop = _propagator_of(superoperator)
-    n2 = prop.superoperator.shape[0]
-    eye_vec = vectorize(np.eye(int(round(np.sqrt(n2)))))
-    min_eigs, tp_defects = [], []
-    for t in times:
-        lam = prop._frame_map(t)
-        choi = choi_matrix(lam)
-        choi = (choi + choi.conj().T) / 2
-        min_eigs.append(min(float(np.linalg.eigvalsh(b).min()) for b in prop.sectors.blocks(choi)))
-        tp_defects.append(float(np.linalg.norm(lam.conj().T @ eye_vec - eye_vec)))
-    positivity = max(0.0, -min(min_eigs))
-    trace_defect = max(tp_defects)
+    choi_minima = _dense_choi_minima if prop.route == "dense" else _sector_choi_minima
+    min_eigs, tp_defects = choi_minima(prop, times)
+    positivity = max(0.0, -float(min_eigs.min()))
+    trace_defect = float(tp_defects.max())
     defect = max(positivity, trace_defect)
     return CheckResult(
         name="cptp",
@@ -162,9 +220,9 @@ def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
         threshold=threshold,
         details={
             "times": [float(t) for t in times],
-            "min_choi_eigenvalue": min(min_eigs),
-            "choi_eigenvalues_by_time": min_eigs,
-            "trace_defects_by_time": tp_defects,
+            "min_choi_eigenvalue": float(min_eigs.min()),
+            "choi_eigenvalues_by_time": min_eigs.tolist(),
+            "trace_defects_by_time": tp_defects.tolist(),
             **_route_details(prop.sectors),
         },
     )
@@ -363,7 +421,9 @@ def run_standard_checks(generator, thresholds=None, label=""):
     the generator's eigenoperator basis, serves check_fixed_point, check_cptp
     (at CPTP_TIME_GRID) and check_spectral, so L is split into sectors once and
     decomposed once: one batched eig per block size on the sector route, one
-    eig of L on the dense route.
+    eig of L on the dense route.  On the sector route check_cptp then makes
+    one eigvalsh per Choi block size, and neither it nor check_commutation,
+    which needs no Propagator, forms an N^2 x N^2 matrix.
     """
     th = dict(thresholds or {})
     l_mat = generator.superoperator

@@ -405,3 +405,28 @@ def test_explicit_rates_take_precedence_over_rate_function():
 def test_transport_requires_baths():
     with pytest.raises(ValueError):
         build_transport_model(presets.qubit(1.0), [])
+
+
+def test_transport_model_decomposes_hamiltonian_once(monkeypatch):
+    import thermolindblad.dynamics as dynamics_module
+    import thermolindblad.generator as generator_module
+
+    calls = []
+    original = dynamics_module.eigenoperator_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics_module, "eigenoperator_basis", counting)
+    monkeypatch.setattr(generator_module, "eigenoperator_basis", counting)
+    baths = [
+        BathSpec(beta=beta, downward_rates={(0, 1): 1.0, (1, 2): 0.5}, label=f"bath{k}")
+        for k, beta in enumerate((0.5, 1.0, 2.0))
+    ]
+    model = build_transport_model(presets.ladder(3, 1.0), baths)
+    assert len(calls) == 1
+    assert all(gen.basis is model.generators[0].basis for gen in model.generators)
+    for gen, bath in zip(model.generators, baths):
+        alone = build_restricted_generator(ThermoSpec(presets.ladder(3, 1.0), bath.beta, bath.downward_rates))
+        np.testing.assert_array_equal(gen.superoperator, alone.superoperator)

@@ -391,3 +391,101 @@ def test_sector_route_uses_vec_index_convention(rng):
     image = gen.superoperator @ vectorize(op)
     frame_image = np.kron(vectors.conj(), vectors).conj().T @ image
     assert np.allclose(frame_image, frame[:, 1 + 5 * 3], atol=1e-12)
+
+
+# -- check_cptp against the loop that assembled every map ---------------------
+
+
+def assembled_cptp_details(prop, times):
+    """Choi minima and trace defects from the loop check_cptp ran before it
+    gathered Choi blocks: the N^2 x N^2 frame map at each time, its whole
+    Choi matrix, and one eigvalsh per block size and time."""
+    eye_vec = vectorize(np.eye(int(round(np.sqrt(prop.superoperator.shape[0])))))
+    min_eigs, tp_defects = [], []
+    for t in times:
+        if prop.diagonalizable:
+            stacks = [
+                (evecs * np.exp(evals * t)[:, None, :]) @ inv
+                for evals, evecs, inv in zip(prop._evals, prop._evecs, prop._inv)
+            ]
+        else:
+            stacks = [expm(block * t) for block in prop._blocks]
+        lam = prop.sectors.assemble(stacks)
+        choi = choi_matrix(lam)
+        choi = (choi + choi.conj().T) / 2
+        min_eigs.append(min(float(np.linalg.eigvalsh(b).min()) for b in prop.sectors.blocks(choi)))
+        tp_defects.append(float(np.linalg.norm(lam.conj().T @ eye_vec - eye_vec)))
+    return min_eigs, tp_defects
+
+
+def near_defective_sector_propagator():
+    """A sector-route L whose 2x2 block at Bohr frequency E_2 - E_0 is a
+    Jordan block: cond is infinite, so every block takes expm."""
+    h = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    basis = eigenoperator_basis(h)
+    frame = np.diag(-np.arange(1.0, 10.0)).astype(complex)
+    frame[2, 5], frame[5, 5] = 1.0, frame[2, 2]
+    u = np.kron(basis.spectrum.vectors.conj(), basis.spectrum.vectors)
+    return Propagator(u @ frame @ u.conj().T, basis)
+
+
+def with_basis(name):
+    def make(rng):
+        gen = INPUTS[name](rng)
+        return Propagator(gen.superoperator, gen.basis)
+
+    return make
+
+
+CPTP_ROUTES = {
+    "sector_ladder8": (with_basis("ladder8"), CPTP_TIME_GRID),
+    "sector_random8": (with_basis("random8"), CPTP_TIME_GRID),
+    "sector_bare_qutrit": (lambda rng: Propagator(INPUTS["qutrit"](rng).superoperator), CPTP_TIME_GRID),
+    "dense_foreign": (lambda rng: Propagator(foreign(4, rng).superoperator), CPTP_TIME_GRID),
+    "dense_kicked": (lambda rng: Propagator(UNRESTRICTED["kicked"](rng)), CPTP_TIME_GRID),
+    "expm_sector": (lambda rng: near_defective_sector_propagator(), CPTP_TIME_GRID),
+    "expm_dense": (lambda rng: Propagator(np.diag([0.0, 0.0, 0.0, -1.0]) + np.eye(4, k=1)), CPTP_TIME_GRID),
+    "n1": (with_basis("n1"), CPTP_TIME_GRID),
+    "beta0": (with_basis("beta0"), CPTP_TIME_GRID),
+    "degenerate": (with_basis("degenerate"), CPTP_TIME_GRID),
+    "one_time": (with_basis("ladder5"), (0.3,)),
+    "time_zero": (with_basis("random4"), (0.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CPTP_ROUTES))
+def test_gathered_choi_blocks_match_assembled_maps(name, rng):
+    make, times = CPTP_ROUTES[name]
+    prop = make(rng)
+    assert prop.diagonalizable == (not name.startswith("expm"))
+    assert prop.route == ("dense" if name.startswith(("dense", "expm_dense")) else "sector")
+    result = check_cptp(prop, times=times)
+    min_eigs, tp_defects = assembled_cptp_details(prop, times)
+    assert result.details["choi_eigenvalues_by_time"] == min_eigs
+    assert result.details["min_choi_eigenvalue"] == min(min_eigs)
+    assert np.max(np.abs(np.subtract(result.details["trace_defects_by_time"], tp_defects))) <= 1e-15
+
+
+def test_sector_cptp_makes_one_eigvalsh_per_block_size(monkeypatch, rng):
+    prop = with_basis("ladder4")(rng)
+    assert prop.route == "sector"
+    sizes = [idx.shape for idx in prop.sectors.indices]
+    assert len(sizes) > 1
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(matrix):
+        calls.append(np.shape(matrix))
+        return eigvalsh(matrix)
+
+    def forbidden(*args):
+        raise AssertionError("the sector route forms an N^2 x N^2 map")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr("thermolindblad.validator.choi_matrix", forbidden)
+    monkeypatch.setattr(Propagator, "_frame_map", forbidden)
+    monkeypatch.setattr(_Sectors, "assemble", forbidden)
+    result = check_cptp(prop)
+    t = len(CPTP_TIME_GRID)
+    assert calls == [(t * k, s, s) for k, s in sizes]
+    assert result.passed

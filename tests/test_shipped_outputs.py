@@ -10,6 +10,8 @@ and lists the change in CHANGES.md.
 """
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +30,32 @@ def output_digests(config, out_dir):
     experiment = json.loads(config.read_text())["experiment"]
     main([experiment, "--config", str(config), "--out", str(out_dir)])
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
+
+
+# Imports the package, then runs every shipped config in this process; exits
+# nonzero if scipy.linalg was imported by then.
+WITHOUT_SCIPY_LINALG = """
+import json, sys
+from pathlib import Path
+import thermolindblad
+from thermolindblad.cli import main
+loaded = ["import"] if "scipy.linalg" in sys.modules else []
+for config in sorted(Path(sys.argv[1]).glob("*.json")):
+    experiment = json.loads(config.read_text())["experiment"]
+    main([experiment, "--config", str(config), "--out", str(Path(sys.argv[2]) / config.stem)])
+    loaded += [config.stem] if "scipy.linalg" in sys.modules else []
+sys.exit(", ".join(loaded) or None)
+"""
+
+
+def test_shipped_configs_run_without_scipy_linalg(tmp_path):
+    # scipy.linalg is slow to import; only the expm and logm routes need it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY_LINALG, str(CONFIG_DIR), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_manifest_covers_the_shipped_configs():

@@ -114,6 +114,41 @@ def test_every_entry_point_rejects_a_relative_defect_of_1e_8(norm, rng):
         parse_matrix(literal(alpha), "alpha")
 
 
+def rank_deficient_alpha(q, scale):
+    """scale q diag(0, 0.5, 1) q^T: PSD, with a zero eigenvalue that rounding
+    moves to about -1e-16 scale."""
+    return scale * (q @ np.diag([0.0, 0.5, 1.0]) @ q.T)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
+def test_rank_deficient_alpha_builds_at_every_scale(scale):
+    rng = np.random.default_rng(1)
+    projectors = eigenoperator_basis(presets.qutrit()).projectors
+    for _ in range(50):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        weights = [t.weight for t in dephasing_from_alpha(rank_deficient_alpha(q, scale), projectors)]
+        assert 0.0 <= min(weights) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+def test_alpha_below_relative_psd_bound_is_rejected(scale, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    alpha = q @ np.diag([-1e-6, 0.5, 1.0]) @ q.T
+    alpha *= scale / np.linalg.norm(alpha)  # min eigenvalue -1e-6 ||alpha||_F
+    projectors = eigenoperator_basis(presets.qutrit()).projectors
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        dephasing_from_alpha(alpha, projectors)
+
+
+@pytest.mark.parametrize("imag", [1e-6, math.nan, math.inf])
+def test_alpha_with_imaginary_part_is_rejected_at_any_scale(imag):
+    alpha = 1e8 * np.eye(3, dtype=complex)
+    alpha.imag[0, 1], alpha.imag[1, 0] = 1e8 * imag, -1e8 * imag  # Hermitian, not real
+    projectors = eigenoperator_basis(presets.qutrit()).projectors
+    with pytest.raises(ValueError, match="alpha must be real"):
+        dephasing_from_alpha(alpha, projectors)
+
+
 def test_large_norm_witness_builds_everywhere():
     # a relative defect of 1.4e-16 that an absolute 1e-12 bound rejected
     u = presets.random_unitary(6, np.random.default_rng(0))

@@ -100,6 +100,22 @@ def test_local_dissipator_fails_when_coupled():
     assert support.defect > 1e-3
 
 
+def kron_commutation_defect(l_mat, h):
+    """||[H~, L]||_F / ||L||_F with H~ = [H, .] formed by Kronecker products."""
+    h_tilde = assemble_superop("commutator", h)
+    return np.linalg.norm(h_tilde @ l_mat - l_mat @ h_tilde) / np.linalg.norm(l_mat)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_commutation_matches_kron_formula(n, rng):
+    h = presets.random_hermitian(n, rng)
+    l_mat = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+    result = check_commutation(l_mat, h)
+    assert result.defect == pytest.approx(kron_commutation_defect(l_mat, h), rel=1e-14, abs=0.0)
+    assert (result.defect > 0) == (n > 1)
+    assert check_commutation(np.zeros((n * n, n * n)), h).defect == 0.0
+
+
 def test_local_dissipator_passes_when_decoupled():
     h, lower_local, l_mat = local_damping_superop(0.0)
     assert check_commutation(l_mat, h).defect < 1e-12
