@@ -12,6 +12,7 @@ from .liouville import (
     _as_square,
     _conjugated,
     _energy_frame,
+    _hermitian_coords,
     _label_groups,
     _to_frame,
     devectorize,
@@ -26,10 +27,11 @@ _DIAGONALIZABLE_COND = 1e8
 NULL_TOL = 1e-10
 STATE_TOL = 1e-10  # bound on each defect check_density_matrix allows a state
 SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside a reference state's support
-# Largest off-sector norm, relative to max(1, ||L||_F), at which L counts as
-# block diagonal by Bohr frequency; restricted generators measure below
-# 1.9e-16 * N * ||L||_F.
-_SECTOR_BOUND = 1e-12
+# Largest measured defect, relative to max(1, ||L||_F), at which L counts as
+# block diagonal by Bohr frequency (its off-sector norm; restricted
+# generators measure below 1.9e-16 * N * ||L||_F) or as Hermiticity
+# preserving (the norm of Im T^dag L T, see _Sectors).
+_ROUTE_BOUND = 1e-12
 
 
 class _Sectors:
@@ -41,18 +43,23 @@ class _Sectors:
     sector_labels), else from L's own Hamiltonian part (see
     _hamiltonian_part), through the same clustering at the default
     degeneracy_tol.  When the norm of everything between different labels
-    (off_sector_norm) is at most _SECTOR_BOUND * max(1, ||L||_F), and the
+    (off_sector_norm) is at most _ROUTE_BOUND * max(1, ||L||_F), and the
     labels also split the Choi matrix (index i + N k of a Choi matrix
     carries E_k - E_i), the route is "sector": the diagonal blocks are kept
-    and the rest is dropped.  Otherwise, and without a basis for an L that
-    is not finite or whose size is not a perfect square, the route is
-    "dense": L itself in the standard frame, as one block.  indices holds
-    one (K, s) array of frame indices per block size s.
+    and the rest is dropped.  Otherwise the route is "dense", L as one
+    block, and the arithmetic is measured the same way: "real", with the
+    real R = T^dag L T of the Hermitian operator basis T (see
+    liouville._hermitian_coords) as the frame, when ||Im R||_F is at most
+    _ROUTE_BOUND * max(1, ||L||_F), as it is for every L that preserves
+    Hermiticity; else "complex", with L itself as the frame.  Without a
+    basis, an L that is not finite or whose size is not a perfect square is
+    not measured: dense and complex.  indices holds one (K, s) array of
+    frame indices per block size s.
     """
 
     def __init__(self, l_mat, basis=None):
         n2 = l_mat.shape[0]
-        self.route, self.vectors, self.off_sector_norm = "dense", None, None
+        self.route, self.arithmetic, self.vectors, self.off_sector_norm = "dense", "complex", None, None
         self.frame, self.indices = l_mat, [np.arange(n2)[None]]
         if basis is not None:
             if basis.n_levels**2 != n2:
@@ -64,19 +71,35 @@ class _Sectors:
                 return
             spectrum, labels = _energy_frame(_hamiltonian_part(l_mat, n))
             vectors = spectrum.vectors
+        bound = _ROUTE_BOUND * max(1.0, np.linalg.norm(l_mat))
         frame = _conjugated(l_mat, vectors)
         self.off_sector_norm = float(np.linalg.norm(frame[labels[:, None] != labels[None, :]]))
         groups = _label_groups(labels)
         sizes = sorted({len(g) for g in groups})
         indices = [np.array([g for g in groups if len(g) == s]) for s in sizes]
-        if self.off_sector_norm <= _SECTOR_BOUND * max(1.0, np.linalg.norm(l_mat)) and _choi_closed(
-            indices, labels, n
-        ):
+        if self.off_sector_norm <= bound and _choi_closed(indices, labels, n):
             self.route, self.vectors, self.frame, self.indices = "sector", vectors, frame, indices
+            return
+        real = _hermitian_coords(_hermitian_coords(l_mat.conj().T).conj().T)  # T^dag L T
+        if np.linalg.norm(real.imag) <= bound:
+            self.arithmetic, self.frame = "real", real.real
+
+    def to_frame(self, x):
+        """Standard-frame vectors (the columns of x) in the frame of the route."""
+        if self.arithmetic == "real":
+            return _hermitian_coords(x)
+        return x if self.route == "dense" else _to_frame(x, self.vectors)
 
     def to_standard(self, x):
         """Frame vectors (the columns of x) back in the standard frame."""
+        if self.arithmetic == "real":
+            return _hermitian_coords(x, inverse=True)
         return x if self.route == "dense" else _to_frame(x, self.vectors.conj().T)
+
+    def map_to_standard(self, mat):
+        """A frame matrix M back in the standard frame: K M K^dag for the
+        change of frame K that to_standard applies."""
+        return self.to_standard(self.to_standard(mat).conj().T).conj().T
 
     def blocks(self, mat):
         """The diagonal blocks of a frame matrix, one (K, s, s) stack per size."""
@@ -129,12 +152,17 @@ class Propagator:
     eigenoperator basis of L's Hamiltonian) if given, else in the frame of
     L's own Hamiltonian part, when its measured off-sector norm allows it
     (see _Sectors; route "sector"), and each block is decomposed on its
-    own, with one batched eig per block size; otherwise (route "dense") L
-    is decomposed whole.  The eigendecomposition is used when the eigenvector
-    matrix (block diagonal on the sector route) has cond < 1e8, and
-    scaling-and-squaring of each block otherwise.  The eigenvalues, the
-    condition number, the route and the off-sector norm are kept, so audits
-    can read them without decomposing L again.
+    own, with one batched eig per block size.  Otherwise (route "dense") L
+    is decomposed whole: when it measurably preserves Hermiticity, as the
+    real matrix R = T^dag L T of the Hermitian operator basis (arithmetic
+    "real"; T is unitary, so R has the spectrum and the eigenvector cond of
+    L), with one real eig and cond, inverse and maps in real arithmetic
+    (see _real_pair_form); else as L itself (arithmetic "complex").  The
+    eigendecomposition is used when the eigenvector matrix (block diagonal
+    on the sector route) has cond < 1e8, and scaling-and-squaring of each
+    block otherwise.  The eigenvalues, the condition number, the route, the
+    arithmetic and the off-sector norm are kept, so audits can read them
+    without decomposing L again.
     """
 
     def __init__(self, superoperator, basis=None):
@@ -143,6 +171,7 @@ class Propagator:
             raise ValueError(f"superoperator must be square, got {self.superoperator.shape}")
         self.sectors = _Sectors(self.superoperator, basis)
         self.route, self.off_sector_norm = self.sectors.route, self.sectors.off_sector_norm
+        self.arithmetic = self.sectors.arithmetic
         self._blocks = self.sectors.blocks(self.sectors.frame)
         self.eigenvalues = np.empty(self.superoperator.shape[0], dtype=complex)
         self._evals, self._evecs = [], []
@@ -152,8 +181,10 @@ class Propagator:
                 evals, evecs, svals = block[:, :, 0], np.ones_like(block), np.ones((1, 1))
             else:
                 evals, evecs = np.linalg.eig(block)
+                if self.arithmetic == "real":
+                    evecs = _real_pair_form(evals, evecs)
                 try:
-                    svals = np.linalg.svd(evecs, compute_uv=False)
+                    svals = np.linalg.svd(self._part(evecs), compute_uv=False)
                 except np.linalg.LinAlgError:
                     svals = np.array([[math.inf, 0.0]])
             self.eigenvalues[idx] = evals
@@ -165,9 +196,13 @@ class Propagator:
         self.condition_number = cond if math.isfinite(cond) else math.inf
         self.diagonalizable = self.condition_number < _DIAGONALIZABLE_COND
         if self.diagonalizable:
-            self._inv = [np.linalg.inv(evecs) for evecs in self._evecs]
+            self._inv = [np.linalg.inv(self._part(evecs)) for evecs in self._evecs]
         else:
             log.debug("eigenvector condition %.3e; using expm fallback", self.condition_number)
+
+    def _part(self, x):
+        """x itself, or its real part on the real route."""
+        return x.real if self.arithmetic == "real" else x
 
     def _block_maps(self, times):
         """exp(B t) of every block B at every t in times, in the frame of the
@@ -176,7 +211,7 @@ class Propagator:
         times = np.asarray(times, dtype=float)
         if self.diagonalizable:
             return [
-                (evecs * np.exp(evals * times[:, None, None])[:, :, None, :]) @ inv
+                self._part(evecs * np.exp(evals * times[:, None, None])[:, :, None, :]) @ inv
                 for evals, evecs, inv in zip(self._evals, self._evecs, self._inv)
             ]
         import scipy.linalg  # slow to import, and only this route uses it
@@ -185,30 +220,49 @@ class Propagator:
 
     def _frame_map(self, t):
         """exp(L t) in the frame of the route: U^dag exp(L t) U on the sector
-        route, exp(L t) itself on the dense route."""
+        route, exp(R t) on the real route, exp(L t) itself otherwise."""
         return self.sectors.assemble([stack[0] for stack in self._block_maps([t])])
 
     def __call__(self, t):
-        lam = self._frame_map(t)
-        if self.route == "dense":
-            return lam
-        return _conjugated(lam, self.sectors.vectors.conj().T)
+        return self.sectors.map_to_standard(self._frame_map(t))
 
     def apply(self, vec, times):
         """exp(L t) vec for every t in times, as an (N^2, T) array; only the
-        expm route forms a full map per time."""
+        expm route forms a full map per time.  On the real route the real
+        coordinates are evolved, so the image of a Hermitian X is Hermitian
+        exactly; any other X = A + iB (A, B Hermitian) is evolved as A and B."""
         vec = np.asarray(vec, dtype=complex)
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        frame_vec = vec if self.route == "dense" else _to_frame(vec, self.sectors.vectors)
+        frame_vec = self.sectors.to_frame(vec)
+        if self.arithmetic == "real" and frame_vec.imag.any():
+            out = self._evolve(frame_vec.real, times) + 1j * self._evolve(frame_vec.imag, times)
+        else:
+            out = self._evolve(self._part(frame_vec), times)
+        return self.sectors.to_standard(out)
+
+    def _evolve(self, frame_vec, times):
+        """exp(B t) frame_vec, block by block, for every t in times."""
         if self.diagonalizable:
-            out = np.empty((vec.size, times.size), dtype=complex)
+            out = np.empty((frame_vec.size, times.size), dtype=frame_vec.dtype)
             for idx, evals, evecs, inv in zip(self.sectors.indices, self._evals, self._evecs, self._inv):
                 coeffs = inv @ frame_vec[idx][..., None]
-                out[idx] = evecs @ (np.exp(evals[..., None] * times) * coeffs)
-        else:
-            maps = [self._frame_map(t) @ frame_vec for t in times]
-            out = np.array(maps, dtype=complex).reshape(times.size, vec.size).T
-        return self.sectors.to_standard(out)
+                out[idx] = self._part(evecs @ (np.exp(evals[..., None] * times) * coeffs))
+            return out
+        maps = [self._frame_map(t) @ frame_vec for t in times]
+        return np.array(maps).reshape(times.size, frame_vec.size).T
+
+
+def _real_pair_form(evals, evecs):
+    """Z with Re Z = W, the real eigenvector form of a stack of real
+    matrices R: each eigenvector v times 1, sqrt2 or i sqrt2 as its
+    eigenvalue has zero, positive or negative imaginary part.  A conjugate
+    pair (v, conj v) thus gives the columns sqrt2 Re v and sqrt2 Im v of W,
+    and the eigenvector matrix is V = W U for a unitary block-diagonal U, so
+    cond V = cond W and V^-1 = U^dag W^-1.  R W = W B for the real
+    block-diagonal B with B's 2x2 blocks rotating at Im lambda, and W
+    exp(B t) = Re(Z exp(Lambda t)), so exp(R t) = Re(Z exp(Lambda t)) W^-1."""
+    scale = np.where(evals.imag == 0, 1.0, math.sqrt(2) * np.where(evals.imag > 0, 1.0, 1j))
+    return evecs * scale[..., None, :]
 
 
 def _superop_of(obj):
@@ -291,10 +345,12 @@ def steady_state(superoperator):
     """Stationary state from the smallest singular vector of L.
 
     superoperator is read as in propagate.  L's singular values are those
-    of its sector blocks together (L whole on the dense route), one batched
-    SVD per block size; uniqueness is decided by counting those below
-    NULL_TOL * smax.  The state is the right singular vector of the
-    smallest one, taken from its block back to the standard frame.  Raises
+    of its sector blocks together, one batched SVD per block size, or on
+    the dense route those of L whole: one real SVD of R = T^dag L T when L
+    preserves Hermiticity (see Propagator).  Uniqueness is decided by
+    counting those below NULL_TOL * smax.  The state is the right singular
+    vector of the smallest one, taken from its block back to the standard
+    frame (from R's real coordinates through T, Hermitian exactly).  Raises
     LinAlgError when L has no null direction at that tolerance, the null
     direction is traceless, or the state's residual ||L rho|| exceeds
     1e-6 * max(smax, 1).

@@ -11,11 +11,14 @@ vectorized operators.  Units are hbar = k_B = 1 throughout.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12  # bound on ||a - a^dag||_F / max(1, ||a||_F) of every input operator
+_SQRT_HALF = math.sqrt(0.5)
 
 _SUPEROP_KINDS = (
     "left",
@@ -291,6 +294,38 @@ def _to_frame(x, w):
 def _conjugated(mat, w):
     """K^dag M K, for K as in _to_frame."""
     return _to_frame(_to_frame(mat, w).conj().T, w).conj().T
+
+
+def _hermitian_coords(x, inverse=False):
+    """T^dag x, or T x when inverse, along the first axis of x, for the
+    unitary T whose columns are the orthonormal Hermitian operator basis:
+    for a < b, column a + N b is vec((E_ab + E_ba)/sqrt2) and column b + N a
+    is vec(i(E_ab - E_ba)/sqrt2); column a + N a is vec(E_aa).  Entry k of
+    the result combines entries k and (a + N b <-> b + N a) of x, O(1) per
+    entry.  T^dag vec(X) is real exactly for a Hermitian X, and T x holds
+    the entries of a Hermitian X exactly for a real x."""
+    own, swapped, swap = _hermitian_pairs(math.isqrt(x.shape[0]), inverse)
+    shape = (-1,) + (1,) * (np.ndim(x) - 1)
+    return own.reshape(shape) * x + swapped.reshape(shape) * x[swap]
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_pairs(n, inverse):
+    """Coefficients of _hermitian_coords: entry k of the result is own[k] x[k]
+    + swapped[k] x[swap[k]], where swap exchanges a + N b and b + N a."""
+    swap = np.arange(n * n).reshape(n, n).T.ravel()
+    a, b = np.arange(n * n) % n, np.arange(n * n) // n
+    upper, lower = a < b, a > b
+    own, swapped = np.ones(n * n, dtype=complex), np.zeros(n * n, dtype=complex)
+    if inverse:  # (T x)_(a+Nb) = (x_(a+Nb) + i x_(b+Na))/sqrt2, its conjugate at b + N a
+        own[upper], swapped[upper] = _SQRT_HALF, 1j * _SQRT_HALF
+        own[lower], swapped[lower] = -1j * _SQRT_HALF, _SQRT_HALF
+    else:  # the adjoint: Re and Im of X_ab times sqrt2 for a Hermitian X
+        own[upper], swapped[upper] = _SQRT_HALF, _SQRT_HALF
+        own[lower], swapped[lower] = 1j * _SQRT_HALF, -1j * _SQRT_HALF
+    for arr in (own, swapped, swap):
+        arr.flags.writeable = False
+    return own, swapped, swap
 
 
 def _energy_frame(h, degeneracy_tol=None):

@@ -13,10 +13,12 @@ between its checks: L is split into Bohr-frequency sectors when its
 measured off-sector norm allows it and decomposed once, block by block or
 whole.  The frame of that split is the eigenoperator basis of the object
 passed if it has one, else L's own Hamiltonian part, so a bare array is
-split too.  The checks that read it (fixed_point, cptp, spectral) record
-the route taken ("sector" or "dense") and the off-sector norm in their
-details; structure_support is the off-sector norm of the dissipator under
-the same sector labels.
+split too.  On the dense route an L that preserves Hermiticity is
+decomposed as the real matrix of the Hermitian operator basis (see
+dynamics.Propagator).  The checks that read it (fixed_point, cptp,
+spectral) record the route taken ("sector" or "dense") and the off-sector
+norm in their details, not the arithmetic; structure_support is the
+off-sector norm of the dissipator under the same sector labels.
 """
 from __future__ import annotations
 
@@ -106,9 +108,16 @@ def check_commutation(superoperator, hamiltonian, threshold=None):
     if l_norm == 0:
         defect = 0.0
     else:
-        h_l = h @ l_mat.reshape(n, n, n * n) - (h.T @ l_mat.reshape(n, -1)).reshape(n, n, n * n)
-        l_h = (l_mat.reshape(-1, n) @ h).reshape(n * n, n, n) - h @ l_mat.reshape(n * n, n, n)
-        defect = float(np.linalg.norm(h_l.reshape(n * n, n * n) - l_h.reshape(n * n, n * n)) / l_norm)
+        # (H~ L) - (L H~), each product written into one of three N^4 buffers
+        h_l, l_h, other = (np.empty((n * n, n * n), dtype=complex) for _ in range(3))
+        np.matmul(h, l_mat.reshape(n, n, n * n), out=h_l.reshape(n, n, n * n))
+        np.matmul(h.T, l_mat.reshape(n, -1), out=other.reshape(n, -1))
+        h_l -= other
+        np.matmul(l_mat.reshape(-1, n), h, out=l_h.reshape(-1, n))
+        np.matmul(h, l_mat.reshape(n * n, n, n), out=other.reshape(n * n, n, n))
+        l_h -= other
+        h_l -= l_h
+        defect = float(np.linalg.norm(h_l) / l_norm)
     return CheckResult(
         name="commutation",
         defect=defect,
@@ -126,7 +135,8 @@ def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     beta, with a zeroth-law uniqueness flag from the null-space dimension.
     The singular values of L are those of its sector blocks together, split
     in the frame of superoperator's basis if it has one, else of L's own
-    Hamiltonian part (L whole on the dense route)."""
+    Hamiltonian part; on the dense route those of L whole, from one real SVD
+    of R = T^dag L T when L preserves Hermiticity (see Propagator)."""
     threshold = DEFAULT_THRESHOLDS["fixed_point"] if threshold is None else threshold
     l_mat = _superop_of(superoperator)
     sectors = _sectors_of(superoperator)
@@ -146,12 +156,14 @@ def _dense_choi_minima(prop, times):
     """Smallest Choi eigenvalue and trace defect of exp(L t) at each t, for
     L whole (the dense route), one map at a time: a stack of all T maps
     (T N^4 entries) was measured slower here, from the page faults of
-    allocating it, than one eigvalsh per time."""
-    eye_vec = vectorize(np.eye(math.isqrt(prop.superoperator.shape[0])))
+    allocating it, than one eigvalsh per time.  Each map is taken back to
+    the standard frame for the Choi reshuffle; the trace defect is read in
+    the frame of the route, which keeps vec(I) and every norm."""
+    eye_vec = np.eye(math.isqrt(prop.superoperator.shape[0])).ravel()
     min_eigs, tp_defects = [], []
     for t in times:
         lam = prop._frame_map(t)
-        choi = choi_matrix(lam)
+        choi = choi_matrix(prop.sectors.map_to_standard(lam))
         min_eigs.append(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
         tp_defects.append(np.linalg.norm(lam.conj().T @ eye_vec - eye_vec))
     return np.array(min_eigs), np.array(tp_defects)
@@ -201,19 +213,21 @@ def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
     sector route the Choi blocks are gathered from the block maps of every
     time at once, with one eigvalsh per Choi block size and no N^2 x N^2
     map or Choi matrix; on the dense route each map exp(L t) is reshuffled
-    into its Choi matrix.  The trace defect is
-    ||exp(L t)^dag vec(I) - vec(I)||.
+    into its Choi matrix, taken first from exp(R t) to the standard frame
+    on the real route.  The trace defect is ||exp(L t)^dag vec(I) - vec(I)||.
+    times must be a nonempty grid of finite t >= 0, else ValueError; a NaN
+    Choi eigenvalue or trace defect makes the defect NaN, which fails.
     """
     threshold = DEFAULT_THRESHOLDS["cptp"] if threshold is None else threshold
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise ValueError("complete positivity is only audited at t >= 0")
+    if not (times.size and np.all((times >= 0) & (times < math.inf))):
+        raise ValueError(f"complete positivity is only audited on a nonempty grid of finite t >= 0, got {times}")
     prop = _propagator_of(superoperator)
     choi_minima = _dense_choi_minima if prop.route == "dense" else _sector_choi_minima
     min_eigs, tp_defects = choi_minima(prop, times)
-    positivity = max(0.0, -float(min_eigs.min()))
-    trace_defect = float(tp_defects.max())
-    defect = max(positivity, trace_defect)
+    defect = max(0.0, -float(min_eigs.min()), float(tp_defects.max()))
+    if np.isnan(min_eigs).any() or np.isnan(tp_defects).any():
+        defect = math.nan  # max would drop it
     return CheckResult(
         name="cptp",
         defect=defect,
@@ -421,9 +435,10 @@ def run_standard_checks(generator, thresholds=None, label=""):
     the generator's eigenoperator basis, serves check_fixed_point, check_cptp
     (at CPTP_TIME_GRID) and check_spectral, so L is split into sectors once and
     decomposed once: one batched eig per block size on the sector route, one
-    eig of L on the dense route.  On the sector route check_cptp then makes
-    one eigvalsh per Choi block size, and neither it nor check_commutation,
-    which needs no Propagator, forms an N^2 x N^2 matrix.
+    eig of L whole on the dense route, of a real matrix when L preserves
+    Hermiticity.  On the sector route check_cptp then makes one eigvalsh per
+    Choi block size, and neither it nor check_commutation, which needs no
+    Propagator, forms an N^2 x N^2 matrix.
     """
     th = dict(thresholds or {})
     l_mat = generator.superoperator

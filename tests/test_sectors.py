@@ -24,7 +24,9 @@ from thermolindblad import (
     steady_state,
     vectorize,
 )
+from thermolindblad import dynamics
 from thermolindblad.dynamics import _hamiltonian_part, _Sectors, null_dimension
+from thermolindblad.liouville import _hermitian_coords
 from thermolindblad.validator import CPTP_TIME_GRID
 
 ROUTED = ("fixed_point", "cptp", "spectral")
@@ -282,14 +284,27 @@ def test_unrestricted_bare_array_stays_dense(name, rng):
     l_mat = UNRESTRICTED[name](rng)
     prop = Propagator(l_mat)
     assert prop.route == "dense" and prop.off_sector_norm > 1e-9
-    np.testing.assert_array_equal(prop.eigenvalues, np.linalg.eig(l_mat)[0])
     rho0 = presets.random_density_matrix(4, rng)
     times = np.linspace(0.0, 5.0, 7)
-    np.testing.assert_array_equal(propagate(l_mat, rho0, times).states, whole_l_states(l_mat, rho0, times))
+    states = propagate(l_mat, rho0, times).states
     ss = steady_state(l_mat)
     rho, null_dim, residual = whole_l_steady_state(l_mat)
-    np.testing.assert_array_equal(ss.rho, rho)
-    assert (ss.null_dimension, ss.residual) == (null_dim, residual)
+    if name == "kicked":
+        # the kick does not preserve Hermiticity: the complex path, to the bit
+        assert prop.arithmetic == "complex"
+        np.testing.assert_array_equal(prop.eigenvalues, np.linalg.eig(l_mat)[0])
+        np.testing.assert_array_equal(states, whole_l_states(l_mat, rho0, times))
+        np.testing.assert_array_equal(ss.rho, rho)
+        assert (ss.null_dimension, ss.residual) == (null_dim, residual)
+    else:
+        # a GKLS generator preserves Hermiticity: real arithmetic, within
+        # 1e-12 of the complex whole-L oracle
+        bound = 1e-12 * max(1.0, np.linalg.norm(l_mat))
+        assert prop.arithmetic == "real"
+        assert paired_distance(prop.eigenvalues, np.linalg.eig(l_mat)[0]) <= bound
+        assert np.max(np.abs(states - whole_l_states(l_mat, rho0, times))) <= bound
+        assert np.max(np.abs(ss.rho - rho)) <= bound
+        assert ss.null_dimension == null_dim and ss.residual <= bound
 
 
 def test_jordan_arrays_stay_dense():
@@ -300,6 +315,7 @@ def test_jordan_arrays_stay_dense():
         l_mat[0, 1] = 1.0
         prop = Propagator(l_mat)
         assert prop.route == "dense" and not prop.diagonalizable
+        assert prop.arithmetic == "complex"
         assert (prop.off_sector_norm is None) == (n2 == 2)
         np.testing.assert_array_equal(prop.eigenvalues, np.linalg.eig(l_mat)[0])
         np.testing.assert_array_equal(prop(0.7), expm(l_mat * 0.7))
@@ -311,6 +327,7 @@ def test_non_finite_bare_array_is_not_split(bad):
     l_mat[0, 1] = bad
     sectors = _Sectors(l_mat)
     assert sectors.route == "dense" and sectors.off_sector_norm is None
+    assert sectors.arithmetic == "complex"
     with pytest.raises(np.linalg.LinAlgError):
         Propagator(l_mat)
     assert check_spectral(l_mat).details["inconclusive"]
@@ -321,6 +338,7 @@ def test_off_sector_perturbation_takes_dense_route(n, rng):
     gen = perturbed(restricted(presets.random_hermitian(n, rng), 1.0, rng))
     report = run_standard_checks(gen)
     assert not report.get("commutation").passed  # the kick breaks the restriction
+    assert Propagator(gen.superoperator, gen.basis).arithmetic == "complex"  # and Hermiticity
     expected = dense_checks(gen)
     for name in ROUTED:
         result = report.get(name)
@@ -405,12 +423,14 @@ def assembled_cptp_details(prop, times):
     for t in times:
         if prop.diagonalizable:
             stacks = [
-                (evecs * np.exp(evals * t)[:, None, :]) @ inv
+                prop._part(evecs * np.exp(evals * t)[:, None, :]) @ inv
                 for evals, evecs, inv in zip(prop._evals, prop._evecs, prop._inv)
             ]
         else:
             stacks = [expm(block * t) for block in prop._blocks]
         lam = prop.sectors.assemble(stacks)
+        if prop.arithmetic == "real":  # exp(R t), back in the standard frame
+            lam = prop.sectors.map_to_standard(lam)
         choi = choi_matrix(lam)
         choi = (choi + choi.conj().T) / 2
         min_eigs.append(min(float(np.linalg.eigvalsh(b).min()) for b in prop.sectors.blocks(choi)))
@@ -489,3 +509,127 @@ def test_sector_cptp_makes_one_eigvalsh_per_block_size(monkeypatch, rng):
     t = len(CPTP_TIME_GRID)
     assert calls == [(t * k, s, s) for k, s in sizes]
     assert result.passed
+
+
+# -- real arithmetic on the dense route ----------------------------------------
+
+
+def hermitian_basis_matrix(n):
+    """The unitary T of the Hermitian operator basis as a dense matrix, from
+    its definition: column k = a + N b is vec of E_aa (a = b),
+    (E_ab + E_ba)/sqrt2 (a < b) or i(E_ba - E_ab)/sqrt2 (a > b)."""
+    t = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            op = np.zeros((n, n), dtype=complex)
+            if a == b:
+                op[a, a] = 1.0
+            elif a < b:
+                op[a, b] = op[b, a] = np.sqrt(0.5)
+            else:
+                op[b, a], op[a, b] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+            t[:, a + n * b] = vectorize(op)
+    return t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_hermitian_coords_match_dense_basis(n, rng):
+    t = hermitian_basis_matrix(n)
+    assert np.max(np.abs(t.conj().T @ t - np.eye(n * n))) <= 1e-15
+    x = rng.normal(size=(n * n, 3)) + 1j * rng.normal(size=(n * n, 3))
+    assert np.max(np.abs(_hermitian_coords(x) - t.conj().T @ x)) <= 1e-14
+    assert np.max(np.abs(_hermitian_coords(x, inverse=True) - t @ x)) <= 1e-14
+    m = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+    # rows, then the rows of the adjoint: T^dag M T, as _Sectors forms it
+    conjugated = _hermitian_coords(_hermitian_coords(m.conj().T).conj().T)
+    assert np.max(np.abs(conjugated - t.conj().T @ m @ t)) <= 1e-14 * n * n
+    # a Hermitian X has real coordinates, and real coordinates give a Hermitian X, exactly
+    h = presets.random_hermitian(n, rng)
+    coords = _hermitian_coords(vectorize(h))
+    assert not coords.imag.any()
+    back = devectorize(_hermitian_coords(coords.real, inverse=True))
+    np.testing.assert_array_equal(back, back.conj().T)
+    assert np.max(np.abs(back - h)) <= 1e-14 * max(1.0, np.linalg.norm(h))
+
+
+def complex_path(monkeypatch):
+    """Make every route measurement fail, so that L is decomposed whole and
+    complex, as the dense route did before it had a real arithmetic."""
+    monkeypatch.setattr(dynamics, "_ROUTE_BOUND", -1.0)
+
+
+def verdicts(gen, with_basis):
+    """All six verdicts of the battery, or the three routed checks of the bare array."""
+    if with_basis:
+        return [c.passed for c in run_standard_checks(gen).checks]
+    return [c.passed for c in dense_checks(gen).values()]
+
+
+@pytest.mark.parametrize("with_basis", [True, False], ids=["basis", "bare"])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
+def test_real_dense_route_matches_complex_oracle(n, with_basis, rng, monkeypatch):
+    gen = foreign(n, rng)
+    l_mat = gen.superoperator
+    target = gen if with_basis else l_mat
+    bound = 1e-12 * max(1.0, np.linalg.norm(l_mat))
+    prop = Propagator(l_mat, gen.basis if with_basis else None)
+    # N = 1 is one sector; at N > 1 the random jumps mix every sector
+    assert (prop.route, prop.arithmetic) == (("sector", "complex") if n == 1 else ("dense", "real"))
+    evals, evecs = np.linalg.eig(l_mat)
+    assert paired_distance(prop.eigenvalues, evals) <= bound
+    assert abs(prop.condition_number - np.linalg.cond(evecs)) <= 1e-12 * np.linalg.cond(evecs)
+    assert np.max(np.abs(prop(0.7) - expm(l_mat * 0.7))) <= bound
+
+    rho0 = presets.random_density_matrix(n, rng)
+    times = np.linspace(0.0, 30.0, 16)
+    traj = propagate(target, rho0, times)
+    assert np.max(np.abs(traj.states - dense_states(l_mat, rho0, times))) <= bound
+    if prop.arithmetic == "real":
+        assert not traj.hermitization_defects.any()
+
+    ss = steady_state(target)
+    rho, null_dim, _ = whole_l_steady_state(l_mat)
+    assert ss.null_dimension == null_dim
+    assert np.max(np.abs(ss.rho - rho)) <= bound
+
+    cptp, expected = check_cptp(target), dense_cptp_details(l_mat)
+    for key in ("choi_eigenvalues_by_time", "trace_defects_by_time"):
+        assert np.max(np.abs(np.subtract(cptp.details[key], expected[key]))) <= bound
+
+    real_verdicts = verdicts(gen, with_basis)
+    complex_path(monkeypatch)
+    assert Propagator(l_mat).arithmetic == "complex"
+    assert verdicts(gen, with_basis) == real_verdicts
+
+
+def near_defective_hermiticity_preserving(n, rng, delta=1e-10):
+    """T R T^dag for a real R = S J S^-1 whose J has the eigenvalues -1 and
+    -1 - delta in one 2x2 block: Hermiticity preserving, eigenvector cond
+    about 1/delta."""
+    j = np.diag(-np.linspace(1.0, 3.0, n * n))
+    j[0, 1], j[1, 1] = 1.0, -1.0 - delta
+    s = rng.normal(size=(n * n, n * n))
+    t = hermitian_basis_matrix(n)
+    return t @ (s @ j @ np.linalg.inv(s)) @ t.conj().T
+
+
+def test_near_defective_hermiticity_preserving_input_takes_real_expm_route(rng, monkeypatch):
+    l_mat = near_defective_hermiticity_preserving(3, rng)
+    bound = 1e-12 * max(1.0, np.linalg.norm(l_mat))
+    prop = Propagator(l_mat)
+    assert (prop.route, prop.arithmetic, prop.diagonalizable) == ("dense", "real", False)
+    assert np.linalg.cond(np.linalg.eig(l_mat)[1]) >= 1e8
+    assert np.max(np.abs(prop(0.7) - expm(l_mat * 0.7))) <= bound
+    rho0 = presets.random_density_matrix(3, rng)
+    times = np.linspace(0.0, 5.0, 6)
+    traj = propagate(l_mat, rho0, times)
+    assert np.max(np.abs(traj.states - dense_states(l_mat, rho0, times))) <= bound
+    assert not traj.hermitization_defects.any()
+    cptp, expected = check_cptp(l_mat), dense_cptp_details(l_mat)
+    for key in ("choi_eigenvalues_by_time", "trace_defects_by_time"):
+        assert np.max(np.abs(np.subtract(cptp.details[key], expected[key]))) <= bound
+    spectral = check_spectral(l_mat)
+    real_verdicts = [spectral.passed, spectral.details["near_defective"], cptp.passed]
+    complex_path(monkeypatch)
+    spectral = check_spectral(l_mat)
+    assert [spectral.passed, spectral.details["near_defective"], check_cptp(l_mat).passed] == real_verdicts

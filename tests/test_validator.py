@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from thermolindblad import (
     CheckResult,
+    Propagator,
     ThermoSpec,
     Trajectory,
     assemble_superop,
@@ -113,6 +114,23 @@ def test_commutation_matches_kron_formula(n, rng):
     result = check_commutation(l_mat, h)
     assert result.defect == pytest.approx(kron_commutation_defect(l_mat, h), rel=1e-14, abs=0.0)
     assert (result.defect > 0) == (n > 1)
+    assert check_commutation(np.zeros((n * n, n * n)), h).defect == 0.0
+
+
+def expression_commutation_defect(l_mat, h):
+    """check_commutation's four O(N^5) products as one expression, each
+    product and difference a fresh array."""
+    n = h.shape[0]
+    h_l = h @ l_mat.reshape(n, n, n * n) - (h.T @ l_mat.reshape(n, -1)).reshape(n, n, n * n)
+    l_h = (l_mat.reshape(-1, n) @ h).reshape(n * n, n, n) - h @ l_mat.reshape(n * n, n, n)
+    return float(np.linalg.norm(h_l.reshape(n * n, n * n) - l_h.reshape(n * n, n * n)) / np.linalg.norm(l_mat))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 20])
+def test_commutation_buffers_match_expression_to_the_bit(n, rng):
+    h = presets.random_hermitian(n, rng)
+    l_mat = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+    assert check_commutation(l_mat, h).defect == expression_commutation_defect(l_mat, h)
     assert check_commutation(np.zeros((n * n, n * n)), h).defect == 0.0
 
 
@@ -311,6 +329,27 @@ def test_negative_rate_breaks_complete_positivity():
 def test_cptp_rejects_negative_times(qubit_generator):
     with pytest.raises(ValueError):
         check_cptp(qubit_generator.superoperator, times=(1.0, -0.5))
+
+
+@pytest.mark.parametrize("times", [(math.nan,), (math.inf,), (1.0, math.nan), ()], ids=["nan", "inf", "mixed", "empty"])
+@pytest.mark.parametrize("route", ["sector", "dense"])
+def test_cptp_rejects_non_finite_or_empty_grid(route, times, qubit_generator):
+    gen = qubit_generator if route == "sector" else foreign(4, np.random.default_rng(0))
+    assert Propagator(gen.superoperator, gen.basis).route == route
+    with pytest.raises(ValueError, match="nonempty grid of finite"):
+        check_cptp(gen, times=times)
+
+
+@pytest.mark.parametrize(
+    "minima", [([0.0, math.nan], [0.0, 0.0]), ([0.0, 0.0], [math.nan, 0.0])], ids=["choi", "trace"]
+)
+@pytest.mark.parametrize("route", ["sector", "dense"])
+def test_cptp_defect_keeps_a_nan(route, minima, qubit_generator, monkeypatch):
+    gen = qubit_generator if route == "sector" else foreign(4, np.random.default_rng(0))
+    name = f"thermolindblad.validator._{route}_choi_minima"
+    monkeypatch.setattr(name, lambda prop, times: tuple(np.array(m) for m in minima))
+    result = check_cptp(gen, times=(1.0, 2.0))
+    assert math.isnan(result.defect) and not result.passed
 
 
 # -- spectral ----------------------------------------------------------------
@@ -597,24 +636,46 @@ def test_map_level_contraction(qutrit_generator, rng):
 
 
 def test_battery_decomposes_generator_once(qutrit_generator, monkeypatch):
-    calls = []
-    eig = np.linalg.eig
+    calls, svds = [], []
+    eig, svd = np.linalg.eig, np.linalg.svd
 
     def counting_eig(matrix):
-        calls.append(np.shape(matrix))
+        calls.append((np.shape(matrix), np.asarray(matrix).dtype))
         return eig(matrix)
 
+    def counting_svd(matrix, *args, **kwargs):
+        svds.append((np.shape(matrix)[-2:], np.asarray(matrix).dtype))
+        return svd(matrix, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     report = run_standard_checks(qutrit_generator)
     assert report.passed
     # sector route: one batched eig of the 3x3 zero-frequency block (the six
     # 1x1 coherence blocks need none), and no eig of the 9x9 L
-    assert calls == [(1, 3, 3)]
+    assert calls == [((1, 3, 3), np.complex128)]
 
     calls.clear()
+    svds.clear()
     report = run_standard_checks(foreign(3, np.random.default_rng(0)))
     assert report.get("spectral").details["route"] == "dense"
-    assert calls == [(1, 9, 9)]  # the whole of L, once
+    # the whole of L once, as the real matrix of the Hermitian operator
+    # basis, and every 9x9 SVD (fixed point, eigenvector cond) real too
+    assert calls == [((1, 9, 9), np.float64)]
+    assert svds and all(dtype == np.float64 for shape, dtype in svds if shape == (9, 9))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize(("n", "beta", "failing"), [(3, 40.0, "spectral"), (5, 10.0, "cptp"), (6, 8.0, "cptp")])
+def test_thermal_chain_with_wide_gibbs_spread_passes_its_audit(n, beta, failing):
+    spec = ThermoSpec(
+        hamiltonian=presets.ladder(n, 1.0),
+        beta=beta,
+        downward_rates={(i, i + 1): 1.0 for i in range(n - 1)},
+    )
+    report = run_standard_checks(build_restricted_generator(spec))
+    assert report.get(failing).passed
+    assert report.passed
 
 
 def test_report_get_unknown_check(qubit_generator):
