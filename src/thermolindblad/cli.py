@@ -184,7 +184,7 @@ def _run_theorem1(cfg, thresholds, seed, out_dir):
     defects = [(float(t), theorem1_defect(model, t)) for t in comp.times]
     check = CheckResult(
         name="theorem1",
-        defect=max(d for _, d in defects),
+        defect=float(np.max([d for _, d in defects])),  # NaN if any defect is, where max() would drop it
         threshold=thresholds["theorem1"],
         details={"defects_by_time": defects},
     )

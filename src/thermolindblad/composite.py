@@ -131,10 +131,11 @@ class CompositeModel:
 
     def _env_blocks(self, tau):
         """System blocks [i, j] = <chi_j|U(tau)|chi_i> over environment eigenstates."""
-        u4 = self.total_unitary(tau).reshape(self.n_sys, self.n_env, self.n_sys, self.n_env)
+        n_sys, n_env = self.n_sys, self.n_env
         chi = self._env_evecs
-        # chi^dag first, then chi: the optimizer's order, fixed so no path search runs per call
-        return np.einsum("aj,satb,bi->ijst", chi.conj(), u4, chi, optimize=["einsum_path", (0, 1), (0, 1)])
+        # U[s, a, t, b] times chi over b, then chi^dag over a: [s, j, t, i]
+        right = (self.total_unitary(tau).reshape(n_sys, n_env, n_sys, n_env) @ chi).reshape(n_sys, n_env, -1)
+        return (chi.conj().T @ right).reshape(n_sys, n_env, n_sys, n_env).transpose(3, 1, 0, 2)
 
     def kraus_set(self, tau):
         """Kraus decomposition of the reduced map at real time tau: the

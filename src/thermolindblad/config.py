@@ -237,12 +237,13 @@ def _parse_times(value, path):
         if count > MAX_TIME_COUNT:
             raise SchemaError(f"{path}.count: at most {MAX_TIME_COUNT} time points, got {count}")
         if value.get("log", False):
-            if start <= 0:
-                raise SchemaError(f"{path}: log spacing needs start > 0")
+            if start <= 0 or stop <= 0:
+                raise SchemaError(f"{path}: log spacing needs start > 0 and stop > 0")
             times = np.geomspace(start, stop, count)
         else:
             times = np.linspace(start, stop, count)
-    if len(times) == 0 or np.any(np.diff(times) <= 0) and len(times) > 1:
+    # written so that a NaN, which compares false, fails it
+    if len(times) == 0 or not np.all(np.diff(times) > 0):
         raise SchemaError(f"{path}: times must be non-empty and strictly ascending")
     return times
 

@@ -54,16 +54,18 @@ class _Sectors:
     Hermiticity; else "complex", with L itself as the frame.  Without a
     basis, an L that is not finite or whose size is not a perfect square is
     not measured: dense and complex.  indices holds one (K, s) array of
-    frame indices per block size s.
+    frame indices per block size s.  basis is the basis passed; labels and
+    energy_frame = U^dag L U are kept on every route that was measured.
     """
 
     def __init__(self, l_mat, basis=None):
         n2 = l_mat.shape[0]
         self.route, self.arithmetic, self.vectors, self.off_sector_norm = "dense", "complex", None, None
         self.frame, self.indices = l_mat, [np.arange(n2)[None]]
+        self.basis, self.labels, self.energy_frame = basis, None, None
         if basis is not None:
-            if basis.n_levels**2 != n2:
-                raise ValueError(f"basis has {basis.n_levels} levels, superoperator is {n2}x{n2}")
+            if l_mat.shape != (basis.n_levels**2,) * 2:
+                raise ValueError(f"basis has {basis.n_levels} levels, superoperator is {l_mat.shape}")
             n, vectors, labels = basis.n_levels, basis.spectrum.vectors, basis.sector_labels
         else:
             n = math.isqrt(n2)
@@ -73,6 +75,7 @@ class _Sectors:
             vectors = spectrum.vectors
         bound = _ROUTE_BOUND * max(1.0, np.linalg.norm(l_mat))
         frame = _conjugated(l_mat, vectors)
+        self.labels, self.energy_frame = labels, frame
         self.off_sector_norm = float(np.linalg.norm(frame[labels[:, None] != labels[None, :]]))
         groups = _label_groups(labels)
         sizes = sorted({len(g) for g in groups})
@@ -95,11 +98,6 @@ class _Sectors:
         if self.arithmetic == "real":
             return _hermitian_coords(x, inverse=True)
         return x if self.route == "dense" else _to_frame(x, self.vectors.conj().T)
-
-    def map_to_standard(self, mat):
-        """A frame matrix M back in the standard frame: K M K^dag for the
-        change of frame K that to_standard applies."""
-        return self.to_standard(self.to_standard(mat).conj().T).conj().T
 
     def blocks(self, mat):
         """The diagonal blocks of a frame matrix, one (K, s, s) stack per size."""
@@ -224,7 +222,9 @@ class Propagator:
         return self.sectors.assemble([stack[0] for stack in self._block_maps([t])])
 
     def __call__(self, t):
-        return self.sectors.map_to_standard(self._frame_map(t))
+        # K M K^dag for the frame map M and the change of frame K that to_standard applies
+        to_standard = self.sectors.to_standard
+        return to_standard(to_standard(self._frame_map(t)).conj().T).conj().T
 
     def apply(self, vec, times):
         """exp(L t) vec for every t in times, as an (N^2, T) array; only the
@@ -270,15 +270,24 @@ def _superop_of(obj):
     return np.asarray(obj.superoperator if hasattr(obj, "superoperator") else obj, dtype=complex)
 
 
-def _propagator_of(obj):
-    """obj itself if it is a Propagator, else one built with obj's eigenoperator
-    basis when it has one, in the frame of obj's Hamiltonian part otherwise."""
-    return obj if isinstance(obj, Propagator) else Propagator(_superop_of(obj), getattr(obj, "basis", None))
+def _split_reused(obj, basis):
+    # a Propagator's split serves when no basis is asked for or it was made in that very object
+    return isinstance(obj, Propagator) and (basis is None or obj.sectors.basis is basis)
 
 
-def _sectors_of(obj):
-    """The sector split of obj's superoperator, reused from a Propagator."""
-    return obj.sectors if isinstance(obj, Propagator) else _Sectors(_superop_of(obj), getattr(obj, "basis", None))
+def _propagator_of(obj, basis=None):
+    """obj itself if it is a Propagator split in basis (any, if None), else one
+    built in the frame of basis, else of obj's basis, else of L's own."""
+    if _split_reused(obj, basis):
+        return obj
+    return Propagator(_superop_of(obj), getattr(obj, "basis", None) if basis is None else basis)
+
+
+def _sectors_of(obj, basis=None):
+    """The sector split _propagator_of would read, without decomposing L."""
+    if _split_reused(obj, basis):
+        return obj.sectors
+    return _Sectors(_superop_of(obj), getattr(obj, "basis", None) if basis is None else basis)
 
 
 @dataclass

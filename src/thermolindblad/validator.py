@@ -11,14 +11,16 @@ six audit checks, the Spohn slack and the CLI's experiment-level checks.
 run_standard_checks bundles the full battery and shares one Propagator
 between its checks: L is split into Bohr-frequency sectors when its
 measured off-sector norm allows it and decomposed once, block by block or
-whole.  The frame of that split is the eigenoperator basis of the object
-passed if it has one, else L's own Hamiltonian part, so a bare array is
-split too.  On the dense route an L that preserves Hermiticity is
-decomposed as the real matrix of the Hermitian operator basis (see
-dynamics.Propagator).  The checks that read it (fixed_point, cptp,
-spectral) record the route taken ("sector" or "dense") and the off-sector
-norm in their details, not the arithmetic; structure_support is the
-off-sector norm of the dissipator under the same sector labels.
+whole.  The frame of that split is the basis passed, else the
+eigenoperator basis of the object passed if it has one, else L's own
+Hamiltonian part, so a bare array is split too.  On the dense route an L
+that preserves Hermiticity is decomposed as the real matrix of the
+Hermitian operator basis (see dynamics.Propagator).  The checks that
+read it (fixed_point, cptp, spectral) record the route taken ("sector" or
+"dense") and the off-sector norm in their details, not the arithmetic;
+structure_support is that norm, and the population block is read from the
+split's energy frame: no check forms a frame of its own, and
+check_commutation uses none.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .dynamics import (
     null_dimension,
     relative_entropy,
 )
-from .liouville import _as_square, _conjugated, change_basis, choi_matrix, vectorize
+from .liouville import _as_square, choi_matrix, vectorize
 from .presets import thermal_state
 
 DEFAULT_THRESHOLDS = {
@@ -156,14 +158,13 @@ def _dense_choi_minima(prop, times):
     """Smallest Choi eigenvalue and trace defect of exp(L t) at each t, for
     L whole (the dense route), one map at a time: a stack of all T maps
     (T N^4 entries) was measured slower here, from the page faults of
-    allocating it, than one eigvalsh per time.  Each map is taken back to
-    the standard frame for the Choi reshuffle; the trace defect is read in
-    the frame of the route, which keeps vec(I) and every norm."""
+    allocating it, than one eigvalsh per time.  Each map is read in the
+    standard frame, prop(t), for the Choi reshuffle and the trace defect."""
     eye_vec = np.eye(math.isqrt(prop.superoperator.shape[0])).ravel()
     min_eigs, tp_defects = [], []
     for t in times:
-        lam = prop._frame_map(t)
-        choi = choi_matrix(prop.sectors.map_to_standard(lam))
+        lam = prop(t)
+        choi = choi_matrix(lam)
         min_eigs.append(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
         tp_defects.append(np.linalg.norm(lam.conj().T @ eye_vec - eye_vec))
     return np.array(min_eigs), np.array(tp_defects)
@@ -249,15 +250,14 @@ def check_spectral(superoperator, basis=None, threshold=None):
     condition number against 1e8 (near-defectiveness), max real part of
     the spectrum against 1e-10, and, when an eigenoperator basis is
     supplied, the largest imaginary part of the population-block
-    eigenvalues against 1e-9.  Raw numbers live in details.  The spectrum
-    and the condition number are read from a Propagator, built here unless
-    superoperator is one (split in the frame of the object's basis if it
-    has one, else of L's own Hamiltonian part; the basis argument only adds
-    the population block); on the sector route they come from the blocks.
+    eigenvalues against 1e-9.  Raw numbers live in details.  All three
+    are read from one Propagator, split in the frame of basis if given (see
+    _propagator_of): the spectrum from its blocks on the sector route, the
+    population block from its energy frame at the indices a + N a of |a><a|.
     """
     threshold = DEFAULT_THRESHOLDS["spectral"] if threshold is None else threshold
     try:
-        prop = _propagator_of(superoperator)
+        prop = _propagator_of(superoperator, basis)
     except np.linalg.LinAlgError as exc:
         # an eigensolver failure is inconclusive: defect inf
         return CheckResult(
@@ -278,7 +278,8 @@ def check_spectral(superoperator, basis=None, threshold=None):
         **_route_details(prop.sectors),
     }
     if basis is not None:
-        block = change_basis(prop.superoperator, basis.projectors)
+        pop = (basis.n_levels + 1) * np.arange(basis.n_levels)
+        block = prop.sectors.energy_frame[pop][:, pop]
         pop_evals = np.linalg.eigvals(block)
         pop_imag = float(np.abs(pop_evals.imag).max())
         details["population_eigenvalues"] = pop_evals
@@ -293,32 +294,28 @@ def check_spectral(superoperator, basis=None, threshold=None):
     )
 
 
-def check_structure_support(dissipator, basis, threshold=None):
-    """Leakage of the dissipator outside its Bohr-frequency sectors.
+def check_structure_support(superoperator, basis, threshold=None):
+    """Leakage of a superoperator outside its Bohr-frequency sectors.
 
     In the energy frame of basis, where index a + N b is |a><b|, entries
     are allowed only between indices with the same basis.sector_labels:
     within one group of equal Bohr frequency, the zero-frequency group
     holding the populations and the coherences between degenerate levels.
     The defect is the Frobenius norm of everything else: the off-sector
-    norm, as Propagator measures it on L.
+    norm of the split in basis, reused from a Propagator split there.  D
+    and L = -i[H, .] + D give it up to rounding, -i[H, .] being diagonal.
     """
     threshold = DEFAULT_THRESHOLDS["structure_support"] if threshold is None else threshold
-    dissipator = np.asarray(dissipator, dtype=complex)
-    labels = basis.sector_labels
-    if dissipator.shape != (labels.size, labels.size):
-        raise ValueError(f"basis has {basis.n_levels} levels, dissipator is {dissipator.shape}")
-    frame = _conjugated(dissipator, basis.spectrum.vectors)
-    allowed = labels[:, None] == labels[None, :]
-    disallowed = frame[~allowed]
-    defect = float(np.linalg.norm(disallowed))
+    sectors = _sectors_of(superoperator, basis)
+    allowed = sectors.labels[:, None] == sectors.labels[None, :]
+    disallowed = sectors.energy_frame[~allowed]
     return CheckResult(
         name="structure_support",
-        defect=defect,
+        defect=sectors.off_sector_norm,
         threshold=threshold,
         details={
             "max_off_support": float(np.max(np.abs(disallowed))) if disallowed.size else 0.0,
-            "on_support_norm": float(np.linalg.norm(frame[allowed])),
+            "on_support_norm": float(np.linalg.norm(sectors.energy_frame[allowed])),
         },
     )
 
@@ -433,7 +430,8 @@ def run_standard_checks(generator, thresholds=None, label=""):
 
     thresholds maps check names to overrides.  One Propagator, built with
     the generator's eigenoperator basis, serves check_fixed_point, check_cptp
-    (at CPTP_TIME_GRID) and check_spectral, so L is split into sectors once and
+    (at CPTP_TIME_GRID), check_spectral and check_structure_support (on L,
+    so its on-support norm is L's), so L is split into sectors once and
     decomposed once: one batched eig per block size on the sector route, one
     eig of L whole on the dense route, of a real matrix when L preserves
     Hermiticity.  On the sector route check_cptp then makes one eigvalsh per
@@ -448,7 +446,7 @@ def run_standard_checks(generator, thresholds=None, label=""):
         check_fixed_point(prop, generator.hamiltonian, generator.beta, th.get("fixed_point")),
         check_cptp(prop, threshold=th.get("cptp")),
         check_spectral(prop, generator.basis, th.get("spectral")),
-        check_structure_support(generator.dissipator, generator.basis, th.get("structure_support")),
+        check_structure_support(prop, generator.basis, th.get("structure_support")),
         check_detailed_balance(generator, threshold=th.get("detailed_balance")),
     ]
     return ValidationReport(checks=checks, generator_label=label)

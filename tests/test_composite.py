@@ -162,6 +162,28 @@ def test_reduced_map_and_kraus_match_double_loop(ns, ne, env, rng):
         assert np.linalg.norm(got - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
 
+def einsum_env_blocks(model, tau):
+    """<chi_j|U(tau)|chi_i> as one einsum, chi^dag contracted first."""
+    u4 = model.total_unitary(tau).reshape(model.n_sys, model.n_env, model.n_sys, model.n_env)
+    chi = model._env_evecs
+    return np.einsum("aj,satb,bi->ijst", chi.conj(), u4, chi, optimize=["einsum_path", (0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("ns,ne", [(2, 2), (2, 4), (3, 6), (4, 8)])
+@pytest.mark.parametrize("coupling", ["strict", "nonconserving"])
+def test_env_blocks_equal_the_einsum_to_the_bit(ns, ne, coupling):
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        h_sys, h_env = presets.random_hermitian(ns, rng), presets.ladder(ne, 1.0)
+        if coupling == "strict":
+            v, _ = build_strict_coupling(h_sys, h_env, rng, scale=0.5)
+        else:
+            v = presets.random_hermitian(ns * ne, rng, scale=0.5)
+        model = CompositeModel(h_sys, h_env, v, presets.thermal_state(h_env, 0.8))
+        for tau in (0.7, -1.3, 0.1 * np.exp(0.9j)):
+            np.testing.assert_array_equal(model._env_blocks(tau), einsum_env_blocks(model, tau))
+
+
 def test_reduced_map_makes_no_kron_call(monkeypatch):
     model = nonconserving_model()
     kron = np.kron

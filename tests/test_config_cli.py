@@ -145,6 +145,34 @@ def test_bad_times_rejected():
         parse_config(payload)
 
 
+# np.geomspace(1, -1, 3) is [1, nan, -1], and a stop of 0 raises a ValueError
+LOG_TIMES_BLOCKS = {
+    "evolve": ("evolve", "times"),
+    "theorem1": ("theorem1", "times"),
+    "tau-scan": ("tau_scan", "taus"),
+}
+
+
+@pytest.mark.parametrize("stop", [-1.0, -10.0, 0.0])
+@pytest.mark.parametrize("experiment", sorted(LOG_TIMES_BLOCKS))
+def test_log_times_need_positive_stop(tmp_path, experiment, stop, capsys):
+    section, key = LOG_TIMES_BLOCKS[experiment]
+    block = {"start": 1.0, "stop": stop, "count": 3, "log": True}
+    path = write_config(tmp_path, minimal_config(experiment=experiment, **{section: {key: block}}))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "stop > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_ascending_test_fails_a_nan_time():
+    # NaN compares false, so a test written as "no step <= 0" would pass it
+    block = {"start": -1.7e308, "stop": 1.7e308, "count": 2}
+    with np.errstate(all="ignore"):
+        assert np.isnan(np.linspace(block["start"], block["stop"], 2)[0])
+        with pytest.raises(SchemaError, match="strictly ascending"):
+            parse_config(minimal_config(experiment="evolve", evolve={"times": block}))
+
+
 def test_tolerance_names_validated():
     with pytest.raises(SchemaError):
         parse_config(minimal_config(tolerances={"warp_factor": 1e-3}))
@@ -544,6 +572,21 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert main(["theorem1", "--config", path, "--out", str(out_a)]) == 0
     assert main(["theorem1", "--config", path, "--out", str(out_b)]) == 0
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+
+def test_theorem1_nan_defect_fails(tmp_path):
+    # the phases exp(-i E t) overflow at t = 10 only; max() would keep the
+    # finite defects of t = 0.1 and 1 and drop the NaN that follows them
+    payload = {"system": {"hamiltonian": "qubit(1.0)"}, "experiment": "theorem1", "theorem1": {"coupling_scale": 1e308}}
+    path = write_config(tmp_path, payload)
+    with np.errstate(all="ignore"):
+        assert main(["theorem1", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    (check,) = report["checks"]
+    defects = [d for _, d in check["details"]["defects_by_time"]]
+    assert np.isfinite(defects[:2]).all() and np.isnan(defects[2])
+    assert np.isnan(check["defect"]) and not check["passed"]
+    assert report["overall"] is False
 
 
 def test_seed_changes_strict_coupling(tmp_path):

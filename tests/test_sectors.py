@@ -15,6 +15,8 @@ from thermolindblad import (
     check_cptp,
     check_fixed_point,
     check_spectral,
+    check_structure_support,
+    change_basis,
     choi_matrix,
     devectorize,
     eigenoperator_basis,
@@ -24,7 +26,7 @@ from thermolindblad import (
     steady_state,
     vectorize,
 )
-from thermolindblad import dynamics
+from thermolindblad import dynamics, liouville, validator
 from thermolindblad.dynamics import _hamiltonian_part, _Sectors, null_dimension
 from thermolindblad.liouville import _hermitian_coords
 from thermolindblad.validator import CPTP_TIME_GRID
@@ -429,8 +431,8 @@ def assembled_cptp_details(prop, times):
         else:
             stacks = [expm(block * t) for block in prop._blocks]
         lam = prop.sectors.assemble(stacks)
-        if prop.arithmetic == "real":  # exp(R t), back in the standard frame
-            lam = prop.sectors.map_to_standard(lam)
+        if prop.arithmetic == "real":  # exp(R t), back in the standard frame: T exp(R t) T^dag
+            lam = prop.sectors.to_standard(prop.sectors.to_standard(lam).conj().T).conj().T
         choi = choi_matrix(lam)
         choi = (choi + choi.conj().T) / 2
         min_eigs.append(min(float(np.linalg.eigvalsh(b).min()) for b in prop.sectors.blocks(choi)))
@@ -633,3 +635,96 @@ def test_near_defective_hermiticity_preserving_input_takes_real_expm_route(rng, 
     complex_path(monkeypatch)
     spectral = check_spectral(l_mat)
     assert [spectral.passed, spectral.details["near_defective"], check_cptp(l_mat).passed] == real_verdicts
+
+
+# -- one energy frame per audit --------------------------------------------------
+
+
+FRAME_INPUTS = {
+    "random8": INPUTS["random8"],
+    "ladder8": INPUTS["ladder8"],
+    "n1": INPUTS["n1"],
+    "foreign": lambda rng: foreign(4, rng),
+    "kicked": lambda rng: perturbed(restricted(presets.random_hermitian(4, rng), 1.0, rng)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_INPUTS))
+def test_audit_forms_one_energy_frame(name, rng, monkeypatch):
+    gen = FRAME_INPUTS[name](rng)
+    calls = []
+
+    def counted(fname, original):
+        def wrapper(*args):
+            calls.append(fname)
+            return original(*args)
+
+        return wrapper
+
+    # _conjugated calls liouville._to_frame twice; the validator may import any of them
+    for module in (liouville, dynamics, validator):
+        for fname in ("_to_frame", "_conjugated", "change_basis"):
+            if hasattr(module, fname):
+                monkeypatch.setattr(module, fname, counted(fname, getattr(module, fname)))
+    report = run_standard_checks(gen)
+    assert report.get("spectral").details["route"] == ("dense" if name in ("foreign", "kicked") else "sector")
+    assert sorted(calls) == ["_conjugated", "_to_frame", "_to_frame"]
+
+
+def degenerate_mixing_generator(rng):
+    # the two transitions at frequency 1 are mixed, so the split depends on
+    # the basis chosen in the degenerate eigenspace of H = diag(0, 1, 1)
+    return restricted(np.diag([0.0, 1.0, 1.0]), 0.8, rng, mixing={1.0: presets.random_unitary(2, rng)})
+
+
+RESPLIT = {
+    # no basis: the frame of L's own Hamiltonian part
+    "bare": lambda gen, rng: Propagator(gen.superoperator),
+    # an equal basis object that is not the one passed to the checks
+    "twin": lambda gen, rng: Propagator(gen.superoperator, eigenoperator_basis(gen.hamiltonian)),
+    # the frame of an unrelated Hamiltonian
+    "other": lambda gen, rng: Propagator(gen.superoperator, eigenoperator_basis(presets.random_hermitian(3, rng))),
+}
+
+
+@pytest.mark.parametrize("split", sorted(RESPLIT))
+def test_propagator_split_elsewhere_is_resplit_in_the_basis(split, rng, monkeypatch):
+    gen = degenerate_mixing_generator(rng)
+    prop = RESPLIT[split](gen, rng)
+    basis, l_mat = gen.basis, gen.superoperator
+    scale = max(1.0, np.linalg.norm(l_mat))
+    expected = _Sectors(l_mat, basis)
+    splits = []
+
+    class CountingSectors(dynamics._Sectors):
+        def __init__(self, l_mat, basis=None):
+            splits.append(basis)
+            super().__init__(l_mat, basis)
+
+    monkeypatch.setattr(dynamics, "_Sectors", CountingSectors)
+    spectral = check_spectral(prop, basis)
+    support = check_structure_support(prop, basis)
+    assert len(splits) == 2 and all(b is basis for b in splits)
+
+    block = change_basis(l_mat, basis.projectors)
+    distance = np.abs(spectral.details["population_eigenvalues"][:, None] - np.linalg.eigvals(block)[None, :])
+    assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) <= 1e-12 * scale
+    assert spectral.details["off_sector_norm"] == expected.off_sector_norm
+    assert support.defect == expected.off_sector_norm
+    allowed = basis.sector_labels[:, None] == basis.sector_labels[None, :]
+    assert support.details["on_support_norm"] == np.linalg.norm(expected.energy_frame[allowed])
+
+
+def test_propagator_split_in_the_basis_is_reused(rng, monkeypatch):
+    gen = degenerate_mixing_generator(rng)
+    prop = Propagator(gen.superoperator, gen.basis)
+
+    def forbidden(*args):
+        raise AssertionError("the split was made again")
+
+    monkeypatch.setattr(dynamics, "_Sectors", forbidden)
+    monkeypatch.setattr(Propagator, "__init__", forbidden)
+    for basis in (gen.basis, None):
+        spectral = check_spectral(prop, basis)
+        assert spectral.details["off_sector_norm"] == prop.off_sector_norm
+    assert check_structure_support(prop, gen.basis).defect == prop.off_sector_norm

@@ -234,8 +234,9 @@ def test_kick_between_nonzero_sectors_fails_support(qutrit_generator):
 
 
 def test_support_rejects_basis_of_wrong_size(qutrit_generator):
-    with pytest.raises(ValueError, match="3 levels"):
-        check_structure_support(np.zeros((16, 16)), qutrit_generator.basis)
+    for shape in ((16, 16), (9, 8)):  # the wrong size, and 9 rows that are not square
+        with pytest.raises(ValueError, match="3 levels"):
+            check_structure_support(np.zeros(shape), qutrit_generator.basis)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -756,6 +757,12 @@ def test_basis_matrices_match_reference_loop(make, n, rng):
     assert support.details["on_support_norm"] == pytest.approx(
         np.linalg.norm(overlap[allowed]), abs=1e-12 * scale
     )
+    # the audit passes its Propagator, which holds L: -i[H, .] adds nothing
+    # off the sectors, and the on-support norm is L's
+    on_l = reference_matrix(gen.superoperator, ops)[allowed]
+    support_l = check_structure_support(Propagator(gen.superoperator, basis), basis)
+    assert support_l.defect == pytest.approx(np.linalg.norm(overlap[~allowed]), abs=1e-12 * scale)
+    assert support_l.details["on_support_norm"] == pytest.approx(np.linalg.norm(on_l), abs=1e-12 * scale)
 
     block = reference_matrix(gen.superoperator, basis.projectors)
     assert np.max(np.abs(change_basis(gen.superoperator, basis.projectors) - block)) <= 1e-12 * scale
