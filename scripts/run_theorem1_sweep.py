@@ -47,7 +47,7 @@ def strict_row(sys_label, env_label, seeds, times, beta, scale):
             coupling=coupling,
             env_state=presets.thermal_state(h_env, beta),
         )
-        worst = max(worst, max(theorem1_defect(model, t) for t in times))
+        worst = max(worst, float(theorem1_defect(model, times).max()))
     return worst, any_transitions
 
 
@@ -67,8 +67,8 @@ def witness_rows(beta, times):
         coupling=exchange,
         env_state=np.full((2, 2), 0.5, dtype=complex),
     )
-    yield "nonconserving coupling", max(theorem1_defect(nonconserving, t) for t in times)
-    yield "nonstationary env state", max(theorem1_defect(nonstationary, t) for t in times)
+    yield "nonconserving coupling", float(theorem1_defect(nonconserving, times).max())
+    yield "nonstationary env state", float(theorem1_defect(nonstationary, times).max())
 
 
 def main(argv=None):

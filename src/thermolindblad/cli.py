@@ -181,7 +181,7 @@ def _build_composite(cfg, comp, seed):
 def _run_theorem1(cfg, thresholds, seed, out_dir):
     comp = cfg.composite_for("theorem1")
     model, witnesses = _build_composite(cfg, comp, seed)
-    defects = [(float(t), theorem1_defect(model, t)) for t in comp.times]
+    defects = list(zip(comp.times.tolist(), theorem1_defect(model, comp.times).tolist()))
     check = CheckResult(
         name="theorem1",
         defect=float(np.max([d for _, d in defects])),  # NaN if any defect is, where max() would drop it

@@ -3,7 +3,8 @@ commutativity.
 
 A CompositeModel holds a system, an environment, their coupling, and an
 environment state; the reduced dynamical map is computed exactly from the
-joint unitary.  The module also extracts the small-time expansion of the
+joint unitary, at one time or, with a leading axis, at a 1-d array of real
+or complex times.  The module also extracts the small-time expansion of the
 commutation defect, both numerically (Cauchy contour in complex time) and
 from closed trace formulas, so the two can be compared.
 
@@ -11,7 +12,6 @@ Conventions follow liouville: column stacking, hbar = k_B = 1.
 """
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass, field
@@ -25,6 +25,10 @@ _STRICT_FLOOR = 1e-13
 # relative energy gap below which build_strict_coupling joins two product states
 STRICT_DEGENERACY_TOL = 1e-9
 CONTOUR_RADIUS = 0.1  # of the complex-time circle of the contour coefficients
+CONTOUR_POINTS = 32  # samples on that circle; orders below it do not alias
+# the most times theorem1_defect stacks at once, so memory does not grow with the grid: per time,
+# a stack costs least at 32-64 times (2x2 to 4x8, one BLAS thread), and 64 at 8x8 peak at 24 MB
+TAU_STACK = 64
 
 DEFAULT_TAU_GRID = tuple(np.geomspace(1e-4, 1e-2, 8))
 
@@ -55,9 +59,9 @@ class CompositeModel:
     """System + environment + coupling + environment state.
 
     Eigendecompositions of the total and system Hamiltonians are cached at
-    construction so maps can be evaluated at many times (including complex
-    times, where the evolution is continued analytically) without repeated
-    diagonalization.
+    construction so maps can be evaluated at a stack of times (including
+    complex times, where the evolution is continued analytically) without
+    repeated diagonalization; entry k equals the result at the k-th time.
     """
 
     system_hamiltonian: np.ndarray
@@ -122,20 +126,22 @@ class CompositeModel:
     # -- exact reduced dynamics ---------------------------------------------
 
     def total_unitary(self, tau):
-        phases = np.exp(-1j * self._total_evals * tau)
-        return (self._total_evecs * phases) @ self._total_evecs.conj().T
+        phases = np.exp(-1j * np.multiply.outer(tau, self._total_evals))
+        return (self._total_evecs * phases[..., None, :]) @ self._total_evecs.conj().T
 
     def system_unitary(self, tau):
-        phases = np.exp(-1j * self._sys_evals * tau)
-        return (self._sys_evecs * phases) @ self._sys_evecs.conj().T
+        phases = np.exp(-1j * np.multiply.outer(tau, self._sys_evals))
+        return (self._sys_evecs * phases[..., None, :]) @ self._sys_evecs.conj().T
 
     def _env_blocks(self, tau):
-        """System blocks [i, j] = <chi_j|U(tau)|chi_i> over environment eigenstates."""
+        """System blocks [..., i, j] = <chi_j|U(tau)|chi_i> over environment eigenstates."""
         n_sys, n_env = self.n_sys, self.n_env
         chi = self._env_evecs
-        # U[s, a, t, b] times chi over b, then chi^dag over a: [s, j, t, i]
-        right = (self.total_unitary(tau).reshape(n_sys, n_env, n_sys, n_env) @ chi).reshape(n_sys, n_env, -1)
-        return (chi.conj().T @ right).reshape(n_sys, n_env, n_sys, n_env).transpose(3, 1, 0, 2)
+        lead = np.shape(tau)
+        # U[..., s, a, t, b] times chi over b, then chi^dag over a: [..., s, j, t, i]
+        right = (self.total_unitary(tau).reshape(-1, n_env) @ chi).reshape(*lead, n_sys, n_env, -1)
+        blocks = (chi.conj().T @ right).reshape(*lead, n_sys, n_env, n_sys, n_env)
+        return blocks.transpose(*range(len(lead)), -1, -3, -4, -2)
 
     def kraus_set(self, tau):
         """Kraus decomposition of the reduced map at real time tau: the
@@ -151,45 +157,25 @@ class CompositeModel:
 
         Valid for complex tau as well: the inverse evolution is built from
         e^{+i H tau}, which agrees with the adjoint on the real axis and
-        continues the map analytically off it.
+        continues the map analytically off it.  The blocks of U(tau) and
+        U(-tau) come from one stack.
         """
-        return self._map_of_blocks(self._env_blocks(tau), self._env_blocks(-tau))
-
-    def _map_of_blocks(self, blocks, inverse_blocks):
-        """The reduced map from the _env_blocks of U(tau) and of U(-tau)."""
         keep = self._env_support
-        lefts = blocks[keep].reshape(-1, self.n_sys, self.n_sys)
-        rights = inverse_blocks.transpose(1, 0, 2, 3)[keep].reshape(lefts.shape)
+        blocks, inverse = self._env_blocks(np.array([tau, np.negative(tau)]))
+        lefts = blocks[..., keep, :, :, :].reshape(*np.shape(tau), -1, self.n_sys, self.n_sys)
+        rights = inverse.swapaxes(-4, -3)[..., keep, :, :, :].reshape(lefts.shape)
         return sandwich_sum(lefts, rights, np.repeat(self._env_evals[keep], self.n_env))
 
-    def _contour_defect_states(self, rho_s, points):
-        """defect_state at tau_j = CONTOUR_RADIUS exp(2 pi i j / points), j < points.
-        Each contour unitary's blocks are formed once: on an even contour
-        -tau_j is tau_{j + points/2}, so they also serve the inverse."""
-        taus = [CONTOUR_RADIUS * cmath.exp(2j * math.pi * j / points) for j in range(points)]
-        blocks = [self._env_blocks(tau) for tau in taus]
-        half = points // 2
-        if points % 2 == 0:
-            inverse = blocks[half:] + blocks[:half]
-        else:
-            inverse = [self._env_blocks(-tau) for tau in taus]
-        return [
-            devectorize(self._defect_of(self._map_of_blocks(b, ib), tau) @ vectorize(rho_s))
-            for tau, b, ib in zip(taus, blocks, inverse)
-        ]
-
     def free_conjugation(self, tau):
-        """Superoperator of the free system evolution at (possibly complex)
-        time tau."""
-        us = self.system_unitary(tau)
-        usinv = self.system_unitary(-tau)
-        return np.kron(usinv.T, us)
+        """Superoperator kron(U(-tau)^T, U(tau)) of the free system evolution
+        at (possibly complex) time tau."""
+        us, usinv = self.system_unitary(np.array([tau, np.negative(tau)]))
+        free = usinv.swapaxes(-1, -2)[..., :, None, :, None] * us[..., None, :, None, :]
+        return free.reshape(*np.shape(tau), self.n_sys**2, self.n_sys**2)
 
     def defect_superoperator(self, tau):
         """Commutator of the reduced map with free evolution at time tau."""
-        return self._defect_of(self.reduced_map(tau), tau)
-
-    def _defect_of(self, lam, tau):
+        lam = self.reduced_map(tau)
         free = self.free_conjugation(tau)
         return lam @ free - free @ lam
 
@@ -200,10 +186,15 @@ class CompositeModel:
 
 def theorem1_defect(model, tau, rho_s=None):
     """Frobenius norm of the map/free-evolution commutator at time tau,
-    either as a superoperator or applied to one state."""
-    if rho_s is None:
-        return float(np.linalg.norm(model.defect_superoperator(tau)))
-    return float(np.linalg.norm(model.defect_state(tau, rho_s)))
+    either as a superoperator or applied to one state; an array of tau gives
+    an array of norms, evaluated in stacks of at most TAU_STACK times."""
+    taus = np.atleast_1d(tau)
+    norms = np.empty(taus.shape)
+    for start in range(0, len(taus), TAU_STACK):
+        chunk = taus[start : start + TAU_STACK]
+        defect = model.defect_superoperator(chunk) if rho_s is None else model.defect_state(chunk, rho_s)
+        norms[start : start + TAU_STACK] = np.linalg.norm(defect.reshape(len(chunk), -1), axis=-1)
+    return float(norms[0]) if np.ndim(tau) == 0 else norms
 
 
 def build_strict_coupling(h_sys, h_env, rng, scale=1.0):
@@ -289,19 +280,20 @@ class TauScan:
         return float(np.linalg.norm(self.xi))
 
 
-def _contour_coefficients(model, rho_s, orders, points):
+def _contour_coefficients(model, rho_s, orders):
     """Taylor coefficients of Delta(tau)[rho_S] for several orders |order| <
-    points from one set of samples on the contour and one FFT over them."""
-    if any(abs(order) >= points for order in orders):
-        raise ValueError(f"contour orders must be below the {points} contour points, got {orders}")
-    spectrum = np.fft.fft(model._contour_defect_states(rho_s, points), axis=0)
-    return [spectrum[order] / (points * CONTOUR_RADIUS**order) for order in orders]
+    CONTOUR_POINTS from one stack of samples on the contour and one FFT over them."""
+    if any(abs(order) >= CONTOUR_POINTS for order in orders):
+        raise ValueError(f"contour orders must be below the {CONTOUR_POINTS} contour points, got {orders}")
+    taus = CONTOUR_RADIUS * np.exp(2j * math.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS)
+    spectrum = np.fft.fft(model.defect_state(taus, rho_s), axis=0)
+    return [spectrum[order] / (CONTOUR_POINTS * CONTOUR_RADIUS**order) for order in orders]
 
 
-def contour_coefficient(model, rho_s, order, points=32):
-    """Taylor coefficient of Delta(tau)[rho_S] at tau=0 by Cauchy integral
-    over the circle of radius CONTOUR_RADIUS in complex time."""
-    return _contour_coefficients(model, rho_s, (order,), points)[0]
+def contour_coefficient(model, rho_s, order):
+    """Taylor coefficient of Delta(tau)[rho_S] at tau=0 by Cauchy integral over
+    CONTOUR_POINTS samples of the circle of radius CONTOUR_RADIUS in complex time."""
+    return _contour_coefficients(model, rho_s, (order,))[0]
 
 
 def expansion_trace_formulas(model, rho_s):
@@ -381,10 +373,12 @@ def _compare(extracted, formula):
     return diff
 
 
-def tau_expansion(model, rho_s, taus=None, contour_points=32):
-    """Scan the commutation defect over small times and extract its Taylor
+def tau_expansion(model, rho_s, taus=None):
+    """Scan the commutation defect over small times tau >= 0 and extract its Taylor
     coefficients, comparing the extraction against the trace formulas."""
     taus = np.asarray(DEFAULT_TAU_GRID if taus is None else taus, dtype=float)
+    if not np.all(taus >= 0):  # written so that a NaN fails it
+        raise ValueError(f"tau_expansion needs times tau >= 0, got {taus}")
     h_norm = float(np.abs(model._total_evals).max())
     if h_norm > 0 and taus.max() * h_norm > 1.0:
         logging.getLogger(__name__).warning(
@@ -393,10 +387,10 @@ def tau_expansion(model, rho_s, taus=None, contour_points=32):
             taus.max(),
             1.0 / h_norm,
         )
-    defects = np.array([theorem1_defect(model, t, rho_s) for t in taus])
+    defects = theorem1_defect(model, taus, rho_s)
     at_floor = bool(np.all(defects < _STRICT_FLOOR))
     slope = math.nan if at_floor else _loglog_slope(taus, defects)
-    c2, c3, c4 = _contour_coefficients(model, rho_s, (2, 3, 4), contour_points)
+    c2, c3, c4 = _contour_coefficients(model, rho_s, (2, 3, 4))
     _, upsilon, xi = expansion_trace_formulas(model, rho_s)
     return TauScan(
         taus=taus,

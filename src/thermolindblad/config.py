@@ -357,6 +357,9 @@ def _parse_composite(value, path, experiment):
     coupling_scale = _number(raw["coupling_scale"], f"{path}.coupling_scale")
     if coupling_scale <= 0:
         raise PhysicsError(f"{path}.coupling_scale: must be positive")
+    taus = _parse_times(raw["taus"], f"{path}.taus")
+    if taus[0] < 0:
+        raise SchemaError(f"{path}.taus: must start at tau >= 0")
     return CompositeConfig(
         env_hamiltonian=env_hamiltonian,
         env_label=env_label,
@@ -365,7 +368,7 @@ def _parse_composite(value, path, experiment):
         coupling=coupling,
         coupling_scale=coupling_scale,
         times=_parse_times(raw["times"], f"{path}.times"),
-        taus=_parse_times(raw["taus"], f"{path}.taus"),
+        taus=taus,
         initial_state=_parse_choice(raw["initial_state"], STATE_PRESETS, f"{path}.initial_state"),
     )
 

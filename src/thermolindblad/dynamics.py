@@ -299,16 +299,16 @@ class Trajectory:
 
 def check_density_matrix(rho):
     """Validate a density matrix (square, Hermitian, unit trace, PSD, each
-    within STATE_TOL) and return its Hermitian part; raises ValueError."""
+    within STATE_TOL, which a NaN fails) and return its Hermitian part; raises ValueError."""
     rho = _as_square(rho, "state")
     herm = np.linalg.norm(rho - rho.conj().T) / 2
-    if herm > STATE_TOL:
+    if not herm <= STATE_TOL:
         raise ValueError(f"state is not Hermitian (defect {herm:.3e})")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > STATE_TOL:
+    if not abs(tr - 1.0) <= STATE_TOL:
         raise ValueError(f"state trace is {tr}, expected 1")
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if min_eig < -STATE_TOL:
+    if not min_eig >= -STATE_TOL:
         raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
     return (rho + rho.conj().T) / 2
 

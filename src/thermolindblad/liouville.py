@@ -56,12 +56,12 @@ def vectorize(op):
 
 
 def devectorize(vec):
-    """Inverse of :func:`vectorize`; the dimension is inferred from len(vec)."""
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    n = int(round(np.sqrt(vec.size)))
-    if n * n != vec.size:
-        raise ValueError(f"vector length {vec.size} is not a perfect square")
-    return vec.reshape((n, n), order="F").copy()
+    """Inverse of :func:`vectorize` for a vector or a (..., N^2) stack; N is read from the last axis."""
+    vec = np.asarray(vec, dtype=complex)
+    n = int(round(np.sqrt(vec.shape[-1])))
+    if n * n != vec.shape[-1]:
+        raise ValueError(f"vector length {vec.shape[-1]} is not a perfect square")
+    return vec.reshape(*vec.shape[:-1], n, n).swapaxes(-1, -2).copy()
 
 
 def hs_inner(a, b):
@@ -111,13 +111,13 @@ def assemble_superop(kind, a, b=None):
 
 
 def sandwich_sum(lefts, rights, weights):
-    """Superoperator of X -> sum_k weights[k] lefts[k] X rights[k] for (K, N, N)
-    stacks: the Choi reshuffle (its own inverse) of the rank-K product of the
-    columns vec(lefts[k]) against the rows vec(rights[k]^T).  K = 0 gives zero."""
+    """Superoperator of X -> sum_k weights[k] lefts[k] X rights[k] for (..., K, N, N) stacks,
+    one per leading index: the Choi reshuffle (its own inverse) of the rank-K product of
+    the columns vec(lefts[k]) against the rows vec(rights[k]^T).  K = 0 gives zero."""
     lefts = np.asarray(lefts, dtype=complex)
-    k, n = lefts.shape[0], lefts.shape[-1]
-    cols = lefts.transpose(0, 2, 1).reshape(k, n * n).T * np.asarray(weights)
-    return choi_matrix(cols @ np.reshape(rights, (k, n * n)))
+    *lead, k, n, _ = lefts.shape
+    cols = lefts.swapaxes(-1, -2).reshape(*lead, k, n * n).swapaxes(-1, -2) * np.asarray(weights)
+    return choi_matrix(cols @ np.reshape(rights, (*lead, k, n * n)))
 
 
 def gkls_dissipator(operators, rates):
@@ -148,15 +148,17 @@ def change_basis(superoperator, ops):
 
 
 def choi_matrix(map_superoperator):
-    """Reshuffle a map superoperator into its Choi matrix.
+    """Reshuffle a map superoperator, or a (..., N^2, N^2) stack, into its Choi matrix.
 
     Under column stacking, C[(i,k),(j,l)] = Lambda[(i,j),(k,l)]; the map is
-    completely positive iff C is positive semidefinite.
+    completely positive iff C is positive semidefinite.  C is returned as the
+    transpose of a C-contiguous copy of C^T, which copies faster than C at N = 20.
     """
     lam = np.asarray(map_superoperator, dtype=complex)
-    n = int(round(np.sqrt(lam.shape[0])))
-    t = lam.reshape((n, n, n, n), order="F")
-    return t.transpose(0, 2, 1, 3).reshape((n * n, n * n), order="F")
+    *lead, n2, _ = lam.shape
+    n = int(round(np.sqrt(n2)))
+    transposed = lam.reshape(*lead, n, n, n, n).transpose(*range(len(lead)), -2, -4, -1, -3)
+    return transposed.reshape(*lead, n2, n2).swapaxes(-1, -2)
 
 
 @dataclass

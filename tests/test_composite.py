@@ -1,5 +1,8 @@
 """Brute-force composite dynamics: exact reduced maps, the strict-coupling
 commutation theorem, and the small-time defect expansion."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -19,6 +22,7 @@ from thermolindblad import (
     theorem1_defect,
     vectorize,
 )
+from thermolindblad.composite import CONTOUR_POINTS, TAU_STACK
 
 UPPER = presets.LOWER.conj().T
 
@@ -184,6 +188,41 @@ def test_env_blocks_equal_the_einsum_to_the_bit(ns, ne, coupling):
             np.testing.assert_array_equal(model._env_blocks(tau), einsum_env_blocks(model, tau))
 
 
+def seeded_model(ns, ne, coupling, seed):
+    rng = np.random.default_rng(seed)
+    h_sys, h_env = presets.random_hermitian(ns, rng), presets.ladder(ne, 1.0)
+    if coupling == "strict":
+        v, _ = build_strict_coupling(h_sys, h_env, rng, scale=0.5)
+    else:
+        v = presets.random_hermitian(ns * ne, rng, scale=0.5)
+    return CompositeModel(h_sys, h_env, v, presets.thermal_state(h_env, 0.8))
+
+
+STACK_TAUS = np.array([0.7, -1.3, 1e-3, 0.1 * np.exp(0.9j)])
+
+
+@pytest.mark.parametrize("ns,ne", [(2, 2), (2, 4), (3, 6), (4, 8)])
+@pytest.mark.parametrize("coupling", ["strict", "nonconserving"])
+def test_stacked_evaluations_equal_the_per_tau_ones_to_the_bit(ns, ne, coupling):
+    def evaluations(model, tau, rho_s):
+        return [
+            model.reduced_map(tau),
+            model.defect_superoperator(tau),
+            model.defect_state(tau, rho_s),
+            theorem1_defect(model, tau),
+            theorem1_defect(model, tau, rho_s),
+        ]
+
+    for seed in range(1, 6):
+        model = seeded_model(ns, ne, coupling, seed)
+        rho_s = presets.random_density_matrix(ns, np.random.default_rng(seed))
+        stacked = evaluations(model, STACK_TAUS, rho_s)
+        assert [np.shape(x)[0] for x in stacked] == [len(STACK_TAUS)] * 5
+        for k, tau in enumerate(STACK_TAUS):
+            for got, expected in zip(stacked, evaluations(model, tau, rho_s)):
+                np.testing.assert_array_equal(got[k], expected)
+
+
 def test_reduced_map_makes_no_kron_call(monkeypatch):
     model = nonconserving_model()
     kron = np.kron
@@ -195,6 +234,7 @@ def test_reduced_map_makes_no_kron_call(monkeypatch):
 
     monkeypatch.setattr(np, "kron", counting)
     model.reduced_map(0.4)
+    model.defect_superoperator(STACK_TAUS)
     assert calls == []
 
 
@@ -368,31 +408,80 @@ def test_mean_field_of_product_coupling():
 
 
 class CountingModel(CompositeModel):
+    """Records the shape of the times given to each _env_blocks and
+    total_unitary call."""
+
     def __post_init__(self):
         super().__post_init__()
-        self.maps = self.unitary_blocks = 0
-
-    def _map_of_blocks(self, blocks, inverse_blocks):
-        self.maps += 1
-        return super()._map_of_blocks(blocks, inverse_blocks)
+        self.block_shapes, self.unitary_shapes = [], []
 
     def _env_blocks(self, tau):
-        self.unitary_blocks += 1
+        self.block_shapes.append(np.shape(tau))
         return super()._env_blocks(tau)
 
+    def total_unitary(self, tau):
+        self.unitary_shapes.append(np.shape(tau))
+        return super().total_unitary(tau)
 
-def test_tau_expansion_samples_each_contour_point_once():
-    base = nonconserving_model()
-    model = CountingModel(base.system_hamiltonian, base.env_hamiltonian, base.coupling, base.env_state)
+
+def counting_copy(model):
+    return CountingModel(model.system_hamiltonian, model.env_hamiltonian, model.coupling, model.env_state)
+
+
+def test_tau_expansion_samples_each_contour_point_once(monkeypatch):
+    # the grid and the contour are one stack each, so the number of calls,
+    # kron included, does not depend on the number of grid points
     rho_s = superposition_state()
-    scan = tau_expansion(model, rho_s, contour_points=32)
-    assert model.maps == len(scan.taus) + 32
-    # U(tau) and U(-tau) per grid point; one U per contour point, which
-    # also serves the opposite point's inverse
-    assert model.unitary_blocks == 2 * len(scan.taus) + 32
-    # the shared samples give every order what the one-order call gives
-    for order, coefficient in zip((2, 3, 4), (scan.coefficient_two, scan.coefficient_three, scan.coefficient_four)):
-        assert np.array_equal(coefficient, contour_coefficient(model, rho_s, order))
+    kron = np.kron
+    krons = []
+
+    def counting_kron(a, b):
+        krons.append(np.shape(a))
+        return kron(a, b)
+
+    counts = []
+    for taus in (np.geomspace(1e-4, 1e-2, 8), np.geomspace(1e-4, 1e-2, 64)):
+        model = counting_copy(nonconserving_model())
+        krons.clear()
+        monkeypatch.setattr(np, "kron", counting_kron)
+        scan = tau_expansion(model, rho_s, taus)
+        monkeypatch.setattr(np, "kron", kron)
+        counts.append((len(model.block_shapes), len(model.unitary_shapes), len(krons)))
+        # the grid stack, then the contour stack, each with its inverse times
+        assert model.block_shapes == [(2, len(taus)), (2, CONTOUR_POINTS)]
+        # the shared samples give every order what the one-order call gives
+        for order, coefficient in zip((2, 3, 4), (scan.coefficient_two, scan.coefficient_three, scan.coefficient_four)):
+            assert np.array_equal(coefficient, contour_coefficient(model, rho_s, order))
+    assert counts[0] == counts[1]
+
+
+def test_theorem1_defect_stacks_at_most_tau_stack_times():
+    model = counting_copy(nonconserving_model())
+    taus = np.linspace(0.0, 1.0, 1000)
+    defects = theorem1_defect(model, taus)
+    assert all(shape[-1] <= TAU_STACK for shape in model.block_shapes)
+    assert sum(shape[-1] for shape in model.block_shapes) == len(taus)
+    assert np.array_equal(defects[::97], [theorem1_defect(model, t) for t in taus[::97]])
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_theorem1_defect_memory_does_not_grow_with_the_grid():
+    model = exchange_model()
+    rho_s = superposition_state()
+    short, long = np.linspace(0.0, 1.0, 2 * TAU_STACK), np.linspace(0.0, 1.0, 64 * TAU_STACK)
+    small = peak_bytes(lambda: theorem1_defect(model, short, rho_s))
+    large = peak_bytes(lambda: theorem1_defect(model, long, rho_s))
+    # the norms take 8 bytes a time; one stack at a time, the temporaries do not grow
+    # (unstacked, the long grid peaks about 7 MB above the short one)
+    assert large - small <= 8 * (len(long) - len(short)) + 32 * 1024
 
 
 def reference_contour_sums(model, rho_s, orders, radius, points):
@@ -421,21 +510,25 @@ def test_contour_fft_matches_per_order_sums(make):
         assert np.max(np.abs(contour_coefficient(model, rho_s, order) - reference)) <= tol
 
 
-def test_odd_contour_matches_per_order_sums():
-    # no contour point is the negative of another, so each inverse is its own
-    model = nonconserving_model()
-    rho_s = superposition_state()
-    expected, largest = reference_contour_sums(model, rho_s, (3,), 0.1, 9)
-    tol = 1e-14 * largest / 0.1**3
-    assert np.max(np.abs(contour_coefficient(model, rho_s, 3, points=9) - expected[0])) <= tol
-
-
 def test_contour_rejects_orders_the_samples_alias():
     model = nonconserving_model()
     with pytest.raises(ValueError, match="contour orders"):
-        contour_coefficient(model, superposition_state(), 8, points=8)
-    with pytest.raises(ValueError, match="contour orders"):
-        tau_expansion(model, superposition_state(), contour_points=4)
+        contour_coefficient(model, superposition_state(), CONTOUR_POINTS)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, math.nan])
+def test_tau_expansion_rejects_a_negative_or_nan_tau(bad):
+    # before anything is evaluated: a negative tau has no log for the slope fit
+    model = counting_copy(nonconserving_model())
+    with pytest.raises(ValueError, match="tau >= 0"):
+        tau_expansion(model, superposition_state(), [bad, 1e-3, 2e-3])
+    assert model.block_shapes == []
+
+
+def test_tau_expansion_accepts_tau_zero():
+    scan = tau_expansion(nonconserving_model(), superposition_state(), np.linspace(0.0, 1e-2, 6))
+    assert scan.defects[0] == 0.0
+    assert scan.fitted_slope == pytest.approx(3.0, abs=0.05)
 
 
 def test_contour_matches_finite_difference_ratio():

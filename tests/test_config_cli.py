@@ -164,6 +164,26 @@ def test_log_times_need_positive_stop(tmp_path, experiment, stop, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+TAU_SCAN_XX = {"system": {"hamiltonian": "qubit(1.0)"}, "experiment": "tau-scan"}
+
+
+@pytest.mark.parametrize(
+    "taus", [[-0.004, -0.002, -0.001, 0.001, 0.002], {"start": -1e-3, "stop": 1e-2, "count": 5}]
+)
+def test_negative_tau_is_schema_error(tmp_path, taus, capfd):
+    # a negative tau has no logarithm for the slope fit
+    with pytest.raises(SchemaError, match="tau_scan.taus: must start at tau >= 0"):
+        parse_config({**TAU_SCAN_XX, "tau_scan": {"taus": taus}})
+    path = write_config(tmp_path, {**TAU_SCAN_XX, "tau_scan": {"taus": taus}})
+    assert main(["tau-scan", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "DLASCL" not in capfd.readouterr().err
+
+
+def test_linear_taus_from_zero_run(tmp_path):
+    path = write_config(tmp_path, {**TAU_SCAN_XX, "tau_scan": {"taus": {"stop": 1e-2, "count": 6}}})
+    assert main(["tau-scan", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_ascending_test_fails_a_nan_time():
     # NaN compares false, so a test written as "no step <= 0" would pass it
     block = {"start": -1.7e308, "stop": 1.7e308, "count": 2}

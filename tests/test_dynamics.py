@@ -22,6 +22,7 @@ from thermolindblad import (
     transport_steady_report,
     vectorize,
 )
+from thermolindblad.dynamics import check_density_matrix
 
 THERMAL_QUBIT_POPULATIONS = (0.7310585786300049, 0.2689414213699951)  # beta=omega=1
 REL_ENTROPY_BIASED_VS_FLAT = 0.3680642071684971  # diag(.9,.1) || diag(.5,.5)
@@ -78,11 +79,19 @@ def test_trajectory_records_hermitization_defects(qubit_generator):
         np.diag([0.6, 0.6]),  # trace 1.2
         np.array([[0.5, 0.9], [0.9, 0.5]]),  # negative eigenvalue
         np.array([[0.5, 0.5j], [0.5j, 0.5]]),  # not Hermitian
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),  # NaN, which compares false
+        np.full((2, 2), np.nan),
     ],
 )
 def test_propagate_rejects_invalid_states(qubit_generator, rho0):
     with pytest.raises(ValueError):
         propagate(qubit_generator.superoperator, np.asarray(rho0, dtype=complex), [1.0])
+
+
+@pytest.mark.parametrize("rho", [[[np.nan, 0.0], [0.0, 1.0]], np.full((2, 2), np.nan), [[0.5, 0.0], [0.0, np.nan]]])
+def test_check_density_matrix_fails_a_nan(rho):
+    with pytest.raises(ValueError, match="state"):
+        check_density_matrix(rho)
 
 
 def random_generator(n, rng):

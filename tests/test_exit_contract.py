@@ -14,6 +14,8 @@ HAMILTONIANS = ["qubit(1.0)", "ladder(3, 1.0)", "qutrit(0, 1, 3)", [[0.5]], [[0.
 STATES = [*STATE_PRESETS, "nonstationary", [[0.6, 0.1], [0.1, 0.4]], [[1.5, 0.0], [0.0, -0.5]]]
 ENV_STATES = ["thermal", "nonstationary", [[0.7, 0.0], [0.0, 0.3]], [[1.5, 0.0], [0.0, -0.5]]]
 BETAS = [0.0, 1.0, 50.0]
+# listed composite times: ascending, with a zero or a negative entry among them
+TIME_LISTS = [[0.1, 1.0], [0.0, 1e-3, 2e-3], [-0.004, -0.002, -0.001, 0.001, 0.002], [-1.0, 0.5]]
 BATH_CONTENTS = [
     {"rates": {"0->1": 1.0}},
     {"rates": {"0->2": 0.5, "1->2": 1.0}},
@@ -40,6 +42,21 @@ baths = st.lists(
     env_state=st.sampled_from(ENV_STATES),
     env_beta=st.sampled_from(BETAS),
     coupling=st.sampled_from(["strict", "nonconserving"]),
+    times=st.sampled_from(TIME_LISTS),
+    taus=st.sampled_from(TIME_LISTS),
+)
+@example(
+    experiment="tau-scan",
+    system="qubit(1.0)",
+    bath_list=[{"beta": 1.0, "rates": {"0->1": 1.0}}],
+    initial_state="superposition",
+    section="tau_scan",
+    environment="qubit(1.0)",
+    env_state="thermal",
+    env_beta=1.0,
+    coupling="nonconserving",
+    times=[0.1, 1.0],
+    taus=[-0.004, -0.002, -0.001, 0.001, 0.002],
 )
 @example(
     experiment="theorem1",
@@ -51,9 +68,11 @@ baths = st.lists(
     env_state="nonstationary",
     env_beta=1.0,
     coupling="nonconserving",
+    times=[0.1, 1.0],
+    taus=[1e-3, 2e-3],
 )
 def test_every_config_exits_with_a_contract_code(
-    experiment, system, bath_list, initial_state, section, environment, env_state, env_beta, coupling
+    experiment, system, bath_list, initial_state, section, environment, env_state, env_beta, coupling, times, taus
 ):
     doc = {
         "system": {"hamiltonian": system},
@@ -66,7 +85,8 @@ def test_every_config_exits_with_a_contract_code(
             "env_beta": env_beta,
             "coupling": coupling,
             "initial_state": initial_state,
-            "times": [0.1, 1.0],
+            "times": times,
+            "taus": taus,
         },
     }
     with tempfile.TemporaryDirectory() as tmp:

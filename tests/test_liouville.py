@@ -10,6 +10,7 @@ from thermolindblad import (
     ThermoSpec,
     assemble_superop,
     build_restricted_generator,
+    choi_matrix,
     conjugation_superop,
     devectorize,
     eigenoperator_basis,
@@ -46,6 +47,14 @@ def test_devectorize_round_trip(rng):
 def test_devectorize_rejects_non_square_length():
     with pytest.raises(ValueError):
         devectorize(np.zeros(5, dtype=complex))
+
+
+def test_devectorize_of_a_stack_matches_per_vector_calls(rng):
+    vecs = random_complex((3, 2, 9), rng)
+    stacked = devectorize(vecs)
+    assert stacked.shape == (3, 2, 3, 3)
+    for idx in np.ndindex(3, 2):
+        assert np.array_equal(stacked[idx], devectorize(vecs[idx]))
 
 
 def test_vectorize_of_product_matches_kron(rng):
@@ -154,6 +163,33 @@ def test_sandwich_sum_matches_kron_reference(n, k, rng):
     assert np.linalg.norm(sandwich_sum(lefts, rights, weights) - reference) < 1e-13 * max(
         1.0, np.linalg.norm(reference)
     )
+
+
+def f_order_choi(lam):
+    """The column-stacking reshuffle as written before choi_matrix took stacks."""
+    n = int(round(np.sqrt(lam.shape[0])))
+    t = lam.reshape((n, n, n, n), order="F")
+    return t.transpose(0, 2, 1, 3).reshape((n * n, n * n), order="F")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 20])
+def test_choi_matrix_equals_the_f_order_formula_and_stacks(n, rng):
+    lam = random_complex((n * n, n * n), rng)
+    assert np.array_equal(choi_matrix(lam), f_order_choi(lam))
+    stack = random_complex((2, 3, n * n, n * n), rng)
+    choi = choi_matrix(stack)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(choi[idx], choi_matrix(stack[idx]))
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 0), (2, 4), (3, 9), (4, 16)])
+def test_sandwich_sum_of_a_stack_matches_per_item_calls(n, k, rng):
+    lefts, rights = random_complex((5, k, n, n), rng), random_complex((5, k, n, n), rng)
+    weights = rng.uniform(size=k)
+    stacked = sandwich_sum(lefts, rights, weights)
+    assert stacked.shape == (5, n * n, n * n)
+    for i in range(5):
+        assert np.array_equal(stacked[i], sandwich_sum(lefts[i], rights[i], weights))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

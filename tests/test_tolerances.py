@@ -35,7 +35,9 @@ FIXED_TOLERANCES = [
     (build_transport_model, "degeneracy_tol"),
     (build_strict_coupling, "degeneracy_tol"),
     (contour_coefficient, "radius"),
+    (contour_coefficient, "points"),
     (tau_expansion, "contour_radius"),
+    (tau_expansion, "contour_points"),
     (run_standard_checks, "times"),
     (parse_matrix, "hermitian"),
 ]
