@@ -377,6 +377,8 @@ def tau_expansion(model, rho_s, taus=None):
     """Scan the commutation defect over small times tau >= 0 and extract its Taylor
     coefficients, comparing the extraction against the trace formulas."""
     taus = np.asarray(DEFAULT_TAU_GRID if taus is None else taus, dtype=float)
+    if not taus.size:
+        raise ValueError("tau_expansion needs a nonempty tau grid")
     if not np.all(taus >= 0):  # written so that a NaN fails it
         raise ValueError(f"tau_expansion needs times tau >= 0, got {taus}")
     h_norm = float(np.abs(model._total_evals).max())

@@ -1,6 +1,7 @@
 """Propagation, stationary states, entropy production, and heat transport."""
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -13,6 +14,7 @@ from .liouville import (
     _conjugated,
     _energy_frame,
     _hermitian_coords,
+    _hermitian_pairs,
     _label_groups,
     _to_frame,
     devectorize,
@@ -56,10 +58,12 @@ class _Sectors:
     not measured: dense and complex.  indices holds one (K, s) array of
     frame indices per block size s.  basis is the basis passed; labels and
     energy_frame = U^dag L U are kept on every route that was measured.
+    superoperator is L itself.
     """
 
     def __init__(self, l_mat, basis=None):
         n2 = l_mat.shape[0]
+        self.superoperator = l_mat
         self.route, self.arithmetic, self.vectors, self.off_sector_norm = "dense", "complex", None, None
         self.frame, self.indices = l_mat, [np.arange(n2)[None]]
         self.basis, self.labels, self.energy_frame = basis, None, None
@@ -80,12 +84,30 @@ class _Sectors:
         groups = _label_groups(labels)
         sizes = sorted({len(g) for g in groups})
         indices = [np.array([g for g in groups if len(g) == s]) for s in sizes]
-        if self.off_sector_norm <= bound and _choi_closed(indices, labels, n):
+        if self.off_sector_norm <= bound and _choi_closed(labels, n):
             self.route, self.vectors, self.frame, self.indices = "sector", vectors, frame, indices
             return
         real = _hermitian_coords(_hermitian_coords(l_mat.conj().T).conj().T)  # T^dag L T
         if np.linalg.norm(real.imag) <= bound:
             self.arithmetic, self.frame = "real", real.real
+
+    @functools.cached_property
+    def upper_weights(self):
+        """On the sector route, when L measurably preserves Hermiticity, the
+        weight of each frame index a + N b in the upper half of a frame
+        state: 1, 1/2 or 0 as a <, = or > b; else None.  L preserves
+        Hermiticity when ||L - P conj(L) P||_F is at most _ROUTE_BOUND *
+        max(1, ||L||_F), P the swap a + N b <-> b + N a (vec(X^dag) = P
+        conj(vec X)).  Measured the first time it is read."""
+        if self.route != "sector":
+            return None
+        l_mat, n = self.superoperator, self.vectors.shape[0]
+        _, _, swap = _hermitian_pairs(n, False)
+        defect = np.linalg.norm(l_mat - l_mat.conj()[swap[:, None], swap[None, :]])
+        if not defect <= _ROUTE_BOUND * max(1.0, np.linalg.norm(l_mat)):
+            return None
+        b, a = np.divmod(np.arange(n * n), n)  # index a + N b
+        return (np.sign(b - a) + 1) / 2
 
     def to_frame(self, x):
         """Standard-frame vectors (the columns of x) in the frame of the route."""
@@ -116,6 +138,31 @@ class _Sectors:
         return out
 
 
+# The split last made without a basis, of a private read-only copy of its
+# L: the next caller given an equal array without a basis (propagate then
+# steady_state, say) reads it instead of splitting again.  Splits in a
+# basis never enter it, so it holds the frame of L's own Hamiltonian part.
+_kept_split = None
+
+
+def _split(l_mat, basis=None):
+    """_Sectors(l_mat, basis), or the kept split when basis is None and
+    l_mat equals its L."""
+    global _kept_split
+    if basis is not None:
+        return _Sectors(l_mat, basis)
+    kept = _kept_split  # read once: another thread may replace it
+    if kept is not None and np.array_equal(kept.superoperator, l_mat):
+        return kept
+    sectors = _Sectors(l_mat.copy())
+    arrays = (sectors.superoperator, sectors.frame, sectors.energy_frame, sectors.labels, sectors.vectors)
+    for array in (*arrays, *sectors.indices):
+        if array is not None:
+            array.flags.writeable = False
+    _kept_split = sectors
+    return sectors
+
+
 def _hamiltonian_part(l_mat, n):
     """H of L = -i[H, .] + D up to a multiple of I: with X_ab = sum_k
     L[a + N k, b + N k], the partial trace of L, H = i(X - X^dag) / (2N).
@@ -133,14 +180,13 @@ def _choi_sources(idx, n):
     return rows % n + n * (cols % n), rows // n + n * (cols // n)
 
 
-def _choi_closed(indices, labels, n):
+def _choi_closed(labels, n):
     # the labels split the Choi matrix too when every map entry behind a
-    # Choi block lies inside one sector of the map
-    for idx in indices:
-        rows, cols = _choi_sources(idx, n)
-        if np.any(labels[rows] != labels[cols]):
-            return False
-    return True
+    # Choi block lies inside one sector of the map: for frame indices a + N b
+    # and c + N d with one label, map entries a + N c and b + N d share one
+    lab = labels.reshape(n, n).T  # lab[a, c] is the label of a + N c
+    same = (labels[:, None] == labels[None, :]).reshape(n, n, n, n)  # axes b, a, d, c
+    return not np.any(same & (lab[None, :, None, :] != lab[:, None, :, None]))
 
 
 class Propagator:
@@ -160,14 +206,15 @@ class Propagator:
     on the sector route) has cond < 1e8, and scaling-and-squaring of each
     block otherwise.  The eigenvalues, the condition number, the route, the
     arithmetic and the off-sector norm are kept, so audits can read them
-    without decomposing L again.
+    without decomposing L again.  Without a basis, the split last made of
+    an equal array is reused (see _split).
     """
 
     def __init__(self, superoperator, basis=None):
         self.superoperator = np.asarray(superoperator, dtype=complex)
         if self.superoperator.ndim != 2 or self.superoperator.shape[0] != self.superoperator.shape[1]:
             raise ValueError(f"superoperator must be square, got {self.superoperator.shape}")
-        self.sectors = _Sectors(self.superoperator, basis)
+        self.sectors = _split(self.superoperator, basis)
         self.route, self.off_sector_norm = self.sectors.route, self.sectors.off_sector_norm
         self.arithmetic = self.sectors.arithmetic
         self._blocks = self.sectors.blocks(self.sectors.frame)
@@ -240,16 +287,44 @@ class Propagator:
             out = self._evolve(self._part(frame_vec), times)
         return self.sectors.to_standard(out)
 
-    def _evolve(self, frame_vec, times):
-        """exp(B t) frame_vec, block by block, for every t in times."""
+    def _evolve(self, frame_vec, times, weights=None):
+        """exp(B t) frame_vec, block by block, for every t in times; with
+        weights, entry i of the result is scaled by weights[i], and the
+        blocks whose weights are all 0 are left 0 without evolving them."""
         if self.diagonalizable:
-            out = np.empty((frame_vec.size, times.size), dtype=frame_vec.dtype)
+            shape = (frame_vec.size, times.size)
+            out = np.empty(shape, frame_vec.dtype) if weights is None else np.zeros(shape, frame_vec.dtype)
             for idx, evals, evecs, inv in zip(self.sectors.indices, self._evals, self._evecs, self._inv):
+                if weights is not None:
+                    kept = weights[idx].any(axis=1)
+                    idx, evals, inv = idx[kept], evals[kept], inv[kept]
+                    evecs = weights[idx][..., None] * evecs[kept]
                 coeffs = inv @ frame_vec[idx][..., None]
                 out[idx] = self._part(evecs @ (np.exp(evals[..., None] * times) * coeffs))
             return out
         maps = [self._frame_map(t) @ frame_vec for t in times]
-        return np.array(maps).reshape(times.size, frame_vec.size).T
+        out = np.array(maps).reshape(times.size, frame_vec.size).T
+        return out if weights is None else out * weights[:, None]
+
+    def _hermitian_states(self, rho, times):
+        """exp(L t) rho for a Hermitian rho at every t in times, as a (T, N,
+        N) stack of exactly Hermitian states, or None unless the sector
+        route measured L Hermiticity preserving (see
+        _Sectors.upper_weights).  The frame state rho'(t) is then Hermitian,
+        so it is U + U^dag for U holding rho'_ab for a < b, rho'_aa / 2 and
+        0 below, and rho(t) = M + M^dag for M = V U V^dag.  Energies ascend,
+        so U lies in the blocks at Bohr frequency >= 0; only those evolve."""
+        weights = self.sectors.upper_weights
+        if weights is None:
+            return None
+        n, vectors = rho.shape[0], self.sectors.vectors
+        upper = self._evolve(self.sectors.to_frame(vectorize(rho)), times, weights)
+        # upper[b, a, t] = U_ab(t), then m[j, i, t] = M_ij(t)
+        m = vectors.conj() @ (vectors @ upper.reshape(n, n, times.size)).reshape(n, -1)
+        m = m.reshape(n, n, times.size)
+        states = np.conjugate(m.transpose(2, 0, 1))
+        states += m.transpose(2, 1, 0)
+        return states
 
 
 def _real_pair_form(evals, evecs):
@@ -287,7 +362,7 @@ def _sectors_of(obj, basis=None):
     """The sector split _propagator_of would read, without decomposing L."""
     if _split_reused(obj, basis):
         return obj.sectors
-    return _Sectors(_superop_of(obj), getattr(obj, "basis", None) if basis is None else basis)
+    return _split(_superop_of(obj), getattr(obj, "basis", None) if basis is None else basis)
 
 
 @dataclass
@@ -298,9 +373,11 @@ class Trajectory:
 
 
 def check_density_matrix(rho):
-    """Validate a density matrix (square, Hermitian, unit trace, PSD, each
-    within STATE_TOL, which a NaN fails) and return its Hermitian part; raises ValueError."""
+    """Validate a density matrix (square, finite, Hermitian, unit trace, PSD,
+    each within STATE_TOL) and return its Hermitian part; raises ValueError."""
     rho = _as_square(rho, "state")
+    if not np.isfinite(rho).all():
+        raise ValueError("state has a non-finite entry")
     herm = np.linalg.norm(rho - rho.conj().T) / 2
     if not herm <= STATE_TOL:
         raise ValueError(f"state is not Hermitian (defect {herm:.3e})")
@@ -320,19 +397,26 @@ def propagate(superoperator, rho0, times):
     superoperator, such as a generator.  The Propagator works by sector
     when L's off-sector norm allows it, in the frame of the object's
     eigenoperator basis if it has one, else of L's own Hamiltonian part.
-    States are re-Hermitized as (rho + rho^dag)/2; the defect removed at
-    each step is recorded in the trajectory.
+    The states are Hermitian exactly where L measurably preserves
+    Hermiticity: on the sector route they are assembled from the blocks at
+    Bohr frequency >= 0 (see Propagator._hermitian_states), on the real
+    dense route they come out of the real coordinates.  Elsewhere they are
+    re-Hermitized as (rho + rho^dag)/2, and the defect removed at each step
+    is recorded in the trajectory (0 on the exact routes).
     """
     rho0 = check_density_matrix(rho0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    n = rho0.shape[0]
-    vecs = _propagator_of(superoperator).apply(vectorize(rho0), times)
-    states = vecs.T.reshape(-1, n, n).swapaxes(1, 2)  # column-stacked, as in devectorize
-    adjoints = states.conj().swapaxes(1, 2)
-    defects = np.linalg.norm(states - adjoints, axis=(1, 2)) / 2
-    if defects.size and defects.max() > 1e-12:
-        log.debug("max hermitization defect along trajectory: %.3e", defects.max())
-    return Trajectory(times=times, states=(states + adjoints) / 2, hermitization_defects=defects)
+    prop = _propagator_of(superoperator)
+    states, defects = prop._hermitian_states(rho0, times), np.zeros(times.size)
+    if states is None:
+        states = devectorize(prop.apply(vectorize(rho0), times).T)
+        if prop.arithmetic == "complex":  # the real route's states are Hermitian exactly
+            adjoints = states.conj().swapaxes(1, 2)
+            defects = np.linalg.norm(states - adjoints, axis=(1, 2)) / 2
+            if defects.size and defects.max() > 1e-12:
+                log.debug("max hermitization defect along trajectory: %.3e", defects.max())
+            states = (states + adjoints) / 2
+    return Trajectory(times=times, states=states, hermitization_defects=defects)
 
 
 def null_dimension(svals):

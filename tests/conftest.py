@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from thermolindblad import ThermoSpec, build_restricted_generator, presets
+from thermolindblad import ThermoSpec, build_restricted_generator, dynamics, presets
+
+
+@pytest.fixture(autouse=True)
+def no_kept_split():
+    """Every test starts without the split dynamics keeps of the last bare array."""
+    dynamics._kept_split = None
 
 
 @pytest.fixture

@@ -525,6 +525,13 @@ def test_tau_expansion_rejects_a_negative_or_nan_tau(bad):
     assert model.block_shapes == []
 
 
+def test_tau_expansion_rejects_an_empty_grid():
+    model = counting_copy(nonconserving_model())
+    with pytest.raises(ValueError, match="nonempty tau grid"):
+        tau_expansion(model, superposition_state(), [])
+    assert model.block_shapes == []
+
+
 def test_tau_expansion_accepts_tau_zero():
     scan = tau_expansion(nonconserving_model(), superposition_state(), np.linspace(0.0, 1e-2, 6))
     assert scan.defects[0] == 0.0

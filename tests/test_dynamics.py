@@ -94,6 +94,16 @@ def test_check_density_matrix_fails_a_nan(rho):
         check_density_matrix(rho)
 
 
+@pytest.mark.parametrize(
+    "rho", [[[np.inf, 0.0], [0.0, 1.0]], [[0.5, -np.inf], [np.inf, 0.5]], [[0.5, 0.0], [0.0, np.nan]]]
+)
+def test_check_density_matrix_names_a_non_finite_state_without_a_warning(rho):
+    # the suite turns warnings into errors, so inf - inf in the Hermiticity
+    # test would surface as a RuntimeWarning instead
+    with pytest.raises(ValueError, match="non-finite"):
+        check_density_matrix(rho)
+
+
 def random_generator(n, rng):
     rates = {(i, j): float(rng.uniform(0.5, 1.5)) for i in range(n) for j in range(i + 1, n)}
     spec = ThermoSpec(hamiltonian=presets.random_hermitian(n, rng), beta=1.0, downward_rates=rates)

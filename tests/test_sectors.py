@@ -4,6 +4,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
@@ -556,8 +558,10 @@ def test_hermitian_coords_match_dense_basis(n, rng):
 
 def complex_path(monkeypatch):
     """Make every route measurement fail, so that L is decomposed whole and
-    complex, as the dense route did before it had a real arithmetic."""
+    complex, as the dense route did before it had a real arithmetic; the
+    kept split of a bare array was measured before, so it goes too."""
     monkeypatch.setattr(dynamics, "_ROUTE_BOUND", -1.0)
+    dynamics._kept_split = None
 
 
 def verdicts(gen, with_basis):
@@ -728,3 +732,229 @@ def test_propagator_split_in_the_basis_is_reused(rng, monkeypatch):
         spectral = check_spectral(prop, basis)
         assert spectral.details["off_sector_norm"] == prop.off_sector_norm
     assert check_structure_support(prop, gen.basis).defect == prop.off_sector_norm
+
+
+# -- one split per bare array ----------------------------------------------------
+
+
+def outcomes(call, l_mat, gen, rho0):
+    """What call gives for the bare array l_mat, as a flat list of values."""
+    if call == "propagate":
+        traj = propagate(l_mat, rho0, np.linspace(0.0, 10.0, 7))
+        return [traj.states, traj.hermitization_defects]
+    if call == "steady_state":
+        ss = steady_state(l_mat)
+        return [ss.rho, ss.unique, ss.residual, ss.null_dimension]
+    if call == "fixed_point":
+        result = check_fixed_point(l_mat, gen.hamiltonian, gen.beta)
+    else:
+        result = check_cptp(l_mat)
+    return [result.passed, result.defect, *result.details.values()]
+
+
+def assert_identical(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
+
+
+def without_kept_split(call, l_mat, gen, rho0):
+    """outcomes(...) from a fresh split; the kept split is left as it was."""
+    kept = dynamics._kept_split
+    dynamics._kept_split = None
+    try:
+        return outcomes(call, l_mat, gen, rho0)
+    finally:
+        dynamics._kept_split = kept
+
+
+def count_splits(monkeypatch):
+    splits = []
+
+    class CountingSectors(dynamics._Sectors):
+        def __init__(self, l_mat, basis=None):
+            splits.append(basis)
+            super().__init__(l_mat, basis)
+
+    monkeypatch.setattr(dynamics, "_Sectors", CountingSectors)
+    return splits
+
+
+CALLS = ("propagate", "steady_state", "fixed_point", "cptp")
+MEMO_INPUTS = {
+    "random": INPUTS["random5"],
+    "ladder": INPUTS["ladder4"],
+    "n1": INPUTS["n1"],
+    "foreign": lambda rng: foreign(3, rng),
+    "kicked": lambda rng: perturbed(restricted(presets.random_hermitian(3, rng), 1.0, rng)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_INPUTS))
+def test_kept_split_serves_every_caller_of_the_same_array(name, rng, monkeypatch):
+    gen = MEMO_INPUTS[name](rng)
+    l_mat, rho0 = gen.superoperator, presets.random_density_matrix(gen.basis.n_levels, rng)
+    expected = {call: without_kept_split(call, l_mat, gen, rho0) for call in CALLS}
+    splits = count_splits(monkeypatch)
+    dynamics._kept_split = None
+    for call in CALLS:
+        assert_identical(outcomes(call, l_mat, gen, rho0), expected[call])
+    assert splits == [None]
+
+
+def test_array_changed_in_place_is_split_again(rng, monkeypatch):
+    gen = INPUTS["random4"](rng)
+    l_mat, rho0 = gen.superoperator.copy(), presets.random_density_matrix(4, rng)
+    splits = count_splits(monkeypatch)
+    steady_state(l_mat)
+    l_mat *= 2.0
+    changed = outcomes("propagate", l_mat, gen, rho0)
+    assert len(splits) == 2
+    assert_identical(changed, without_kept_split("propagate", l_mat, gen, rho0))
+    np.testing.assert_array_equal(dynamics._kept_split.superoperator, l_mat)
+
+
+def test_alternating_arrays_each_give_their_own_results(rng):
+    gens = [INPUTS["random4"](rng), INPUTS["ladder4"](rng)]
+    rho0 = presets.random_density_matrix(4, rng)
+    for gen in gens + gens + gens[::-1]:
+        for call in CALLS:
+            expected = without_kept_split(call, gen.superoperator, gen, rho0)
+            assert_identical(outcomes(call, gen.superoperator, gen, rho0), expected)
+
+
+_POOL_RNG = np.random.default_rng(7)
+MEMO_POOL = [MEMO_INPUTS[name](_POOL_RNG) for name in ("random", "ladder", "foreign")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(CALLS), st.integers(0, len(MEMO_POOL) - 1), st.sampled_from([None, 0.5, 2.0])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_interleaved_callers_get_fresh_split_results(steps):
+    # each step calls on one array of the pool, then may scale one in place
+    dynamics._kept_split = None
+    arrays = [gen.superoperator.copy() for gen in MEMO_POOL]
+    rng = np.random.default_rng(0)
+    states = [presets.random_density_matrix(gen.basis.n_levels, rng) for gen in MEMO_POOL]
+    for call, k, factor in steps:
+        result = outcomes(call, arrays[k], MEMO_POOL[k], states[k])
+        assert_identical(result, without_kept_split(call, arrays[k], MEMO_POOL[k], states[k]))
+        if factor is not None:
+            arrays[k] *= factor
+
+
+@pytest.mark.parametrize("name", ["random", "foreign"])
+def test_kept_split_is_read_only_and_owns_its_arrays(name, rng):
+    gen = MEMO_INPUTS[name](rng)
+    l_mat = gen.superoperator
+    steady_state(l_mat)
+    kept = dynamics._kept_split
+    arrays = [kept.superoperator, kept.frame, kept.energy_frame, kept.labels, kept.vectors, *kept.indices]
+    assert (kept.route == "sector") == (name == "random")
+    for array in arrays:
+        if array is not None:
+            assert not array.flags.writeable
+            assert not np.shares_memory(array, l_mat)
+            with pytest.raises(ValueError):
+                array.flat[0] = array.flat[0]
+
+
+def test_splits_in_a_basis_are_not_kept(rng, monkeypatch):
+    gen = INPUTS["random4"](rng)
+    rho0 = presets.random_density_matrix(4, rng)
+    propagate(gen, rho0, [1.0])
+    run_standard_checks(gen)
+    Propagator(gen.superoperator, gen.basis)
+    assert dynamics._kept_split is None
+    steady_state(gen.superoperator)
+    kept = dynamics._kept_split
+    splits = count_splits(monkeypatch)
+    # an equal array in a basis is split in that basis, and the kept split stays
+    assert Propagator(gen.superoperator, gen.basis).sectors.basis is gen.basis
+    assert splits == [gen.basis] and dynamics._kept_split is kept
+
+
+def test_audits_do_not_measure_hermiticity_preservation(rng):
+    gen = INPUTS["random4"](rng)
+    for prop in (Propagator(gen.superoperator, gen.basis), Propagator(gen.superoperator)):
+        check_cptp(prop)
+        check_spectral(prop)
+        assert "upper_weights" not in vars(prop.sectors)
+
+
+# -- states Hermitian by construction on the sector route -------------------------
+
+
+def near_defective_hermitian_sector_propagator():
+    """As near_defective_sector_propagator, with the mirror Jordan block in
+    the mirror sector, so that L preserves Hermiticity and every block
+    takes expm."""
+    n = 3
+    basis = eigenoperator_basis(np.diag([0.0, 0.0, 1.0]).astype(complex))
+    swap = np.arange(n * n).reshape(n, n).T.ravel()
+    frame = np.diag(-1.0 - np.minimum(np.arange(n * n), swap)).astype(complex)
+    # |2><0| and |2><1| at frequency -1, |0><2| and |1><2| at +1
+    frame[2, 5], frame[6, 7] = 1.0, 1.0
+    frame[5, 5] = frame[6, 6] = frame[7, 7] = frame[2, 2]
+    u = np.kron(basis.spectrum.vectors.conj(), basis.spectrum.vectors)
+    return types.SimpleNamespace(basis=basis, superoperator=u @ frame @ u.conj().T)
+
+
+HERMITIAN_SECTOR_INPUTS = {
+    "random": INPUTS["random6"],
+    "ladder": lambda rng: restricted(presets.ladder(5, 1.0), 0.9, rng, alpha=False),
+    "mixing": INPUTS["ladder6"],
+    "dephasing": lambda rng: dephasing_only(np.diag([0.0, 0.0, 1.0, 2.5]), rng),
+    "n1": INPUTS["n1"],
+    "beta0": INPUTS["beta0"],
+    "expm": lambda rng: near_defective_hermitian_sector_propagator(),
+}
+
+
+@pytest.mark.parametrize(
+    "name, with_basis",
+    # the Jordan input has no Hamiltonian part to find its frame by
+    [(name, True) for name in sorted(HERMITIAN_SECTOR_INPUTS)]
+    + [(name, False) for name in sorted(HERMITIAN_SECTOR_INPUTS) if name != "expm"],
+)
+def test_sector_states_are_hermitian_by_construction(name, with_basis, rng):
+    gen = HERMITIAN_SECTOR_INPUTS[name](rng)
+    l_mat = gen.superoperator
+    n = gen.basis.n_levels
+    prop = Propagator(l_mat, gen.basis if with_basis else None)
+    assert prop.route == "sector" and prop.sectors.upper_weights is not None
+    assert prop.diagonalizable == (name != "expm")
+    rho0 = presets.random_density_matrix(n, rng)
+    times = np.linspace(0.0, 30.0, 16)
+    traj = propagate(prop, rho0, times)
+    np.testing.assert_array_equal(traj.states, traj.states.conj().swapaxes(1, 2))
+    assert not traj.hermitization_defects.any()
+    bound = 1e-12 * max(1.0, np.linalg.norm(l_mat))
+    assert np.max(np.abs(traj.states - dense_states(l_mat, rho0, times))) <= bound
+    assert propagate(prop, rho0, []).states.shape == (0, n, n)
+
+
+def test_sector_l_that_breaks_hermiticity_keeps_the_pass(rng):
+    # X -> A X, A diagonal and complex in the energy basis, keeps every
+    # Bohr-frequency sector but maps a Hermitian X to a non-Hermitian one
+    gen = INPUTS["random4"](rng)
+    vectors = gen.basis.spectrum.vectors
+    a = vectors @ np.diag(0.3j * rng.normal(size=4)) @ vectors.conj().T
+    l_mat = gen.superoperator + assemble_superop("left", a)
+    for prop in (Propagator(l_mat, gen.basis), Propagator(l_mat)):
+        assert prop.route == "sector" and prop.sectors.upper_weights is None
+        rho0 = presets.random_density_matrix(4, rng)
+        times = np.linspace(0.0, 3.0, 7)
+        traj = propagate(prop, rho0, times)
+        vecs = expm(l_mat * times[:, None, None]) @ vectorize(rho0)
+        raw = vecs.reshape(-1, 4, 4).swapaxes(1, 2)
+        defects = np.linalg.norm(raw - raw.conj().swapaxes(1, 2), axis=(1, 2)) / 2
+        bound = 1e-12 * max(1.0, np.linalg.norm(l_mat))
+        assert defects.max() > 1e-3
+        assert np.max(np.abs(traj.hermitization_defects - defects)) <= bound
+        assert np.max(np.abs(traj.states - dense_states(l_mat, rho0, times))) <= bound
