@@ -82,8 +82,8 @@ def fix_detailed_balance(gamma_down, omega, beta):
         raise ValueError(f"downward rate must be finite and nonnegative, got {gamma_down}")
     if not omega > 0:
         raise ValueError(f"detailed balance needs a strictly positive Bohr frequency, got {omega}")
-    if beta < 0:
-        raise ValueError(f"inverse temperature must be nonnegative, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"inverse temperature must be finite and nonnegative, got {beta}")
     return RatePair(omega=float(omega), gamma_down=float(gamma_down),
                     gamma_up=float(gamma_down) * math.exp(-beta * omega))
 
@@ -237,8 +237,8 @@ def _build_restricted_generator(spec, basis=None):
     """build_restricted_generator on a given eigenoperator basis of
     spec.hamiltonian (at spec.degeneracy_tol), so that several generators
     of one Hamiltonian share one decomposition; None computes it."""
-    if spec.beta < 0:
-        raise ValueError(f"inverse temperature must be nonnegative, got {spec.beta}")
+    if not 0 <= spec.beta < math.inf:
+        raise ValueError(f"inverse temperature must be finite and nonnegative, got {spec.beta}")
     if basis is None:
         basis = eigenoperator_basis(spec.hamiltonian, spec.degeneracy_tol)
     n = basis.n_levels

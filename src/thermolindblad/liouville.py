@@ -7,7 +7,10 @@ flattened to vectors of length N^2 by column stacking,
 
 so that vec(A X B) = (B^T kron A) vec(X) with the standard Kronecker
 product.  Superoperators are then ordinary (N^2 x N^2) matrices acting on
-vectorized operators.  Units are hbar = k_B = 1 throughout.
+vectorized operators.  L[a + N b, c + N d] reads as T[b, a, d, c] of
+T = L.reshape(N, N, N, N); Kronecker sums are written onto index diagonals
+of T, and a change of frame is one (N^3 x N) . (N x N) product per index
+factor.  Units are hbar = k_B = 1 throughout.
 """
 from __future__ import annotations
 
@@ -89,25 +92,24 @@ def assemble_superop(kind, a, b=None):
         raise ValueError(f"unknown superoperator kind {kind!r}; expected one of {_SUPEROP_KINDS}")
     a = _as_square(a)
     n = a.shape[0]
-    eye = np.eye(n)
     if kind == "sandwich":
         if b is None:
             raise ValueError("sandwich superoperator needs both factors")
         b = _as_square(b)
         if b.shape != a.shape:
             raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-        return np.kron(b.T, a)
+        return (b.T[:, None, :, None] * a[None, :, None, :]).reshape(n * n, n * n)  # kron(b^T, a)
     if b is not None:
         raise ValueError(f"kind {kind!r} takes a single operator")
-    if kind == "left":
-        return np.kron(eye, a)
-    if kind == "right":
-        return np.kron(a.T, eye)
-    if kind == "commutator":
-        return np.kron(eye, a) - np.kron(a.T, eye)
-    if kind == "anticommutator":
-        return np.kron(eye, a) + np.kron(a.T, eye)
-    return gkls_dissipator(a[None], [1.0])
+    if kind == "dissipator_term":
+        return gkls_dissipator(a[None], [1.0])
+    # X -> a X adds a onto T[i, :, i, :], X -> X a adds a^T onto T[:, i, :, i]
+    out, i = np.zeros((n, n, n, n), dtype=complex), np.arange(n)
+    if kind != "right":
+        out[i, :, i, :] += a
+    if kind != "left":
+        out[:, i, :, i] += -a.T if kind == "commutator" else a.T
+    return out.reshape(n * n, n * n)
 
 
 def sandwich_sum(lefts, rights, weights):
@@ -128,13 +130,13 @@ def gkls_dissipator(operators, rates):
     n = ops.shape[-1]
     jumps = sandwich_sum(ops, ops.conj().transpose(0, 2, 1), rates)
     decay = jumps[:: n + 1].sum(axis=0).reshape(n, n)
-    return jumps - 0.5 * (np.kron(decay.T, np.eye(n)) + np.kron(np.eye(n), decay))
+    return jumps - 0.5 * assemble_superop("anticommutator", decay)
 
 
 def conjugation_superop(u):
     """Superoperator of X -> u X u^dag."""
     u = _as_square(u)
-    return np.kron(u.conj(), u)
+    return assemble_superop("sandwich", u, u.conj().T)
 
 
 def change_basis(superoperator, ops):
@@ -284,18 +286,25 @@ def _label_groups(labels):
     return [order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
+def _factor_products(x, factors):
+    """For each N x N factor f in turn: sum the leading index of x against the rows of f, put last."""
+    for f in factors:
+        x = x.reshape(f.shape[0], -1).T @ f
+    return x
+
+
 def _to_frame(x, w):
     """K^dag x for K = kron(conj(w), w), the superoperator of X -> w X w^dag:
     each column of x, read as a column-stacked X, becomes vec(w^dag X w).
-    Batched N x N products cost O(N^3) per column, where K costs O(N^4)."""
-    n = w.shape[0]
-    transposed = x.T.reshape(-1, n, n)  # entry j is X_j^T
-    return (w.T @ transposed @ w.conj()).reshape(x.shape[::-1]).T
+    Two products contract the row factors b and a of x, O(N^3) per column
+    where K costs O(N^4)."""
+    return _factor_products(x, (w, w.conj())).reshape(x.shape[::-1]).T
 
 
 def _conjugated(mat, w):
-    """K^dag M K, for K as in _to_frame."""
-    return _to_frame(_to_frame(mat, w).conj().T, w).conj().T
+    """K^dag M K, for K as in _to_frame: factors b, a, d, c of M[a + N b, c + N d]
+    contracted with w, conj(w), conj(w), w."""
+    return _factor_products(mat, (w, w.conj(), w.conj(), w)).reshape(mat.shape)
 
 
 def _hermitian_coords(x, inverse=False):

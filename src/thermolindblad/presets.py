@@ -44,8 +44,8 @@ def coupled_qubits(omega_1=1.0, omega_2=1.0, g=0.2):
 def thermal_state(hamiltonian, beta):
     """Gibbs state exp(-beta H)/Z, computed stably in the eigenbasis."""
     h = np.asarray(hamiltonian, dtype=complex)
-    if beta < 0:
-        raise ValueError(f"inverse temperature must be nonnegative, got {beta}")
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"inverse temperature must be finite and nonnegative, got {beta}")
     energies, vectors = np.linalg.eigh(h)
     weights = np.exp(-beta * (energies - energies.min()))
     weights /= weights.sum()

@@ -222,6 +222,85 @@ def test_conjugation_superop_matches_sandwich(rng):
     assert np.allclose(_apply(conjugation_superop(u), x), u @ x @ u.conj().T, atol=1e-12)
 
 
+# -- index-factor kernels against np.kron oracles ---------------------------
+
+
+def drawn_array(shape, dtype, layout, rng):
+    """A random complex, real or integer array in C order, F order or as the
+    transposed view of a C-order array."""
+    if dtype == "int":
+        x = rng.integers(-5, 6, size=shape[::-1] if layout == "T" else shape)
+    else:
+        x = rng.normal(size=shape[::-1] if layout == "T" else shape)
+        if dtype == "complex":
+            x = x + 1j * rng.normal(size=x.shape)
+    return {"C": x, "F": np.asfortranarray(x), "T": x.T}[layout]
+
+
+KERNEL_INPUTS = dict(
+    n=st.integers(min_value=1, max_value=7),
+    dtype=st.sampled_from(["complex", "real", "int"]),
+    layout=st.sampled_from(["C", "F", "T"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def frame_unitary(n, adjoint, rng):
+    """A random unitary, or the adjoint view of one, as Propagator.to_standard passes it."""
+    w = presets.random_unitary(n, rng)
+    return w.conj().T if adjoint else w
+
+
+@given(adjoint=st.booleans(), **KERNEL_INPUTS)
+@settings(max_examples=60, deadline=None)
+def test_conjugated_matches_the_kron_oracle(n, dtype, layout, adjoint, seed):
+    rng = np.random.default_rng(seed)
+    w = frame_unitary(n, adjoint, rng)
+    m = drawn_array((n * n, n * n), dtype, layout, rng)
+    k = np.kron(w.conj(), w)
+    got = liouville._conjugated(m, w)
+    assert got.shape == m.shape
+    assert np.linalg.norm(got - k.conj().T @ m @ k) <= 1e-14 * max(1.0, np.linalg.norm(m))
+
+
+@given(adjoint=st.booleans(), columns=st.integers(min_value=1, max_value=5), **KERNEL_INPUTS)
+@settings(max_examples=60, deadline=None)
+def test_to_frame_matches_the_kron_oracle(n, dtype, layout, adjoint, columns, seed):
+    rng = np.random.default_rng(seed)
+    w = frame_unitary(n, adjoint, rng)
+    x = drawn_array((n * n, columns), dtype, layout, rng)
+    expected = np.kron(w.conj(), w).conj().T @ x
+    assert np.linalg.norm(liouville._to_frame(x, w) - expected) <= 1e-14 * max(1.0, np.linalg.norm(x))
+    # a single vector takes the same path as a one-column stack
+    assert np.array_equal(liouville._to_frame(x[:, 0], w), liouville._to_frame(x[:, :1], w)[:, 0])
+
+
+@given(**KERNEL_INPUTS)
+@settings(max_examples=60, deadline=None)
+def test_superoperators_equal_their_kron_formulas(n, dtype, layout, seed):
+    rng = np.random.default_rng(seed)
+    a_in, b_in = (drawn_array((n, n), dtype, layout, rng) for _ in range(2))
+    a, b = np.asarray(a_in, dtype=complex), np.asarray(b_in, dtype=complex)
+    eye = np.eye(n)
+    formulas = {
+        "left": np.kron(eye, a),
+        "right": np.kron(a.T, eye),
+        "commutator": np.kron(eye, a) - np.kron(a.T, eye),
+        "anticommutator": np.kron(eye, a) + np.kron(a.T, eye),
+    }
+    for kind, expected in formulas.items():
+        assert np.array_equal(assemble_superop(kind, a_in), expected), kind
+    assert np.array_equal(assemble_superop("sandwich", a_in, b_in), np.kron(b.T, a))
+    assert np.array_equal(conjugation_superop(a_in), np.kron(a.conj(), a))
+    ops = np.stack([a, b])
+    rates = [0.7, 1.3]
+    jumps = sandwich_sum(ops, ops.conj().transpose(0, 2, 1), rates)
+    decay = jumps[:: n + 1].sum(axis=0).reshape(n, n)
+    expected = jumps - 0.5 * (np.kron(decay.T, eye) + np.kron(eye, decay))
+    assert np.array_equal(gkls_dissipator(ops, rates), expected)
+    assert np.array_equal(assemble_superop("dissipator_term", a_in), gkls_dissipator(a[None], [1.0]))
+
+
 # -- eigenoperator basis -----------------------------------------------------
 
 
