@@ -87,7 +87,7 @@ def _generator_summary(gen, evals):
     return {
         "dim": gen.dim,
         "beta": gen.beta,
-        "positive_bohr_frequencies": sorted({t.omega for t in gen.basis.transitions if t.omega > 0}),
+        "positive_bohr_frequencies": sorted({w for w in gen.basis.omegas.tolist() if w > 0}),
         "jump_terms": [{"omega": t.omega, "rate": t.rate} for t in gen.jump_terms],
         "dephasing_weights": [t.weight for t in gen.dephasing_terms],
         "eigenvalues": evals[np.lexsort((evals.imag, -evals.real))],

@@ -549,13 +549,10 @@ def _bath_rates(bath, basis):
     rates = dict(bath.downward_rates or {})
     if bath.rate_function is not None:
         tol = basis.spectrum.degeneracy_tol
-        for k in range(basis.n_positive):
-            tr = basis.transitions[k]
-            if tr.omega <= tol:
-                continue
-            key = (tr.n, tr.m)
-            if key not in rates:
-                rates[key] = kms_rates(bath.rate_function, tr.omega, bath.beta).gamma_down
+        rows, cols = basis.transition_pairs
+        for key, omega in zip(zip(rows.tolist(), cols.tolist()), basis.omegas[: basis.n_positive].tolist()):
+            if omega > tol and key not in rates:
+                rates[key] = kms_rates(bath.rate_function, omega, bath.beta).gamma_down
     return rates
 
 

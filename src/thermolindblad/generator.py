@@ -155,11 +155,11 @@ def dephasing_from_alpha(alpha, projectors):
 class ThermoSpec:
     """Recipe for a thermodynamically restricted generator.
 
-    downward_rates maps level pairs (n, m) with n < m (so omega > 0) to
-    the downward rate on that transition; the upward partner is added
-    automatically by detailed balance.  alpha, if given, is the real
-    symmetric PSD dephasing matrix over energy projectors.
-    degenerate_mixing maps a Bohr frequency to a mixing matrix y applied
+    downward_rates maps level pairs (n, m), tuples of two ints with n < m
+    (so omega > 0), to the real downward rate on that transition; the
+    upward partner is added automatically by detailed balance.  alpha, if
+    given, is the real symmetric PSD dephasing matrix over energy projectors.
+    degenerate_mixing maps a Bohr frequency to a finite mixing matrix y applied
     within that frequency's degeneracy group: jump k of the group becomes
     Y_k = sum_i y[k, i] F_i and carries the downward rate of F_k, where
     F_0, F_1, ... are the group's transitions |n><m| (n < m) in ascending
@@ -196,19 +196,20 @@ def _resolve_mixing_groups(basis, degenerate_mixing):
     if not degenerate_mixing:
         return {}
     groups = basis.positive_degeneracy_groups()
+    omegas = basis.omegas.tolist()
     tol = basis.spectrum.degeneracy_tol
     resolved = {}
     for omega_key, y in degenerate_mixing.items():
         matches = [
             tuple(g) for g in groups
-            if abs(basis.transitions[g[0]].omega - float(omega_key)) <= max(tol, 1e-9 * abs(float(omega_key)))
+            if abs(omegas[g[0]] - float(omega_key)) <= max(tol, 1e-9 * abs(float(omega_key)))
         ]
         if not matches:
             raise ValueError(f"no degeneracy group at Bohr frequency {omega_key}")
         if len(matches) > 1:
             raise ValueError(f"mixing frequency {omega_key} is ambiguous")
         group = matches[0]
-        omega = basis.transitions[group[0]].omega
+        omega = omegas[group[0]]
         if omega <= tol:
             raise ValueError(
                 f"mixing frequency {omega_key} is a zero Bohr frequency (omega={omega:.3e}); "
@@ -219,6 +220,8 @@ def _resolve_mixing_groups(basis, degenerate_mixing):
             raise ValueError(
                 f"mixing matrix for omega={omega_key} must be {len(group)}x{len(group)}, got {y.shape}"
             )
+        if not np.isfinite(y).all():
+            raise ValueError(f"mixing matrix for omega={omega_key} must be finite")
         resolved[group] = y
     return resolved
 
@@ -236,31 +239,34 @@ def build_restricted_generator(spec):
 def _build_restricted_generator(spec, basis=None):
     """build_restricted_generator on a given eigenoperator basis of
     spec.hamiltonian (at spec.degeneracy_tol), so that several generators
-    of one Hamiltonian share one decomposition; None computes it."""
+    of one Hamiltonian share one decomposition; None computes it.  Only the
+    basis's arrays are read: no Transition or invariant operator is made."""
     if not 0 <= spec.beta < math.inf:
         raise ValueError(f"inverse temperature must be finite and nonnegative, got {spec.beta}")
     if basis is None:
         basis = eigenoperator_basis(spec.hamiltonian, spec.degeneracy_tol)
     n = basis.n_levels
     tol = basis.spectrum.degeneracy_tol
+    omegas = basis.omegas.tolist()
+    rows, cols = basis.transition_pairs
 
     rates = {}
     for key, gamma in spec.downward_rates.items():
-        pair = tuple(int(x) for x in key)
-        if len(pair) != 2:
-            raise ValueError(f"rate key must be a level pair, got {key!r}")
-        lo, hi = pair
+        # a level is an int or a numpy integer, not a bool
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(type(x) is int or isinstance(x, np.integer) for x in key)):
+            raise ValueError(f"rate key must be a pair of integer levels, got {key!r}")
+        lo, hi = pair = int(key[0]), int(key[1])
         if not (0 <= lo < hi < n):
             raise ValueError(f"rate key {pair} is not a valid upward-ordered level pair for {n} levels")
         k = basis.transition_index(lo, hi)
-        omega = basis.transitions[k].omega
-        if omega <= tol:
+        if omegas[k] <= tol:
             raise ValueError(
-                f"transition {pair} has zero Bohr frequency (omega={omega:.3e}); "
+                f"transition {pair} has zero Bohr frequency (omega={omegas[k]:.3e}); "
                 "zero-frequency transitions carry no rate"
             )
-        if not math.isfinite(gamma) or gamma < 0:
-            raise ValueError(f"rate for {pair} must be finite and nonnegative, got {gamma}")
+        if not isinstance(gamma, (int, float, np.integer, np.floating)) or not math.isfinite(gamma) or gamma < 0:
+            raise ValueError(f"rate for {pair} must be a finite and nonnegative real number, got {gamma!r}")
         rates[k] = float(gamma)
 
     mixing = _resolve_mixing_groups(basis, spec.degenerate_mixing)
@@ -270,20 +276,19 @@ def _build_restricted_generator(spec, basis=None):
 
     jump_terms = []
     for group, y in mixing.items():
-        y_ops = np.tensordot(y, np.stack([basis.transitions[k].operator for k in group]), axes=1)
+        y_ops = np.tensordot(y, basis.outers[rows[list(group)], cols[list(group)]], axes=1)
         for k, y_op in zip(group, y_ops):
-            pair = fix_detailed_balance(rates.get(k, 0.0), basis.transitions[k].omega, spec.beta)
+            pair = fix_detailed_balance(rates.get(k, 0.0), omegas[k], spec.beta)
             jump_terms.append(JumpTerm(operator=y_op, rate=pair.gamma_down, omega=pair.omega))
             jump_terms.append(JumpTerm(operator=y_op.conj().T, rate=pair.gamma_up, omega=-pair.omega))
 
     for k, gamma_down in sorted(rates.items()):
         if k in mixed_members:
             continue
-        tr = basis.transitions[k]
-        pair = fix_detailed_balance(gamma_down, tr.omega, spec.beta)
-        adjoint = basis.transitions[basis.conjugate_index(k)]
-        jump_terms.append(JumpTerm(operator=tr.operator, rate=pair.gamma_down, omega=tr.omega))
-        jump_terms.append(JumpTerm(operator=adjoint.operator, rate=pair.gamma_up, omega=adjoint.omega))
+        pair = fix_detailed_balance(gamma_down, omegas[k], spec.beta)
+        i, j = rows[k], cols[k]
+        jump_terms.append(JumpTerm(operator=basis.outers[i, j], rate=pair.gamma_down, omega=pair.omega))
+        jump_terms.append(JumpTerm(operator=basis.outers[j, i], rate=pair.gamma_up, omega=-pair.omega))
 
     dephasing_terms = []
     if spec.alpha is not None:

@@ -188,13 +188,15 @@ class Transition:
 
 @dataclass
 class EigenoperatorBasis:
-    """Operator basis adapted to a system Hamiltonian.
+    """Operator basis adapted to a system Hamiltonian, held as arrays.
 
-    transitions holds all N(N-1) ordered-pair eigenoperators: the first
-    N(N-1)/2 entries are the pairs (n, m) with n < m in lexicographic
-    order, followed by their adjoints in matching order.  invariants
-    holds the N-1 traceless orthonormal diagonal operators (diagonal
-    Gell-Mann matrices in the energy eigenbasis) plus I/sqrt(N) last.
+    outers[i, j] = |v_i><v_j| (an (N, N, N, N) array).  Transition k is |n><m|,
+    (n, m) = (rows[k], cols[k]) of transition_pairs, at omegas[k] = E_m - E_n:
+    the pairs n < m in lexicographic order, then their adjoints in matching
+    order.  transitions (Transitions over views of outers), projectors and
+    invariants (the N-1 traceless orthonormal diagonal operators, diagonal
+    Gell-Mann matrices in the energy eigenbasis, then I/sqrt(N)) are made on
+    first read and kept.
 
     sector_labels is the one Bohr-frequency partition of the operator
     space: entry a + N b labels the energy-frame operator |a><b| by its
@@ -207,20 +209,50 @@ class EigenoperatorBasis:
     """
 
     spectrum: Spectrum
-    projectors: list = field(repr=False)
-    transitions: list = field(repr=False)
-    invariants: list = field(repr=False)
+    outers: np.ndarray = field(repr=False)
     degeneracy_groups: list
     sector_labels: np.ndarray = field(repr=False)
 
     @property
     def n_levels(self):
-        return len(self.projectors)
+        return self.spectrum.energies.size
 
     @property
     def n_positive(self):
         """Number of transitions with n < m (the nonnegative-frequency half)."""
-        return len(self.transitions) // 2
+        return self.n_levels * (self.n_levels - 1) // 2
+
+    @property
+    def transition_pairs(self):
+        return _transition_pairs(self.n_levels)
+
+    @property
+    def omegas(self):
+        rows, cols = self.transition_pairs
+        return self.spectrum.energies[cols] - self.spectrum.energies[rows]
+
+    @functools.cached_property
+    def transitions(self):
+        rows, cols = self.transition_pairs
+        return [Transition(i, j, float(w), self.outers[i, j])
+                for i, j, w in zip(rows.tolist(), cols.tolist(), self.omegas)]
+
+    @functools.cached_property
+    def projectors(self):
+        return list(self.outers[np.diag_indices(self.n_levels)])
+
+    @functools.cached_property
+    def invariants(self):
+        vectors, n = self.spectrum.vectors, self.n_levels
+        invariants = []
+        for l in range(1, n):
+            coeffs = np.zeros(n)
+            coeffs[:l] = 1.0
+            coeffs[l] = -float(l)
+            coeffs /= np.sqrt(l * (l + 1))
+            invariants.append(vectors @ np.diag(coeffs) @ vectors.conj().T)
+        invariants.append(np.eye(n, dtype=complex) / np.sqrt(n))
+        return invariants
 
     def transition_index(self, n, m):
         if n == m or not (0 <= n < self.n_levels and 0 <= m < self.n_levels):
@@ -251,10 +283,21 @@ class EigenoperatorBasis:
 
     def full_basis(self):
         """All N^2 basis operators: transitions, then invariants (identity last)."""
-        return list(self.transitions_ops()) + list(self.invariants)
+        return self.transitions_ops() + list(self.invariants)
 
     def transitions_ops(self):
-        return [t.operator for t in self.transitions]
+        return [self.outers[i, j] for i, j in zip(*self.transition_pairs)]
+
+
+@functools.lru_cache(maxsize=None)
+def _transition_pairs(n):
+    """(rows, cols) of the N(N-1) transitions |rows[k]><cols[k]|: the pairs
+    n < m in lexicographic order, then their adjoints in matching order."""
+    lo, hi = np.triu_indices(n, 1)
+    pairs = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    for arr in pairs:
+        arr.flags.writeable = False
+    return pairs
 
 
 def _fix_phases(vectors):
@@ -358,8 +401,10 @@ def _energy_frame(h, degeneracy_tol=None):
 
 
 def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
-    """Decompose a Hermitian H into projectors, transition eigenoperators,
-    and the unitary-invariant (diagonal) basis.
+    """Decompose a Hermitian H into its eigenoperator basis: the spectrum,
+    the array of outer products |v_i><v_j| and the Bohr-frequency labels.
+    Only arrays are formed; no Transition or invariant operator is made
+    until the basis's attribute is read.
 
     Parameters
     ----------
@@ -374,35 +419,12 @@ def eigenoperator_basis(hamiltonian, degeneracy_tol=None):
     """
     h = hermitian_operator(hamiltonian, "hamiltonian")
     spectrum, labels = _energy_frame((h + h.conj().T) / 2, degeneracy_tol)
-    energies, vectors = spectrum.energies, spectrum.vectors
-    n = energies.size
-
-    # outers[i, j] = |v_i><v_j|, the same elementwise product np.outer forms
-    outers = vectors.T[:, None, :, None] * vectors.T.conj()[None, :, None, :]
-    projectors = list(outers[np.arange(n), np.arange(n)])
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    transitions = [
-        Transition(n=i, m=j, omega=float(energies[j] - energies[i]), operator=outers[i, j])
-        for (i, j) in pairs + [(j, i) for (i, j) in pairs]
-    ]
-
-    invariants = []
-    for l in range(1, n):
-        coeffs = np.zeros(n)
-        coeffs[:l] = 1.0
-        coeffs[l] = -float(l)
-        coeffs /= np.sqrt(l * (l + 1))
-        invariants.append(vectors @ np.diag(coeffs) @ vectors.conj().T)
-    invariants.append(np.eye(n, dtype=complex) / np.sqrt(n))
-
-    groups = _label_groups(labels[[t.n + n * t.m for t in transitions]])
-
+    v = spectrum.vectors
+    rows, cols = _transition_pairs(len(v))
     return EigenoperatorBasis(
         spectrum=spectrum,
-        projectors=projectors,
-        transitions=transitions,
-        invariants=invariants,
-        degeneracy_groups=groups,
+        # outers[i, j] = |v_i><v_j|, the same elementwise product np.outer forms
+        outers=v.T[:, None, :, None] * v.T.conj()[None, :, None, :],
+        degeneracy_groups=_label_groups(labels[rows + len(v) * cols]),
         sector_labels=labels,
     )

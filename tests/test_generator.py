@@ -1,5 +1,7 @@
 """Detailed-balance rates, dephasing decomposition, generator assembly,
 and Kossakowski extraction."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -350,6 +352,52 @@ def test_build_rejections():
                 degenerate_mixing={1.0: np.eye(3)},
             )
         )
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(0.5, 1.9), "01", (True, 2), 5, (0, 1, 2), (0,)],
+    ids=["float-pair", "string", "bool-level", "bare-int", "triple", "single"],
+)
+def test_rate_key_must_be_a_pair_of_integers(key):
+    # each of these used to be truncated to a level pair, or raised TypeError
+    spec = ThermoSpec(hamiltonian=presets.ladder(3, 1.0), beta=1.0, downward_rates={key: 1.0})
+    with pytest.raises(ValueError, match=re.escape(f"got {key!r}")):
+        build_restricted_generator(spec)
+
+
+@pytest.mark.parametrize("gamma", ["1.0", 1 + 0j, None], ids=["string", "complex", "none"])
+def test_rate_must_be_a_real_number(gamma):
+    spec = ThermoSpec(hamiltonian=presets.ladder(3, 1.0), beta=1.0, downward_rates={(0, 1): gamma})
+    with pytest.raises(ValueError, match=re.escape("rate for (0, 1)")):
+        build_restricted_generator(spec)
+
+
+def test_numpy_integer_keys_and_numpy_rates_build_the_same_generator():
+    h = presets.qutrit(0.0, 1.0, 3.0)
+    plain = build_restricted_generator(ThermoSpec(hamiltonian=h, beta=1.0, downward_rates={(0, 1): 1.0, (1, 2): 2}))
+    numpy_typed = build_restricted_generator(
+        ThermoSpec(
+            hamiltonian=h,
+            beta=1.0,
+            downward_rates={(np.int64(0), np.int32(1)): np.float64(1.0), (np.uint8(1), 2): np.int64(2)},
+        )
+    )
+    assert np.array_equal(plain.superoperator, numpy_typed.superoperator)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "complex-nan"])
+def test_non_finite_mixing_matrix_rejected(value):
+    y = np.eye(3, dtype=complex)
+    y[1, 2] = value
+    spec = ThermoSpec(
+        hamiltonian=presets.ladder(4, 1.0),
+        beta=1.0,
+        downward_rates={(0, 1): 1.0},
+        degenerate_mixing={1.0: y},
+    )
+    with pytest.raises(ValueError, match="must be finite"):
+        build_restricted_generator(spec)
 
 
 def test_degenerate_levels_rejected_for_zero_frequency_pair():
