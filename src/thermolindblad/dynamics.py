@@ -32,7 +32,7 @@ SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside a reference sta
 # Largest measured defect, relative to max(1, ||L||_F), at which L counts as
 # block diagonal by Bohr frequency (its off-sector norm; restricted
 # generators measure below 1.9e-16 * N * ||L||_F) or as Hermiticity
-# preserving (the norm of Im T^dag L T, see _Sectors).
+# preserving (its hermiticity_defect, see _Sectors).
 _ROUTE_BOUND = 1e-12
 
 
@@ -49,16 +49,16 @@ class _Sectors:
     labels also split the Choi matrix (index i + N k of a Choi matrix
     carries E_k - E_i), the route is "sector": the diagonal blocks are kept
     and the rest is dropped.  Otherwise the route is "dense", L as one
-    block, and the arithmetic is measured the same way: "real", with the
-    real R = T^dag L T of the Hermitian operator basis T (see
-    liouville._hermitian_coords) as the frame, when ||Im R||_F is at most
-    _ROUTE_BOUND * max(1, ||L||_F), as it is for every L that preserves
-    Hermiticity; else "complex", with L itself as the frame.  Without a
-    basis, an L that is not finite or whose size is not a perfect square is
-    not measured: dense and complex.  indices holds one (K, s) array of
-    frame indices per block size s.  basis is the basis passed; labels and
-    energy_frame = U^dag L U are kept on every route that was measured.
-    superoperator is L itself.
+    block, and the arithmetic is "real" when L measurably preserves
+    Hermiticity (see hermiticity_defect), with the real R = T^dag L T of
+    the Hermitian operator basis T (see liouville._hermitian_coords) as the
+    frame; else "complex", with L itself as the frame.  The sector route
+    measures Hermiticity preservation only when asked (propagate does, an
+    audit never).  Without a basis, an L that is not finite or whose size
+    is not a perfect square is not measured: dense and complex.  indices
+    holds one (K, s) array of frame indices per block size s.  basis is the
+    basis passed; labels and energy_frame = U^dag L U are kept on every
+    route that was measured.  superoperator is L itself.
     """
 
     def __init__(self, l_mat, basis=None):
@@ -77,37 +77,30 @@ class _Sectors:
                 return
             spectrum, labels = _energy_frame(_hamiltonian_part(l_mat, n))
             vectors = spectrum.vectors
-        bound = _ROUTE_BOUND * max(1.0, np.linalg.norm(l_mat))
+        self._bound = _ROUTE_BOUND * max(1.0, np.linalg.norm(l_mat))
         frame = _conjugated(l_mat, vectors)
         self.labels, self.energy_frame = labels, frame
         self.off_sector_norm = float(np.linalg.norm(frame[labels[:, None] != labels[None, :]]))
-        groups = _label_groups(labels)
-        sizes = sorted({len(g) for g in groups})
-        indices = [np.array([g for g in groups if len(g) == s]) for s in sizes]
-        if self.off_sector_norm <= bound and _choi_closed(labels, n):
-            self.route, self.vectors, self.frame, self.indices = "sector", vectors, frame, indices
-            return
-        real = _hermitian_coords(_hermitian_coords(l_mat.conj().T).conj().T)  # T^dag L T
-        if np.linalg.norm(real.imag) <= bound:
+        if self.off_sector_norm <= self._bound and _choi_closed(labels, n):
+            groups = _label_groups(labels)
+            sizes = sorted({len(g) for g in groups})
+            self.indices = [np.array([g for g in groups if len(g) == s]) for s in sizes]
+            self.route, self.vectors, self.frame = "sector", vectors, frame
+        elif self._preserves_hermiticity():
+            real = _hermitian_coords(_hermitian_coords(l_mat.conj().T).conj().T)  # T^dag L T
             self.arithmetic, self.frame = "real", real.real
 
     @functools.cached_property
-    def upper_weights(self):
-        """On the sector route, when L measurably preserves Hermiticity, the
-        weight of each frame index a + N b in the upper half of a frame
-        state: 1, 1/2 or 0 as a <, = or > b; else None.  L preserves
-        Hermiticity when ||L - P conj(L) P||_F is at most _ROUTE_BOUND *
-        max(1, ||L||_F), P the swap a + N b <-> b + N a (vec(X^dag) = P
-        conj(vec X)).  Measured the first time it is read."""
-        if self.route != "sector":
-            return None
-        l_mat, n = self.superoperator, self.vectors.shape[0]
-        _, _, swap = _hermitian_pairs(n, False)
-        defect = np.linalg.norm(l_mat - l_mat.conj()[swap[:, None], swap[None, :]])
-        if not defect <= _ROUTE_BOUND * max(1.0, np.linalg.norm(l_mat)):
-            return None
-        b, a = np.divmod(np.arange(n * n), n)  # index a + N b
-        return (np.sign(b - a) + 1) / 2
+    def hermiticity_defect(self):
+        """1/2 ||L - P conj(L) P||_F = ||Im T^dag L T||_F, P the swap a + N b
+        <-> b + N a (vec(X^dag) = P conj(vec X)); measured when first read."""
+        l_mat = self.superoperator
+        _, _, swap = _hermitian_pairs(math.isqrt(l_mat.shape[0]), False)
+        return float(np.linalg.norm(l_mat - l_mat.conj()[swap[:, None], swap[None, :]])) / 2
+
+    def _preserves_hermiticity(self):
+        """The one rule: hermiticity_defect at most _ROUTE_BOUND * max(1, ||L||_F)."""
+        return self.hermiticity_defect <= self._bound
 
     def to_frame(self, x):
         """Standard-frame vectors (the columns of x) in the frame of the route."""
@@ -207,7 +200,8 @@ class Propagator:
     block otherwise.  The eigenvalues, the condition number, the route, the
     arithmetic and the off-sector norm are kept, so audits can read them
     without decomposing L again.  Without a basis, the split last made of
-    an equal array is reused (see _split).
+    an equal array is reused (see _split).  Propagator(t) is the full map
+    exp(L t); propagate evolves one state through _states instead.
     """
 
     def __init__(self, superoperator, basis=None):
@@ -273,20 +267,6 @@ class Propagator:
         to_standard = self.sectors.to_standard
         return to_standard(to_standard(self._frame_map(t)).conj().T).conj().T
 
-    def apply(self, vec, times):
-        """exp(L t) vec for every t in times, as an (N^2, T) array; only the
-        expm route forms a full map per time.  On the real route the real
-        coordinates are evolved, so the image of a Hermitian X is Hermitian
-        exactly; any other X = A + iB (A, B Hermitian) is evolved as A and B."""
-        vec = np.asarray(vec, dtype=complex)
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        frame_vec = self.sectors.to_frame(vec)
-        if self.arithmetic == "real" and frame_vec.imag.any():
-            out = self._evolve(frame_vec.real, times) + 1j * self._evolve(frame_vec.imag, times)
-        else:
-            out = self._evolve(self._part(frame_vec), times)
-        return self.sectors.to_standard(out)
-
     def _evolve(self, frame_vec, times, weights=None):
         """exp(B t) frame_vec, block by block, for every t in times; with
         weights, entry i of the result is scaled by weights[i], and the
@@ -306,25 +286,35 @@ class Propagator:
         out = np.array(maps).reshape(times.size, frame_vec.size).T
         return out if weights is None else out * weights[:, None]
 
-    def _hermitian_states(self, rho, times):
+    def _states(self, rho, times):
         """exp(L t) rho for a Hermitian rho at every t in times, as a (T, N,
-        N) stack of exactly Hermitian states, or None unless the sector
-        route measured L Hermiticity preserving (see
-        _Sectors.upper_weights).  The frame state rho'(t) is then Hermitian,
-        so it is U + U^dag for U holding rho'_ab for a < b, rho'_aa / 2 and
-        0 below, and rho(t) = M + M^dag for M = V U V^dag.  Energies ascend,
-        so U lies in the blocks at Bohr frequency >= 0; only those evolve."""
-        weights = self.sectors.upper_weights
-        if weights is None:
-            return None
-        n, vectors = rho.shape[0], self.sectors.vectors
-        upper = self._evolve(self.sectors.to_frame(vectorize(rho)), times, weights)
-        # upper[b, a, t] = U_ab(t), then m[j, i, t] = M_ij(t)
-        m = vectors.conj() @ (vectors @ upper.reshape(n, n, times.size)).reshape(n, -1)
-        m = m.reshape(n, n, times.size)
-        states = np.conjugate(m.transpose(2, 0, 1))
-        states += m.transpose(2, 1, 0)
-        return states
+        N) stack, and the Hermitization defect removed from each state: 0
+        where L measurably preserves Hermiticity.  On the sector route the
+        frame state rho'(t) is then U + U^dag for U holding rho'_ab for a <
+        b, rho'_aa / 2 and 0 below, and rho(t) = M + M^dag for M = V U V^dag;
+        energies ascend, so only the blocks at Bohr frequency >= 0 evolve.
+        The real dense route evolves real coordinates.  Elsewhere each state
+        is re-Hermitized as (rho + rho^dag)/2."""
+        n, sectors, defects = rho.shape[0], self.sectors, np.zeros(times.size)
+        frame_vec = self._part(sectors.to_frame(vectorize(rho)))
+        if self.route == "sector" and sectors._preserves_hermiticity():
+            b, a = np.divmod(np.arange(n * n), n)  # index a + N b, weighted 1, 1/2, 0 as a <, =, > b
+            upper = self._evolve(frame_vec, times, (np.sign(b - a) + 1) / 2)
+            # upper[b, a, t] = U_ab(t), then m[j, i, t] = M_ij(t)
+            vectors = sectors.vectors
+            m = vectors.conj() @ (vectors @ upper.reshape(n, n, times.size)).reshape(n, -1)
+            m = m.reshape(n, n, times.size)
+            states = np.conjugate(m.transpose(2, 0, 1))
+            states += m.transpose(2, 1, 0)
+            return states, defects
+        states = devectorize(sectors.to_standard(self._evolve(frame_vec, times)).T)
+        if self.arithmetic == "complex":  # the real route's states are Hermitian exactly
+            adjoints = states.conj().swapaxes(1, 2)
+            defects = np.linalg.norm(states - adjoints, axis=(1, 2)) / 2
+            if defects.size and defects.max() > 1e-12:
+                log.debug("max hermitization defect along trajectory: %.3e", defects.max())
+            states = (states + adjoints) / 2
+        return states, defects
 
 
 def _real_pair_form(evals, evecs):
@@ -397,25 +387,18 @@ def propagate(superoperator, rho0, times):
     superoperator, such as a generator.  The Propagator works by sector
     when L's off-sector norm allows it, in the frame of the object's
     eigenoperator basis if it has one, else of L's own Hamiltonian part.
-    The states are Hermitian exactly where L measurably preserves
-    Hermiticity: on the sector route they are assembled from the blocks at
-    Bohr frequency >= 0 (see Propagator._hermitian_states), on the real
-    dense route they come out of the real coordinates.  Elsewhere they are
-    re-Hermitized as (rho + rho^dag)/2, and the defect removed at each step
-    is recorded in the trajectory (0 on the exact routes).
+    times must be a 1-d grid (or one number) of finite t >= 0, else
+    ValueError before L is split; an empty grid gives no states.  The
+    states are Hermitian exactly where L measurably preserves Hermiticity;
+    elsewhere they are re-Hermitized as (rho + rho^dag)/2, and the defect
+    removed is recorded (see Propagator._states).
     """
     rho0 = check_density_matrix(rho0)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    prop = _propagator_of(superoperator)
-    states, defects = prop._hermitian_states(rho0, times), np.zeros(times.size)
-    if states is None:
-        states = devectorize(prop.apply(vectorize(rho0), times).T)
-        if prop.arithmetic == "complex":  # the real route's states are Hermitian exactly
-            adjoints = states.conj().swapaxes(1, 2)
-            defects = np.linalg.norm(states - adjoints, axis=(1, 2)) / 2
-            if defects.size and defects.max() > 1e-12:
-                log.debug("max hermitization defect along trajectory: %.3e", defects.max())
-            states = (states + adjoints) / 2
+    grid = np.atleast_1d(np.asarray(times))  # of real numbers: a string, bool or None is no time
+    if grid.dtype.kind not in "iuf" or grid.ndim != 1 or not np.all((grid >= 0) & (grid < math.inf)):
+        raise ValueError(f"propagate needs a 1-d grid of finite times t >= 0, got {grid}")
+    times = grid.astype(float, copy=False)
+    states, defects = _propagator_of(superoperator)._states(rho0, times)
     return Trajectory(times=times, states=states, hermitization_defects=defects)
 
 

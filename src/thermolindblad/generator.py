@@ -159,7 +159,8 @@ class ThermoSpec:
     (so omega > 0), to the real downward rate on that transition; the
     upward partner is added automatically by detailed balance.  alpha, if
     given, is the real symmetric PSD dephasing matrix over energy projectors.
-    degenerate_mixing maps a Bohr frequency to a finite mixing matrix y applied
+    degenerate_mixing maps a Bohr frequency (a finite int, float or numpy
+    number, not a bool) to a finite mixing matrix y applied
     within that frequency's degeneracy group: jump k of the group becomes
     Y_k = sum_i y[k, i] F_i and carries the downward rate of F_k, where
     F_0, F_1, ... are the group's transitions |n><m| (n < m) in ascending
@@ -200,6 +201,9 @@ def _resolve_mixing_groups(basis, degenerate_mixing):
     tol = basis.spectrum.degeneracy_tol
     resolved = {}
     for omega_key, y in degenerate_mixing.items():
+        real = isinstance(omega_key, (int, float, np.integer, np.floating)) and not isinstance(omega_key, bool)
+        if not (real and math.isfinite(omega_key)):
+            raise ValueError(f"mixing frequency must be a finite real number, got {omega_key!r}")
         matches = [
             tuple(g) for g in groups
             if abs(omegas[g[0]] - float(omega_key)) <= max(tol, 1e-9 * abs(float(omega_key)))

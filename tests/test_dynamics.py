@@ -22,6 +22,7 @@ from thermolindblad import (
     transport_steady_report,
     vectorize,
 )
+from thermolindblad import dynamics
 from thermolindblad.dynamics import check_density_matrix
 
 THERMAL_QUBIT_POPULATIONS = (0.7310585786300049, 0.2689414213699951)  # beta=omega=1
@@ -153,6 +154,25 @@ def test_propagate_on_empty_time_grid(qubit_generator):
     traj = propagate(qubit_generator, np.eye(2) / 2, [])
     assert traj.states.shape == (0, 2, 2)
     assert traj.hermitization_defects.shape == (0,)
+    # one number is a grid of one time
+    np.testing.assert_array_equal(propagate(qubit_generator, np.eye(2) / 2, 1.0).times, [1.0])
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[np.nan], [np.inf], [0.0, -1.0], [[0.0, 1.0]], np.zeros((2, 2)), ["1.0"], [True], [None], [1.0 + 1j]],
+    ids=["nan", "inf", "negative", "nested", "matrix", "string", "bool", "none", "complex"],
+)
+def test_propagate_rejects_a_bad_time_grid_before_splitting(times, monkeypatch):
+    spec = ThermoSpec(hamiltonian=presets.ladder(3, 1.0), beta=1.0, downward_rates={(0, 1): 1.0})
+    gen = build_restricted_generator(spec)
+
+    def forbidden(*args):
+        raise AssertionError("L was split")
+
+    monkeypatch.setattr(dynamics, "_split", forbidden)
+    with pytest.raises(ValueError, match="1-d grid of finite times"):
+        propagate(gen, np.eye(3) / 3, times)
 
 
 # -- stationary states -------------------------------------------------------

@@ -400,6 +400,36 @@ def test_non_finite_mixing_matrix_rejected(value):
         build_restricted_generator(spec)
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["1.0", True, np.True_, 1.0 + 0j, None, np.inf, -np.inf, np.nan],
+    ids=["str", "bool", "numpy-bool", "complex", "none", "inf", "-inf", "nan"],
+)
+def test_mixing_key_must_be_a_finite_real_number(key):
+    spec = ThermoSpec(
+        hamiltonian=presets.ladder(3, 1.0),
+        beta=1.0,
+        downward_rates={(0, 1): 1.0},
+        degenerate_mixing={key: np.eye(2)},
+    )
+    with pytest.raises(ValueError, match="mixing frequency must be a finite real number"):
+        build_restricted_generator(spec)
+
+
+def test_numpy_mixing_keys_build_the_same_generator():
+    def build(key):
+        spec = ThermoSpec(
+            hamiltonian=presets.ladder(3, 1.0),
+            beta=1.0,
+            downward_rates={(0, 1): 1.0, (1, 2): 0.4},
+            degenerate_mixing={key: presets.random_unitary(2, np.random.default_rng(3))},
+        )
+        return build_restricted_generator(spec).superoperator
+
+    for key in (1, np.float64(1.0), np.int64(1), np.float32(1.0)):
+        np.testing.assert_array_equal(build(key), build(1.0))
+
+
 def test_degenerate_levels_rejected_for_zero_frequency_pair():
     h = np.diag([0.0, 0.0, 1.0]).astype(complex)
     with pytest.raises(ValueError):

@@ -884,7 +884,7 @@ def test_audits_do_not_measure_hermiticity_preservation(rng):
     for prop in (Propagator(gen.superoperator, gen.basis), Propagator(gen.superoperator)):
         check_cptp(prop)
         check_spectral(prop)
-        assert "upper_weights" not in vars(prop.sectors)
+        assert "hermiticity_defect" not in vars(prop.sectors)
 
 
 # -- states Hermitian by construction on the sector route -------------------------
@@ -927,7 +927,7 @@ def test_sector_states_are_hermitian_by_construction(name, with_basis, rng):
     l_mat = gen.superoperator
     n = gen.basis.n_levels
     prop = Propagator(l_mat, gen.basis if with_basis else None)
-    assert prop.route == "sector" and prop.sectors.upper_weights is not None
+    assert prop.route == "sector" and prop.sectors._preserves_hermiticity()
     assert prop.diagonalizable == (name != "expm")
     rho0 = presets.random_density_matrix(n, rng)
     times = np.linspace(0.0, 30.0, 16)
@@ -939,15 +939,28 @@ def test_sector_states_are_hermitian_by_construction(name, with_basis, rng):
     assert propagate(prop, rho0, []).states.shape == (0, n, n)
 
 
-def test_sector_l_that_breaks_hermiticity_keeps_the_pass(rng):
-    # X -> A X, A diagonal and complex in the energy basis, keeps every
-    # Bohr-frequency sector but maps a Hermitian X to a non-Hermitian one
-    gen = INPUTS["random4"](rng)
+def sector_breaking(n, rng):
+    """A restricted generator plus X -> A X, A diagonal and complex in the
+    energy basis: it keeps every Bohr-frequency sector but maps a Hermitian
+    X to a non-Hermitian one."""
+    gen = restricted(presets.random_hermitian(n, rng), 1.2, rng)
     vectors = gen.basis.spectrum.vectors
-    a = vectors @ np.diag(0.3j * rng.normal(size=4)) @ vectors.conj().T
-    l_mat = gen.superoperator + assemble_superop("left", a)
+    a = vectors @ np.diag(0.3j * rng.normal(size=n)) @ vectors.conj().T
+    return types.SimpleNamespace(basis=gen.basis, superoperator=gen.superoperator + assemble_superop("left", a))
+
+
+def kicked_foreign(n, rng):
+    """A foreign generator plus X -> 0.3i H X, which breaks Hermiticity: the complex dense route."""
+    gen = foreign(n, rng)
+    kick = assemble_superop("left", 0.3j * gen.hamiltonian)
+    return types.SimpleNamespace(basis=gen.basis, superoperator=gen.superoperator + kick)
+
+
+def test_sector_l_that_breaks_hermiticity_keeps_the_pass(rng):
+    gen = sector_breaking(4, rng)
+    l_mat = gen.superoperator
     for prop in (Propagator(l_mat, gen.basis), Propagator(l_mat)):
-        assert prop.route == "sector" and prop.sectors.upper_weights is None
+        assert prop.route == "sector" and not prop.sectors._preserves_hermiticity()
         rho0 = presets.random_density_matrix(4, rng)
         times = np.linspace(0.0, 3.0, 7)
         traj = propagate(prop, rho0, times)
@@ -958,3 +971,91 @@ def test_sector_l_that_breaks_hermiticity_keeps_the_pass(rng):
         assert defects.max() > 1e-3
         assert np.max(np.abs(traj.hermitization_defects - defects)) <= bound
         assert np.max(np.abs(traj.states - dense_states(l_mat, rho0, times))) <= bound
+
+
+# -- one Hermiticity measurement per split ---------------------------------------
+
+
+def test_complex_dense_split_forms_no_real_frame(rng, monkeypatch):
+    gen = kicked_foreign(4, rng)
+    calls = []
+    coords = dynamics._hermitian_coords
+
+    def counting_coords(*args, **kwargs):
+        calls.append(args[0].shape)
+        return coords(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_hermitian_coords", counting_coords)
+    for basis in (gen.basis, None):
+        sectors = _Sectors(gen.superoperator, basis)
+        assert calls == []
+        assert (sectors.route, sectors.arithmetic) == ("dense", "complex")
+        assert sectors.hermiticity_defect > 1e-3
+    # a Hermiticity-preserving dense L forms R = T^dag L T with two passes
+    sectors = _Sectors(foreign(4, rng).superoperator)
+    assert sectors.arithmetic == "real" and len(calls) == 2
+
+
+@pytest.mark.parametrize("with_basis", [True, False], ids=["basis", "bare"])
+def test_propagate_measures_a_sector_split_once(with_basis, rng, monkeypatch):
+    gen = INPUTS["random4"](rng)
+    l_mat = gen.superoperator
+    prop = Propagator(l_mat, gen.basis if with_basis else None)
+    target = prop if with_basis else l_mat
+    rho0 = presets.random_density_matrix(4, rng)
+    assert prop.route == "sector" and "hermiticity_defect" not in vars(prop.sectors)
+    first = propagate(target, rho0, [0.0, 1.0])
+    assert vars(prop.sectors)["hermiticity_defect"] <= 1e-12 * max(1.0, np.linalg.norm(l_mat))
+
+    def forbidden(*args):
+        raise AssertionError("Hermiticity preservation measured again")
+
+    monkeypatch.setattr(dynamics, "_hermitian_pairs", forbidden)
+    second = propagate(target, rho0, [0.0, 1.0])
+    np.testing.assert_array_equal(second.states, first.states)
+
+
+HERMITICITY_FAMILIES = {
+    "restricted": lambda n, rng: restricted(presets.random_hermitian(n, rng), 1.2, rng),
+    "foreign": foreign,
+    "kicked_foreign": kicked_foreign,
+    "sector_breaking": sector_breaking,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(HERMITICITY_FAMILIES)),
+    n=st.integers(1, 6),
+    with_basis=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hermiticity_decision_and_state_contract(name, n, with_basis, seed):
+    dynamics._kept_split = None
+    rng = np.random.default_rng(seed)
+    gen = HERMITICITY_FAMILIES[name](n, rng)
+    l_mat = gen.superoperator
+    bound = 1e-12 * max(1.0, np.linalg.norm(l_mat))
+    t = hermitian_basis_matrix(n)
+    preserves = np.linalg.norm((t.conj().T @ l_mat @ t).imag) <= bound
+    prop = Propagator(l_mat, gen.basis if with_basis else None)
+    if name == "restricted":
+        assert prop.route == "sector"
+    elif name == "foreign" and n > 1:
+        assert (prop.route, prop.arithmetic) == ("dense", "real")
+    assert prop.sectors._preserves_hermiticity() == preserves
+    if prop.route == "dense":
+        assert (prop.arithmetic == "real") == preserves
+
+    rho0 = presets.random_density_matrix(n, rng)
+    times = np.linspace(0.0, 5.0, 6)
+    traj = propagate(prop, rho0, times)
+    vecs = expm(l_mat * times[:, None, None]) @ vectorize(rho0)
+    raw = vecs.reshape(-1, n, n).swapaxes(1, 2)
+    if preserves:
+        np.testing.assert_array_equal(traj.states, traj.states.conj().swapaxes(1, 2))
+        assert not traj.hermitization_defects.any()
+    else:
+        defects = np.linalg.norm(raw - raw.conj().swapaxes(1, 2), axis=(1, 2)) / 2
+        assert np.max(np.abs(traj.hermitization_defects - defects)) <= bound
+    assert np.max(np.abs(traj.states - (raw + raw.conj().swapaxes(1, 2)) / 2)) <= bound

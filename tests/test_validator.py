@@ -596,9 +596,10 @@ def test_spohn_compares_finite_neighbours_only():
 
 
 def test_spohn_fails_on_a_nan_entropy(qubit_generator):
-    # a NaN time gives a NaN state; only +inf (off support) is inconclusive
+    # a NaN state gives a NaN entropy; only +inf (off support) is inconclusive
     rho0 = np.diag([0.0, 1.0]).astype(complex)
-    traj = propagate(qubit_generator, rho0, [0.0, 1.0, math.nan])
+    states = np.concatenate([propagate(qubit_generator, rho0, [0.0, 1.0]).states, np.full((1, 2, 2), np.nan + 0j)])
+    traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), states=states, hermitization_defects=np.zeros(3))
     reference = presets.thermal_state(qubit_generator.hamiltonian, 1.0)
     series, result = spohn_monitor(traj, reference)
     assert math.isnan(series[2][1])
