@@ -380,6 +380,16 @@ def check_density_matrix(rho):
     return (rho + rho.conj().T) / 2
 
 
+def _time_grid(times, message, nonempty=False):
+    """times as a float array when it is a 1-d grid (or one number) of finite
+    real t >= 0, nonempty if asked, else ValueError(message, got the grid)."""
+    grid = np.atleast_1d(np.asarray(times))  # of real numbers: a string, bool or None is no time
+    if (grid.dtype.kind not in "iuf" or grid.ndim != 1 or (nonempty and not grid.size)
+            or not np.all((grid >= 0) & (grid < math.inf))):
+        raise ValueError(f"{message}, got {grid}")
+    return grid.astype(float, copy=False)
+
+
 def propagate(superoperator, rho0, times):
     """Evolve rho0 under exp(L t) for each t in times.
 
@@ -394,10 +404,7 @@ def propagate(superoperator, rho0, times):
     removed is recorded (see Propagator._states).
     """
     rho0 = check_density_matrix(rho0)
-    grid = np.atleast_1d(np.asarray(times))  # of real numbers: a string, bool or None is no time
-    if grid.dtype.kind not in "iuf" or grid.ndim != 1 or not np.all((grid >= 0) & (grid < math.inf)):
-        raise ValueError(f"propagate needs a 1-d grid of finite times t >= 0, got {grid}")
-    times = grid.astype(float, copy=False)
+    times = _time_grid(times, "propagate needs a 1-d grid of finite times t >= 0")
     states, defects = _propagator_of(superoperator)._states(rho0, times)
     return Trajectory(times=times, states=states, hermitization_defects=defects)
 

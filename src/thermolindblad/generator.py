@@ -11,13 +11,14 @@ the free-evolution superoperator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .liouville import (
     EigenoperatorBasis,
-    assemble_superop,
+    _add_kronecker_sum,
     change_basis,
     choi_matrix,
     eigenoperator_basis,
@@ -192,6 +193,12 @@ class GKLSGenerator:
         return self.hamiltonian.shape[0]
 
 
+def _is_finite(x):
+    """math.isfinite of a real number; a Python int beyond the float range,
+    for which math.isfinite raises OverflowError, is not finite."""
+    return abs(x) <= sys.float_info.max if isinstance(x, int) else math.isfinite(x)
+
+
 def _resolve_mixing_groups(basis, degenerate_mixing):
     """Map each requested mixing frequency to its positive degeneracy group."""
     if not degenerate_mixing:
@@ -202,7 +209,7 @@ def _resolve_mixing_groups(basis, degenerate_mixing):
     resolved = {}
     for omega_key, y in degenerate_mixing.items():
         real = isinstance(omega_key, (int, float, np.integer, np.floating)) and not isinstance(omega_key, bool)
-        if not (real and math.isfinite(omega_key)):
+        if not (real and _is_finite(omega_key)):
             raise ValueError(f"mixing frequency must be a finite real number, got {omega_key!r}")
         matches = [
             tuple(g) for g in groups
@@ -269,7 +276,7 @@ def _build_restricted_generator(spec, basis=None):
                 f"transition {pair} has zero Bohr frequency (omega={omegas[k]:.3e}); "
                 "zero-frequency transitions carry no rate"
             )
-        if not isinstance(gamma, (int, float, np.integer, np.floating)) or not math.isfinite(gamma) or gamma < 0:
+        if not isinstance(gamma, (int, float, np.integer, np.floating)) or not _is_finite(gamma) or gamma < 0:
             raise ValueError(f"rate for {pair} must be a finite and nonnegative real number, got {gamma!r}")
         rates[k] = float(gamma)
 
@@ -301,10 +308,12 @@ def _build_restricted_generator(spec, basis=None):
     # A dephasing term -w[V, [V, X]] is the GKLS term of Hermitian V at rate 2w.
     ops = [t.operator for t in jump_terms] + [t.operator for t in dephasing_terms]
     gammas = [t.rate for t in jump_terms] + [2 * t.weight for t in dephasing_terms]
-    dissipator = gkls_dissipator(np.reshape(ops, (-1, n, n)), gammas)
+    # C order: heat_current's D @ vec(rho) and the report's norm of D sum in memory order
+    dissipator = np.ascontiguousarray(gkls_dissipator(np.reshape(ops, (-1, n, n)), gammas))
 
     hamiltonian = np.asarray(spec.hamiltonian, dtype=complex)
-    superoperator = -1j * assemble_superop("commutator", hamiltonian) + dissipator
+    superoperator = dissipator.copy()
+    _add_kronecker_sum(superoperator, -1j * hamiltonian, 1j * hamiltonian)  # + (-i[H, .])
 
     return GKLSGenerator(
         basis=basis,

@@ -86,7 +86,10 @@ def assemble_superop(kind, a, b=None):
     kind is one of 'left' (X -> aX), 'right' (X -> Xa),
     'sandwich' (X -> aXb, needs b), 'commutator' ([a, X]),
     'anticommutator' ({a, X}) or 'dissipator_term'
-    (X -> a X a^dag - (1/2){a^dag a, X}).
+    (X -> a X a^dag - (1/2){a^dag a, X}).  'sandwich' is one broadcast
+    product kron(b^T, a); 'dissipator_term' is kron(conj a, a), from whose
+    partial trace a^dag a is read, with the decay written in place by the
+    Kronecker-sum writer _add_kronecker_sum that the other four kinds use.
     """
     if kind not in _SUPEROP_KINDS:
         raise ValueError(f"unknown superoperator kind {kind!r}; expected one of {_SUPEROP_KINDS}")
@@ -102,14 +105,29 @@ def assemble_superop(kind, a, b=None):
     if b is not None:
         raise ValueError(f"kind {kind!r} takes a single operator")
     if kind == "dissipator_term":
-        return gkls_dissipator(a[None], [1.0])
-    # X -> a X adds a onto T[i, :, i, :], X -> X a adds a^T onto T[:, i, :, i]
-    out, i = np.zeros((n, n, n, n), dtype=complex), np.arange(n)
-    if kind != "right":
-        out[i, :, i, :] += a
-    if kind != "left":
-        out[:, i, :, i] += -a.T if kind == "commutator" else a.T
-    return out.reshape(n * n, n * n)
+        out = (a.conj()[:, None, :, None] * a[None, :, None, :]).reshape(n * n, n * n)  # kron(conj a, a)
+        left = right = -0.5 * out[:: n + 1].sum(axis=0).reshape(n, n)  # -a^dag a / 2
+    else:
+        zero, out = np.zeros_like(a), np.zeros((n * n, n * n), dtype=complex)
+        left, right = {"left": (a, zero), "right": (zero, a), "commutator": (a, -a), "anticommutator": (a, a)}[kind]
+    _add_kronecker_sum(out, left, right)
+    return out
+
+
+def _add_kronecker_sum(out, left, right):
+    """Add the superoperator of X -> left X + X right to a C-contiguous (N^2, N^2)
+    array out in place: left onto T[i, :, i, :] and right^T onto T[:, i, :, i]
+    of T = out.reshape(N, N, N, N), each an (N, N, N) strided view of out's
+    buffer.  The entries both hold, T[p, q, p, q] = out[q + N p, q + N p], are
+    the main diagonal of out; each gets out + (left_qq + right_pp) as one sum."""
+    n = len(left)
+    flat = out.reshape(-1, copy=False)
+    diagonal = flat[:: n * n + 1] + (right.diagonal()[:, None] + left.diagonal()).ravel()
+    # T[i, j, i, k] sits at flat index i (N^3 + N) + j N^2 + k, T[j, i, k, i] at i (N^2 + 1) + j N^3 + k N
+    for strides, term in (((n**3 + n, n * n, 1), left), ((n * n + 1, n**3, n), right.T)):
+        view = np.ndarray((n, n, n), out.dtype, flat, 0, tuple(out.itemsize * k for k in strides))
+        view += term
+    flat[:: n * n + 1] = diagonal
 
 
 def sandwich_sum(lefts, rights, weights):
@@ -124,13 +142,16 @@ def sandwich_sum(lefts, rights, weights):
 
 def gkls_dissipator(operators, rates):
     """Superoperator of X -> sum_k rates[k] (A_k X A_k^dag - {A_k^dag A_k, X}/2)
-    for a (K, N, N) stack A.  sum_k rates[k] A_k^dag A_k is the partial trace
-    of the jump part, so the result preserves the trace to the rounding of one sum."""
+    for a (K, N, N) stack A: the jump part by one rank-K product (sandwich_sum),
+    then the decay written into it in place by _add_kronecker_sum.
+    sum_k rates[k] A_k^dag A_k is the partial trace of the jump part, so the
+    result preserves the trace to the rounding of one sum."""
     ops = np.asarray(operators, dtype=complex)
     n = ops.shape[-1]
     jumps = sandwich_sum(ops, ops.conj().transpose(0, 2, 1), rates)
-    decay = jumps[:: n + 1].sum(axis=0).reshape(n, n)
-    return jumps - 0.5 * assemble_superop("anticommutator", decay)
+    decay = -0.5 * jumps[:: n + 1].sum(axis=0).reshape(n, n)
+    _add_kronecker_sum(jumps.T, decay.T, decay.T)  # choi_matrix returns the transpose of a C-contiguous buffer
+    return jumps
 
 
 def conjugation_superop(u):

@@ -36,6 +36,7 @@ from .dynamics import (
     _propagator_of,
     _sectors_of,
     _superop_of,
+    _time_grid,
     null_dimension,
     relative_entropy,
 )
@@ -216,13 +217,12 @@ def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
     map or Choi matrix; on the dense route each map exp(L t) is reshuffled
     into its Choi matrix, taken first from exp(R t) to the standard frame
     on the real route.  The trace defect is ||exp(L t)^dag vec(I) - vec(I)||.
-    times must be a nonempty grid of finite t >= 0, else ValueError; a NaN
+    times must be a nonempty 1-d grid of finite real t >= 0 (or one such
+    number), as propagate takes it, else ValueError before L is split; a NaN
     Choi eigenvalue or trace defect makes the defect NaN, which fails.
     """
     threshold = DEFAULT_THRESHOLDS["cptp"] if threshold is None else threshold
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not (times.size and np.all((times >= 0) & (times < math.inf))):
-        raise ValueError(f"complete positivity is only audited on a nonempty grid of finite t >= 0, got {times}")
+    times = _time_grid(times, "complete positivity is only audited on a nonempty grid of finite real t >= 0", nonempty=True)
     prop = _propagator_of(superoperator)
     choi_minima = _dense_choi_minima if prop.route == "dense" else _sector_choi_minima
     min_eigs, tp_defects = choi_minima(prop, times)

@@ -366,7 +366,9 @@ def test_rate_key_must_be_a_pair_of_integers(key):
         build_restricted_generator(spec)
 
 
-@pytest.mark.parametrize("gamma", ["1.0", 1 + 0j, None], ids=["string", "complex", "none"])
+@pytest.mark.parametrize(
+    "gamma", ["1.0", 1 + 0j, None, 10**400, -(10**400)], ids=["string", "complex", "none", "huge-int", "huge-negative-int"]
+)
 def test_rate_must_be_a_real_number(gamma):
     spec = ThermoSpec(hamiltonian=presets.ladder(3, 1.0), beta=1.0, downward_rates={(0, 1): gamma})
     with pytest.raises(ValueError, match=re.escape("rate for (0, 1)")):
@@ -402,8 +404,8 @@ def test_non_finite_mixing_matrix_rejected(value):
 
 @pytest.mark.parametrize(
     "key",
-    ["1.0", True, np.True_, 1.0 + 0j, None, np.inf, -np.inf, np.nan],
-    ids=["str", "bool", "numpy-bool", "complex", "none", "inf", "-inf", "nan"],
+    ["1.0", True, np.True_, 1.0 + 0j, None, np.inf, -np.inf, np.nan, 10**400],
+    ids=["str", "bool", "numpy-bool", "complex", "none", "inf", "-inf", "nan", "huge-int"],
 )
 def test_mixing_key_must_be_a_finite_real_number(key):
     spec = ThermoSpec(

@@ -275,13 +275,24 @@ def test_to_frame_matches_the_kron_oracle(n, dtype, layout, adjoint, columns, se
     assert np.array_equal(liouville._to_frame(x[:, 0], w), liouville._to_frame(x[:, :1], w)[:, 0])
 
 
-@given(**KERNEL_INPUTS)
+def kron_sum(left, right):
+    """np.kron form of X -> left X + X right; its main diagonal holds left_qq + right_pp
+    as one sum, so out + kron_sum(left, right) is what _add_kronecker_sum writes."""
+    eye = np.eye(len(left))
+    return np.kron(eye, left) + np.kron(right.T, eye)
+
+
+@given(**dict(KERNEL_INPUTS, n=st.integers(min_value=1, max_value=12)))
 @settings(max_examples=60, deadline=None)
 def test_superoperators_equal_their_kron_formulas(n, dtype, layout, seed):
     rng = np.random.default_rng(seed)
     a_in, b_in = (drawn_array((n, n), dtype, layout, rng) for _ in range(2))
     a, b = np.asarray(a_in, dtype=complex), np.asarray(b_in, dtype=complex)
     eye = np.eye(n)
+    out = random_complex((n * n, n * n), rng)
+    expected = out + kron_sum(a, b)
+    liouville._add_kronecker_sum(out, a, b)
+    assert np.array_equal(out, expected)
     formulas = {
         "left": np.kron(eye, a),
         "right": np.kron(a.T, eye),
@@ -298,7 +309,85 @@ def test_superoperators_equal_their_kron_formulas(n, dtype, layout, seed):
     decay = jumps[:: n + 1].sum(axis=0).reshape(n, n)
     expected = jumps - 0.5 * (np.kron(decay.T, eye) + np.kron(eye, decay))
     assert np.array_equal(gkls_dissipator(ops, rates), expected)
-    assert np.array_equal(assemble_superop("dissipator_term", a_in), gkls_dissipator(a[None], [1.0]))
+    # dissipator_term is its own broadcast product, with a^dag a read off its partial trace;
+    # gkls_dissipator forms the same product by a K = 1 GEMM, equal to rounding only
+    jump = np.kron(a.conj(), a)
+    decay = -0.5 * jump[:: n + 1].sum(axis=0).reshape(n, n)
+    term = assemble_superop("dissipator_term", a_in)
+    assert np.array_equal(term, jump + kron_sum(decay, decay))
+    assert np.linalg.norm(term - gkls_dissipator(a[None], [1.0])) <= 1e-15 * max(1.0, np.linalg.norm(a) ** 2)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    dtype=st.sampled_from(["complex", "real"]),
+    layout=st.sampled_from(["C", "F"]),
+    dephasing=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_restricted_build_equals_its_kron_formulas(n, dtype, layout, dephasing, seed):
+    rng = np.random.default_rng(seed)
+    h = drawn_array((n, n), dtype, layout, rng)
+    h = h + h.conj().T
+    rates = {(i, j): float(rng.uniform(0.5, 1.5)) for i in range(n) for j in range(i + 1, n)}
+    alpha = np.eye(n) if dephasing else None
+    gen = build_restricted_generator(ThermoSpec(h, float(rng.uniform(0, 2)), rates, alpha=alpha))
+    ops = np.reshape([t.operator for t in gen.jump_terms] + [t.operator for t in gen.dephasing_terms], (-1, n, n))
+    gammas = [t.rate for t in gen.jump_terms] + [2 * t.weight for t in gen.dephasing_terms]
+    jumps = sandwich_sum(ops, ops.conj().transpose(0, 2, 1), gammas)
+    decay = -0.5 * jumps[:: n + 1].sum(axis=0).reshape(n, n)
+    h = np.asarray(h, dtype=complex)
+    assert np.array_equal(gen.dissipator, jumps + kron_sum(decay, decay))
+    assert np.array_equal(gen.superoperator, gen.dissipator + kron_sum(-1j * h, 1j * h))
+    # heat_current's product and the report's norm sum D in memory order
+    assert gen.dissipator.flags.c_contiguous and gen.superoperator.flags.c_contiguous
+
+
+# ½|a|^2 is exact unless |a|^2, or the rounding residue a complex product leaves in
+# its imaginary part, is subnormal; components at or above 1e-100 keep both normal
+NORMAL_PRODUCT_COMPONENT = st.floats(min_value=-1e100, max_value=1e100).filter(lambda x: x == 0 or abs(x) >= 1e-100)
+
+
+@given(re=NORMAL_PRODUCT_COMPONENT, im=NORMAL_PRODUCT_COMPONENT)
+@settings(max_examples=100, deadline=None)
+def test_dissipator_term_of_one_level_is_zero(re, im):
+    assert np.array_equal(assemble_superop("dissipator_term", [[complex(re, im)]]), [[0.0]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_dissipator_term_preserves_the_trace_to_rounding(n, rng):
+    a = random_complex((n, n), rng)
+    term = assemble_superop("dissipator_term", a)
+    defect = np.linalg.norm(term.conj().T @ vectorize(np.eye(n)))
+    assert defect <= 1e-15 * n * np.linalg.norm(a) ** 2
+
+
+def test_kronecker_sum_writer_refuses_an_array_it_cannot_write_through(rng):
+    # an F-order out would reshape to a copy, and the sum would be lost
+    out, a = np.asfortranarray(random_complex((9, 9), rng)), random_complex((3, 3), rng)
+    with pytest.raises(ValueError):
+        liouville._add_kronecker_sum(out, a, a)
+
+
+def test_dissipator_term_is_one_product_and_gkls_dissipator_one_writer(monkeypatch, rng):
+    calls = {"sandwich_sum": 0, "gkls_dissipator": 0, "assemble_superop": 0}
+
+    def counting(name):
+        original = getattr(liouville, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(liouville, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    a = random_complex((3, 3), rng)
+    liouville.assemble_superop("dissipator_term", a)
+    assert calls == {"sandwich_sum": 0, "gkls_dissipator": 0, "assemble_superop": 1}
+    liouville.gkls_dissipator(a[None], [1.0])
+    assert calls == {"sandwich_sum": 1, "gkls_dissipator": 1, "assemble_superop": 1}
 
 
 # -- eigenoperator basis -----------------------------------------------------

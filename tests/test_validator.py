@@ -317,14 +317,35 @@ def test_cptp_passes_on_restricted_generator(qutrit_generator):
     assert len(result.details["choi_eigenvalues_by_time"]) == 5
 
 
-def test_negative_rate_breaks_complete_positivity():
+# The Choi blocks at +omega and -omega are not conjugate pairs: the block at
+# omega holds the downward rate and the block at -omega the upward one, so an
+# audit of one half would pass a negative rate in the other.
+def assert_negative_qubit_rate_fails_cptp(jump):
     h = presets.qubit(1.0)
-    l_mat = -1j * assemble_superop("commutator", h) - 0.5 * assemble_superop(
-        "dissipator_term", presets.LOWER
-    )
+    l_mat = -1j * assemble_superop("commutator", h) - 0.5 * assemble_superop("dissipator_term", jump)
+    assert Propagator(l_mat).route == "sector"
     result = check_cptp(l_mat, times=(0.01,))
     assert not result.passed
     assert result.defect > 1e-3
+
+
+def test_negative_rate_breaks_complete_positivity():
+    assert_negative_qubit_rate_fails_cptp(presets.LOWER)
+
+
+def test_negative_upward_rate_breaks_complete_positivity():
+    assert_negative_qubit_rate_fails_cptp(presets.LOWER.T)
+
+
+@pytest.mark.parametrize("levels", [(0, 1), (1, 0)], ids=["downward", "upward"])
+def test_one_negative_rate_of_a_detailed_balance_pair_breaks_complete_positivity(levels, qutrit_generator):
+    # the rate of |n><m| on the (0, 1) transition turns negative while its partner stays positive
+    gen = qutrit_generator
+    (term,) = [t for t in gen.jump_terms if np.array_equal(t.operator, gen.basis.outers[levels])]
+    l_mat = gen.superoperator - 2 * term.rate * assemble_superop("dissipator_term", term.operator)
+    prop = Propagator(l_mat, gen.basis)
+    assert prop.route == "sector"
+    assert check_cptp(prop, times=(0.01,)).defect > 1e-3  # a short time: no second-order path is negative
 
 
 def test_cptp_rejects_negative_times(qubit_generator):
@@ -332,11 +353,16 @@ def test_cptp_rejects_negative_times(qubit_generator):
         check_cptp(qubit_generator.superoperator, times=(1.0, -0.5))
 
 
-@pytest.mark.parametrize("times", [(math.nan,), (math.inf,), (1.0, math.nan), ()], ids=["nan", "inf", "mixed", "empty"])
+@pytest.mark.parametrize(
+    "times",
+    [(math.nan,), (math.inf,), (1.0, math.nan), (), ["0.5", "2"], [True], [[0.1, 1.0]], [0.5j]],
+    ids=["nan", "inf", "mixed", "empty", "strings", "bool", "2-d", "complex"],
+)
 @pytest.mark.parametrize("route", ["sector", "dense"])
-def test_cptp_rejects_non_finite_or_empty_grid(route, times, qubit_generator):
+def test_cptp_rejects_non_finite_or_empty_grid(route, times, qubit_generator, monkeypatch):
     gen = qubit_generator if route == "sector" else foreign(4, np.random.default_rng(0))
     assert Propagator(gen.superoperator, gen.basis).route == route
+    monkeypatch.setattr("thermolindblad.validator._propagator_of", None)  # the grid is read before L is split
     with pytest.raises(ValueError, match="nonempty grid of finite"):
         check_cptp(gen, times=times)
 
