@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import check_density_matrix
+from .dynamics import _time_grid, check_density_matrix
 from .liouville import devectorize, hermitian_operator, hs_norm, sandwich_sum, vectorize
 
 _STRICT_FLOOR = 1e-13
@@ -358,7 +358,7 @@ def _loglog_slope(taus, defects):
     lo = 1 if len(taus) > 4 else 0
     hi = len(taus) - 1 if len(taus) > 4 else len(taus)
     t, d = taus[lo:hi], defects[lo:hi]
-    mask = d > 0
+    mask = (d > 0) & (t > 0)  # log(0) is no point of the fit
     if mask.sum() < 2:
         return math.nan
     slope, _ = np.polyfit(np.log(t[mask]), np.log(d[mask]), 1)
@@ -376,11 +376,8 @@ def _compare(extracted, formula):
 def tau_expansion(model, rho_s, taus=None):
     """Scan the commutation defect over small times tau >= 0 and extract its Taylor
     coefficients, comparing the extraction against the trace formulas."""
-    taus = np.asarray(DEFAULT_TAU_GRID if taus is None else taus, dtype=float)
-    if not taus.size:
-        raise ValueError("tau_expansion needs a nonempty tau grid")
-    if not np.all(taus >= 0):  # written so that a NaN fails it
-        raise ValueError(f"tau_expansion needs times tau >= 0, got {taus}")
+    message = "tau_expansion needs a nonempty tau grid of finite times tau >= 0"
+    taus = _time_grid(DEFAULT_TAU_GRID if taus is None else taus, message, nonempty=True)
     h_norm = float(np.abs(model._total_evals).max())
     if h_norm > 0 and taus.max() * h_norm > 1.0:
         logging.getLogger(__name__).warning(

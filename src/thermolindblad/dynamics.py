@@ -189,7 +189,9 @@ class Propagator:
     eigenoperator basis of L's Hamiltonian) if given, else in the frame of
     L's own Hamiltonian part, when its measured off-sector norm allows it
     (see _Sectors; route "sector"), and each block is decomposed on its
-    own, with one batched eig per block size.  Otherwise (route "dense") L
+    own, with one batched eig per block size; a 1x1 block x is its own
+    eigenvalue and eigenvector, so it takes no eig, inverse or SVD, and
+    evolves as exp(x t) times its entry.  Otherwise (route "dense") L
     is decomposed whole: when it measurably preserves Hermiticity, as the
     real matrix R = T^dag L T of the Hermitian operator basis (arithmetic
     "real"; T is unitary, so R has the spectrum and the eigenvector cond of
@@ -201,7 +203,8 @@ class Propagator:
     arithmetic and the off-sector norm are kept, so audits can read them
     without decomposing L again.  Without a basis, the split last made of
     an equal array is reused (see _split).  Propagator(t) is the full map
-    exp(L t); propagate evolves one state through _states instead.
+    exp(L t); propagate evolves one state through _states instead, which on
+    the sector route makes two T N^2 buffers and no more.
     """
 
     def __init__(self, superoperator, basis=None):
@@ -234,8 +237,8 @@ class Propagator:
         cond = smax / smin if smin > 0 else math.inf
         self.condition_number = cond if math.isfinite(cond) else math.inf
         self.diagonalizable = self.condition_number < _DIAGONALIZABLE_COND
-        if self.diagonalizable:
-            self._inv = [np.linalg.inv(self._part(evecs)) for evecs in self._evecs]
+        if self.diagonalizable:  # a 1x1 block's eigenvector 1 is its own inverse
+            self._inv = [evecs if evecs.shape[-1] == 1 else np.linalg.inv(self._part(evecs)) for evecs in self._evecs]
         else:
             log.debug("eigenvector condition %.3e; using expm fallback", self.condition_number)
 
@@ -268,22 +271,27 @@ class Propagator:
         return to_standard(to_standard(self._frame_map(t)).conj().T).conj().T
 
     def _evolve(self, frame_vec, times, weights=None):
-        """exp(B t) frame_vec, block by block, for every t in times; with
-        weights, entry i of the result is scaled by weights[i], and the
-        blocks whose weights are all 0 are left 0 without evolving them."""
+        """exp(B t) frame_vec, block by block, for every t in times, as one
+        C-contiguous (N^2, T) array of frame_vec's dtype; with weights, entry
+        i of the result is scaled by weights[i], and the blocks whose weights
+        are all 0 are left 0 without evolving them.  A 1x1 block x takes
+        exp(x t) times its entry elementwise, with no 1x1 products."""
+        shape = (frame_vec.size, times.size)
+        out = np.empty(shape, frame_vec.dtype) if weights is None else np.zeros(shape, frame_vec.dtype)
         if self.diagonalizable:
-            shape = (frame_vec.size, times.size)
-            out = np.empty(shape, frame_vec.dtype) if weights is None else np.zeros(shape, frame_vec.dtype)
             for idx, evals, evecs, inv in zip(self.sectors.indices, self._evals, self._evecs, self._inv):
                 if weights is not None:
                     kept = weights[idx].any(axis=1)
                     idx, evals, inv = idx[kept], evals[kept], inv[kept]
                     evecs = weights[idx][..., None] * evecs[kept]
-                coeffs = inv @ frame_vec[idx][..., None]
-                out[idx] = self._part(evecs @ (np.exp(evals[..., None] * times) * coeffs))
+                if idx.shape[1] == 1:  # evecs holds the weight, or 1
+                    out[idx[:, 0]] = evecs[:, 0] * (np.exp(evals * times) * frame_vec[idx])
+                else:
+                    coeffs = inv @ frame_vec[idx][..., None]
+                    out[idx] = self._part(evecs @ (np.exp(evals[..., None] * times) * coeffs))
             return out
-        maps = [self._frame_map(t) @ frame_vec for t in times]
-        out = np.array(maps).reshape(times.size, frame_vec.size).T
+        for i, t in enumerate(times):
+            out[:, i] = self._frame_map(t) @ frame_vec
         return out if weights is None else out * weights[:, None]
 
     def _states(self, rho, times):
@@ -293,18 +301,22 @@ class Propagator:
         frame state rho'(t) is then U + U^dag for U holding rho'_ab for a <
         b, rho'_aa / 2 and 0 below, and rho(t) = M + M^dag for M = V U V^dag;
         energies ascend, so only the blocks at Bohr frequency >= 0 evolve.
-        The real dense route evolves real coordinates.  Elsewhere each state
-        is re-Hermitized as (rho + rho^dag)/2."""
+        That route makes two T N^2 buffers: the evolved frame entries, then
+        V U, whose product with V^dag is written over the first buffer and
+        M + M^dag into the second, the time axis fastest.  The real dense
+        route evolves real coordinates.  Elsewhere each state is
+        re-Hermitized as (rho + rho^dag)/2."""
         n, sectors, defects = rho.shape[0], self.sectors, np.zeros(times.size)
         frame_vec = self._part(sectors.to_frame(vectorize(rho)))
         if self.route == "sector" and sectors._preserves_hermiticity():
             b, a = np.divmod(np.arange(n * n), n)  # index a + N b, weighted 1, 1/2, 0 as a <, =, > b
             upper = self._evolve(frame_vec, times, (np.sign(b - a) + 1) / 2)
-            # upper[b, a, t] = U_ab(t), then m[j, i, t] = M_ij(t)
+            # upper[b, a, t] = U_ab(t), then m[j, i, t] = M_ij(t), written over upper
             vectors = sectors.vectors
-            m = vectors.conj() @ (vectors @ upper.reshape(n, n, times.size)).reshape(n, -1)
-            m = m.reshape(n, n, times.size)
-            states = np.conjugate(m.transpose(2, 0, 1))
+            first = vectors @ upper.reshape(n, n, times.size)
+            m = np.matmul(vectors.conj(), first.reshape(n, -1), out=upper.reshape(n, -1)).reshape(n, n, times.size)
+            # the states go into first's buffer, the time axis fastest
+            states = np.conjugate(m.transpose(2, 0, 1), out=first.transpose(2, 0, 1))
             states += m.transpose(2, 1, 0)
             return states, defects
         states = devectorize(sectors.to_standard(self._evolve(frame_vec, times)).T)
@@ -411,9 +423,20 @@ def propagate(superoperator, rho0, times):
 
 def null_dimension(svals):
     """Number of singular values (descending) at or below NULL_TOL times the
-    largest one."""
+    largest one; none when the largest is not finite (|x| of an infinite
+    1x1 block, or LAPACK's NaN)."""
     smax = svals[0] if svals.size else 0.0
-    return int(np.sum(svals <= NULL_TOL * max(smax, 1e-300)))
+    return int(np.sum(svals <= NULL_TOL * max(smax, 1e-300))) if smax < math.inf else 0
+
+
+def _block_svd(block, vectors=False):
+    """np.linalg.svd(block, compute_uv=vectors) of a (K, s, s) stack, less
+    u: the singular values, and with vectors the pair (s, vh).  For s = 1
+    in closed form, with no LAPACK call: x = (x / |x|) |x| 1, so |x| and
+    vh = 1."""
+    if block.shape[-1] > 1:
+        return np.linalg.svd(block)[1:] if vectors else np.linalg.svd(block, compute_uv=False)
+    return (np.abs(block[..., 0]), np.ones_like(block)) if vectors else np.abs(block[..., 0])
 
 
 @dataclass
@@ -428,8 +451,9 @@ def steady_state(superoperator):
     """Stationary state from the smallest singular vector of L.
 
     superoperator is read as in propagate.  L's singular values are those
-    of its sector blocks together, one batched SVD per block size, or on
-    the dense route those of L whole: one real SVD of R = T^dag L T when L
+    of its sector blocks together, one batched SVD per block size (a 1x1
+    block x is |x| with right singular vector 1, no SVD), or on the dense
+    route those of L whole: one real SVD of R = T^dag L T when L
     preserves Hermiticity (see Propagator).  Uniqueness is decided by
     counting those below NULL_TOL * smax.  The state is the right singular
     vector of the smallest one, taken from its block back to the standard
@@ -440,8 +464,8 @@ def steady_state(superoperator):
     """
     l_mat = _superop_of(superoperator)
     sectors = _sectors_of(superoperator)
-    decomps = [np.linalg.svd(block) for block in sectors.blocks(sectors.frame)]
-    svals = np.sort(np.concatenate([s.ravel() for _, s, _ in decomps]))[::-1]
+    decomps = [_block_svd(block, vectors=True) for block in sectors.blocks(sectors.frame)]
+    svals = np.sort(np.concatenate([s.ravel() for s, _ in decomps]))[::-1]
     smax = svals[0]
     null_dim = null_dimension(svals)
     if null_dim == 0:
@@ -449,8 +473,8 @@ def steady_state(superoperator):
             f"no stationary state found: smallest singular value {svals[-1]:.3e} "
             f"exceeds {NULL_TOL:.1e} * {smax:.3e}"
         )
-    k = int(np.argmin([s[:, -1].min() for _, s, _ in decomps]))
-    _, s, vh = decomps[k]
+    k = int(np.argmin([s[:, -1].min() for s, _ in decomps]))
+    s, vh = decomps[k]
     j = int(np.argmin(s[:, -1]))
     frame_vec = np.zeros(l_mat.shape[0], dtype=complex)
     frame_vec[sectors.indices[k][j]] = vh[j, -1].conj()
@@ -483,14 +507,17 @@ def relative_entropy(rho, sigma):
     (eigenvalues above SUPPORT_CUTOFF) and contracted with every rho.
     Returns +inf where rho has weight above SUPPORT_CUTOFF on the null
     space of sigma.  Eigenvalues are clipped at 1e-300 before logs, and
-    those of rho at 0.
+    those of rho at 0.  The Hermitian part of rho is formed in one buffer
+    of rho's layout, with the bits of (rho + rho^dag) / 2.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape[-2:] != sigma.shape or sigma.ndim != 2:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
     n = sigma.shape[0]
-    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
+    # (rho + rho^dag) / 2 in one buffer of rho's layout, the same bits
+    herm = np.conjugate(rho.swapaxes(-1, -2), out=np.empty_like(rho))
+    rho = np.divide(np.add(herm, rho, out=herm), 2, out=herm)
     sigma = (sigma + sigma.conj().T) / 2
     p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     q, v = np.linalg.eigh(sigma)

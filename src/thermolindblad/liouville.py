@@ -89,7 +89,9 @@ def assemble_superop(kind, a, b=None):
     (X -> a X a^dag - (1/2){a^dag a, X}).  'sandwich' is one broadcast
     product kron(b^T, a); 'dissipator_term' is kron(conj a, a), from whose
     partial trace a^dag a is read, with the decay written in place by the
-    Kronecker-sum writer _add_kronecker_sum that the other four kinds use.
+    Kronecker-sum writer _add_kronecker_sum that the other four kinds use;
+    its entries p + N p then take (a^dag a)_pp off whole, so that one level
+    gives exactly 0 wherever conj(a) a is finite.
     """
     if kind not in _SUPEROP_KINDS:
         raise ValueError(f"unknown superoperator kind {kind!r}; expected one of {_SUPEROP_KINDS}")
@@ -106,11 +108,16 @@ def assemble_superop(kind, a, b=None):
         raise ValueError(f"kind {kind!r} takes a single operator")
     if kind == "dissipator_term":
         out = (a.conj()[:, None, :, None] * a[None, :, None, :]).reshape(n * n, n * n)  # kron(conj a, a)
-        left = right = -0.5 * out[:: n + 1].sum(axis=0).reshape(n, n)  # -a^dag a / 2
+        decay = out[:: n + 1].sum(axis=0).reshape(n, n)  # a^dag a
+        left = right = -0.5 * decay
+        # entry p + N p gets (a^dag a)_pp taken off whole, not as two halves, so N = 1 gives 0
+        whole = out.diagonal()[:: n + 1] - decay.diagonal()
     else:
         zero, out = np.zeros_like(a), np.zeros((n * n, n * n), dtype=complex)
         left, right = {"left": (a, zero), "right": (zero, a), "commutator": (a, -a), "anticommutator": (a, a)}[kind]
     _add_kronecker_sum(out, left, right)
+    if kind == "dissipator_term":
+        out.reshape(-1)[:: (n * n + 1) * (n + 1)] = whole
     return out
 
 

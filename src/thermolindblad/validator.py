@@ -32,6 +32,7 @@ import numpy as np
 from .dynamics import (
     _DIAGONALIZABLE_COND,
     Propagator,
+    _block_svd,
     _choi_sources,
     _propagator_of,
     _sectors_of,
@@ -138,14 +139,15 @@ def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     beta, with a zeroth-law uniqueness flag from the null-space dimension.
     The singular values of L are those of its sector blocks together, split
     in the frame of superoperator's basis if it has one, else of L's own
-    Hamiltonian part; on the dense route those of L whole, from one real SVD
-    of R = T^dag L T when L preserves Hermiticity (see Propagator)."""
+    Hamiltonian part (a 1x1 block x is |x|, with no SVD); on the dense route
+    those of L whole, from one real SVD of R = T^dag L T when L preserves
+    Hermiticity (see Propagator)."""
     threshold = DEFAULT_THRESHOLDS["fixed_point"] if threshold is None else threshold
     l_mat = _superop_of(superoperator)
     sectors = _sectors_of(superoperator)
     rho_th = thermal_state(hamiltonian, beta)
     defect = float(np.linalg.norm(l_mat @ vectorize(rho_th)))
-    svals = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in sectors.blocks(sectors.frame)])
+    svals = np.concatenate([_block_svd(b).ravel() for b in sectors.blocks(sectors.frame)])
     null_dim = null_dimension(np.sort(svals)[::-1])
     return CheckResult(
         name="fixed_point",

@@ -532,6 +532,40 @@ def test_tau_expansion_rejects_an_empty_grid():
     assert model.block_shapes == []
 
 
+@pytest.mark.parametrize("bad", [[math.inf, 1e-3], ["0.1", "0.2"], [True], [[1e-3, 2e-3]]])
+def test_tau_expansion_takes_only_a_grid_of_finite_real_taus(bad):
+    # propagate's grid rule: an infinite tau, a string, a bool or a 2-d grid is
+    # refused before anything is evaluated, never cast or evaluated to NaN
+    model = counting_copy(nonconserving_model())
+    with pytest.raises(ValueError, match="tau_expansion needs a nonempty tau grid"):
+        tau_expansion(model, superposition_state(), bad)
+    assert model.block_shapes == []
+
+
+def off_diagonal_system_model():
+    """The tau-scan config whose tau = 0 point keeps a positive rounding
+    defect: system [[0, 0.3], [0.3, 1]], qubit environment thermal at beta = 0,
+    nonconserving coupling of strength 0.5."""
+    h_sys = np.array([[0.0, 0.3], [0.3, 1.0]], dtype=complex)
+    h_env = presets.qubit(1.0)
+    return CompositeModel(
+        system_hamiltonian=h_sys,
+        env_hamiltonian=h_env,
+        coupling=presets.adjacency_coupling(2, 2, 0.5),
+        env_state=presets.thermal_state(h_env, 0.0),
+    )
+
+
+def test_tau_expansion_fits_no_tau_zero_point():
+    model = off_diagonal_system_model()
+    vectors = np.linalg.eigh(model.system_hamiltonian)[1]
+    rho_s = np.outer(vectors[:, -1], vectors[:, -1].conj())  # the excited state
+    taus = [0.0, 1e-3, 2e-3]
+    assert theorem1_defect(model, taus, rho_s)[0] > 0.0  # the rounding the fit must not take a log of
+    scan = tau_expansion(model, rho_s, taus)
+    assert math.isfinite(scan.fitted_slope)
+
+
 def test_tau_expansion_accepts_tau_zero():
     scan = tau_expansion(nonconserving_model(), superposition_state(), np.linspace(0.0, 1e-2, 6))
     assert scan.defects[0] == 0.0

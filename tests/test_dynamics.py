@@ -1,5 +1,7 @@
 """Propagation, stationary states, heat currents, relative entropy, and
 multi-bath transport."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -12,6 +14,7 @@ from thermolindblad import (
     build_restricted_generator,
     build_transport_model,
     check_commutation,
+    check_fixed_point,
     devectorize,
     heat_current,
     flat_rate,
@@ -158,6 +161,51 @@ def test_propagate_on_empty_time_grid(qubit_generator):
     np.testing.assert_array_equal(propagate(qubit_generator, np.eye(2) / 2, 1.0).times, [1.0])
 
 
+def test_no_stack_of_one_by_one_blocks_reaches_lapack(rng, monkeypatch):
+    # a nondegenerate H has N(N - 1) coherence sectors of size 1: each is its
+    # own eigenvalue, inverse (1) and singular value (|x|), in closed form
+    gen = random_generator(6, rng)
+    rho0, times = presets.random_density_matrix(6, rng), np.linspace(0.0, 5.0, 20)
+    shapes = []
+    for name in ("svd", "inv", "eig"):
+
+        def counting(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            shapes.append((_name, np.shape(a)))
+            return _call(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    prop = Propagator(gen.superoperator, gen.basis)
+    for obj in (prop, gen, gen.superoperator):
+        propagate(obj, rho0, times)
+        steady_state(obj)
+        check_fixed_point(obj, gen.hamiltonian, gen.beta)
+    assert {name for name, _ in shapes} == {"svd", "inv", "eig"}
+    assert [(name, shape) for name, shape in shapes if shape[-2:] == (1, 1)] == []
+
+
+def peak_bytes_above_inputs(fn):
+    """The largest traced allocation total while fn runs, counted from its start."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_path_makes_few_state_sized_temporaries(rng):
+    gen = random_generator(8, rng)
+    rho0, times = presets.random_density_matrix(8, rng), np.linspace(0.0, 20.0, 200)
+    prop = Propagator(gen.superoperator, gen.basis)
+    states = propagate(prop, rho0, times).states  # also measures the split's Hermiticity once
+    reference = presets.thermal_state(gen.hamiltonian, gen.beta)
+    # one state-sized buffer for the Hermitian part, plus small ones
+    assert peak_bytes_above_inputs(lambda: relative_entropy(states, reference)) <= 2.0 * states.nbytes
+    # two state-sized buffers: the evolved frame entries, which the second
+    # frame product overwrites, and the first product, which the states overwrite
+    assert peak_bytes_above_inputs(lambda: propagate(prop, rho0, times)) <= 3.0 * states.nbytes
+
+
 @pytest.mark.parametrize(
     "times",
     [[np.nan], [np.inf], [0.0, -1.0], [[0.0, 1.0]], np.zeros((2, 2)), ["1.0"], [True], [None], [1.0 + 1j]],
@@ -205,6 +253,13 @@ def test_no_stationary_state_raises():
     l_mat = -np.eye(4, dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
         steady_state(l_mat)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(np.inf, 1.0), np.nan])
+def test_one_level_generator_that_is_not_finite_has_no_stationary_state(entry):
+    # its one 1x1 block has singular value |x|, infinite or NaN: no null direction
+    with pytest.raises(np.linalg.LinAlgError, match="no stationary state"):
+        steady_state(np.array([[entry]], dtype=complex))
 
 
 # -- heat currents -----------------------------------------------------------
