@@ -396,9 +396,12 @@ def _time_grid(times, message, nonempty=False):
     """times as a float array when it is a 1-d grid (or one number) of finite
     real t >= 0, nonempty if asked, else ValueError(message, got the grid)."""
     grid = np.atleast_1d(np.asarray(times))  # of real numbers: a string, bool or None is no time
-    if (grid.dtype.kind not in "iuf" or grid.ndim != 1 or (nonempty and not grid.size)
+    # numpy casts [True, 0.5] to [1.0, 0.5], so a grid that is not yet an array is read for bools
+    cast_bool = isinstance(times, (list, tuple)) and any(
+        isinstance(t, bool) or getattr(t, "dtype", None) == bool for t in times)
+    if (cast_bool or grid.dtype.kind not in "iuf" or grid.ndim != 1 or (nonempty and not grid.size)
             or not np.all((grid >= 0) & (grid < math.inf))):
-        raise ValueError(f"{message}, got {grid}")
+        raise ValueError(f"{message}, got {times if cast_bool else grid}")
     return grid.astype(float, copy=False)
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from .liouville import (
     EigenoperatorBasis,
     _add_kronecker_sum,
-    change_basis,
+    _conjugated,
+    _invariant_coefficients,
     choi_matrix,
     eigenoperator_basis,
     gkls_dissipator,
@@ -333,6 +334,8 @@ class GKSCoefficients:
     a is indexed by the traceless basis in EigenoperatorBasis order
     (transitions first, then the diagonal invariant operators); the
     identity component is absorbed into the effective Hamiltonian.
+    One level gives a (0, 0) a, a 1x1 zero Hamiltonian and
+    min_eigenvalue +inf.
     """
 
     a: np.ndarray
@@ -348,14 +351,21 @@ def gks_from_map(map_family, basis, epsilon=1e-5):
     differences at epsilon and epsilon/2, then projected onto the
     sandwich basis S_i . S_j^dag built from the eigenoperator basis.  The
     projection tr((S_j^* kron S_i)^dag L) equals entry (i, j) of the
-    generator's Choi matrix in that basis.
+    generator's Choi matrix in that basis, read off the energy frame of
+    basis.spectrum.vectors, where |n><m| is index n + N m and the
+    invariants mix the populations (N + 1) a.  epsilon is a finite real
+    number > 0; a family that is not the identity at t = 0, or gives a
+    non-finite estimate, is a ValueError.
     """
+    real = isinstance(epsilon, (int, float, np.integer, np.floating)) and not isinstance(epsilon, bool)
+    if not (real and _is_finite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a finite real number > 0, got {epsilon!r}")
     n = basis.n_levels
     dim2 = n * n
     lam0 = np.asarray(map_family(0.0), dtype=complex)
     if lam0.shape != (dim2, dim2):
         raise ValueError(f"map family must return {dim2}x{dim2} superoperators, got {lam0.shape}")
-    if np.linalg.norm(lam0 - np.eye(dim2)) > 1e-8:
+    if not np.linalg.norm(lam0 - np.eye(dim2)) <= 1e-8:
         raise ValueError("map family does not reduce to the identity at t = 0")
 
     def central(eps):
@@ -363,22 +373,30 @@ def gks_from_map(map_family, basis, epsilon=1e-5):
         minus = np.asarray(map_family(-eps), dtype=complex)
         return (plus - minus) / (2 * eps)
 
-    l_est = (4.0 * central(epsilon / 2) - central(epsilon)) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
+        l_est = (4.0 * central(epsilon / 2) - central(epsilon)) / 3.0
+    if not np.isfinite(l_est).all():
+        raise ValueError(f"map family gives a non-finite generator estimate at epsilon = {epsilon!r}")
 
-    ops = basis.full_basis()  # identity is the last element
-    b = change_basis(choi_matrix(l_est), ops)
+    t, d = n * (n - 1), dim2 - 1
+    rows, cols = basis.transition_pairs
+    order = np.concatenate([rows + n * cols, (n + 1) * np.arange(n)])
+    table, vectors = _invariant_coefficients(n), basis.spectrum.vectors
+    frame = _conjugated(choi_matrix(l_est), vectors)
+    b = frame[np.ix_(order, order)]
+    b[t:] = table @ b[t:]
+    b[:, t:] = b[:, t:] @ table.T
+    a = b[:d, :d]
+    # X = sum_{i < d} b[i, d] S_i / sqrt(N) in the energy frame: E b[:, d] is
+    # frame . vec(I) / sqrt(N), and taking off the trace drops the i = d term
+    x = frame[:, order[t:]].sum(axis=1).reshape(n, n).T / n
+    x[np.diag_indices(n)] -= np.trace(x) / n
+    hamiltonian = vectors @ ((x.conj().T - x) / 2j) @ vectors.conj().T
 
-    d = dim2 - 1
-    a = b[:d, :d].copy()
-    f_op = np.tensordot(b[:d, d], ops[:d], axes=1) / np.sqrt(n)
-    hamiltonian = (f_op.conj().T - f_op) / 2j
-
-    herm_defect = float(np.linalg.norm(a - a.conj().T))
     a_herm = (a + a.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(a_herm).min())
     return GKSCoefficients(
         a=a,
         hamiltonian=hamiltonian,
-        min_eigenvalue=min_eig,
-        hermiticity_defect=herm_defect,
+        min_eigenvalue=float(np.linalg.eigvalsh(a_herm).min()) if d else math.inf,
+        hermiticity_defect=float(np.linalg.norm(a - a.conj().T)),
     )

@@ -167,26 +167,19 @@ def conjugation_superop(u):
     return assemble_superop("sandwich", u, u.conj().T)
 
 
-def change_basis(superoperator, ops):
-    """Matrix B^dag M B of a superoperator M in an operator basis.
-
-    Column k of B is vectorize(ops[k]), so entry (i, j) is the
-    Hilbert-Schmidt inner product tr(ops[i]^dag M[ops[j]]).
-    """
-    b = np.stack([vectorize(op) for op in ops], axis=1)
-    return b.conj().T @ np.asarray(superoperator, dtype=complex) @ b
-
-
 def choi_matrix(map_superoperator):
     """Reshuffle a map superoperator, or a (..., N^2, N^2) stack, into its Choi matrix.
 
     Under column stacking, C[(i,k),(j,l)] = Lambda[(i,j),(k,l)]; the map is
     completely positive iff C is positive semidefinite.  C is returned as the
     transpose of a C-contiguous copy of C^T, which copies faster than C at N = 20.
+    Last two axes that are not N^2 x N^2 are a ValueError naming the shape.
     """
     lam = np.asarray(map_superoperator, dtype=complex)
+    n = math.isqrt(lam.shape[-1]) if lam.ndim else 0
+    if lam.shape[-2:] != (n * n, n * n):
+        raise ValueError(f"a map superoperator is N^2 x N^2 in its last two axes, got shape {lam.shape}")
     *lead, n2, _ = lam.shape
-    n = int(round(np.sqrt(n2)))
     transposed = lam.reshape(*lead, n, n, n, n).transpose(*range(len(lead)), -2, -4, -1, -3)
     return transposed.reshape(*lead, n2, n2).swapaxes(-1, -2)
 
@@ -272,13 +265,7 @@ class EigenoperatorBasis:
     @functools.cached_property
     def invariants(self):
         vectors, n = self.spectrum.vectors, self.n_levels
-        invariants = []
-        for l in range(1, n):
-            coeffs = np.zeros(n)
-            coeffs[:l] = 1.0
-            coeffs[l] = -float(l)
-            coeffs /= np.sqrt(l * (l + 1))
-            invariants.append(vectors @ np.diag(coeffs) @ vectors.conj().T)
+        invariants = [vectors @ np.diag(coeffs) @ vectors.conj().T for coeffs in _invariant_coefficients(n)[:-1]]
         invariants.append(np.eye(n, dtype=complex) / np.sqrt(n))
         return invariants
 
@@ -309,13 +296,6 @@ class EigenoperatorBasis:
                 return gid
         raise ValueError(f"transition index {k} out of range")
 
-    def full_basis(self):
-        """All N^2 basis operators: transitions, then invariants (identity last)."""
-        return self.transitions_ops() + list(self.invariants)
-
-    def transitions_ops(self):
-        return [self.outers[i, j] for i, j in zip(*self.transition_pairs)]
-
 
 @functools.lru_cache(maxsize=None)
 def _transition_pairs(n):
@@ -326,6 +306,19 @@ def _transition_pairs(n):
     for arr in pairs:
         arr.flags.writeable = False
     return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _invariant_coefficients(n):
+    """Real orthogonal table of the invariants' energy-frame diagonals: row l - 1 is
+    Gell-Mann (1, ..., 1, -l, 0, ...) / sqrt(l (l + 1)) with l ones, the last I / sqrt(N)."""
+    l = np.arange(1, n)
+    table = np.tril(np.ones((n, n)))
+    table[l - 1, l] = -l
+    table[:-1] /= np.sqrt(l * (l + 1))[:, None]
+    table[-1] = 1.0 / np.sqrt(n)
+    table.flags.writeable = False
+    return table
 
 
 def _fix_phases(vectors):

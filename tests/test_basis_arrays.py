@@ -169,10 +169,6 @@ def test_object_attributes_equal_their_direct_definitions(hamiltonian):
     assert all(same_bits(p, ref) for p, ref in zip(basis.projectors, projectors))
     assert len(basis.invariants) == len(invariants)
     assert all(same_bits(op, ref) for op, ref in zip(basis.invariants, invariants))
-    full = basis.full_basis()
-    expected = [t[3] for t in transitions] + invariants
-    assert len(full) == len(expected) == basis.n_levels**2
-    assert all(same_bits(op, ref) for op, ref in zip(full, expected))
     # degeneracy groups: transition indices grouped by their sector label
     n = basis.n_levels
     labels = [int(basis.sector_labels[i + n * j]) for i, j, _, _ in transitions]

@@ -532,10 +532,11 @@ def test_tau_expansion_rejects_an_empty_grid():
     assert model.block_shapes == []
 
 
-@pytest.mark.parametrize("bad", [[math.inf, 1e-3], ["0.1", "0.2"], [True], [[1e-3, 2e-3]]])
+@pytest.mark.parametrize("bad", [[math.inf, 1e-3], ["0.1", "0.2"], [True], [[1e-3, 2e-3]], [True, 1e-3]])
 def test_tau_expansion_takes_only_a_grid_of_finite_real_taus(bad):
-    # propagate's grid rule: an infinite tau, a string, a bool or a 2-d grid is
-    # refused before anything is evaluated, never cast or evaluated to NaN
+    # propagate's grid rule: an infinite tau, a string, a bool (alone or among
+    # numbers) or a 2-d grid is refused before anything is evaluated, never cast
+    # or evaluated to NaN
     model = counting_copy(nonconserving_model())
     with pytest.raises(ValueError, match="tau_expansion needs a nonempty tau grid"):
         tau_expansion(model, superposition_state(), bad)

@@ -1,5 +1,6 @@
 """Propagation, stationary states, heat currents, relative entropy, and
 multi-bath transport."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -208,8 +209,10 @@ def test_trajectory_path_makes_few_state_sized_temporaries(rng):
 
 @pytest.mark.parametrize(
     "times",
-    [[np.nan], [np.inf], [0.0, -1.0], [[0.0, 1.0]], np.zeros((2, 2)), ["1.0"], [True], [None], [1.0 + 1j]],
-    ids=["nan", "inf", "negative", "nested", "matrix", "string", "bool", "none", "complex"],
+    [[np.nan], [np.inf], [0.0, -1.0], [[0.0, 1.0]], np.zeros((2, 2)), ["1.0"], [True], [None], [1.0 + 1j],
+     [True, 0.5], (0.5, np.True_), [0.5, np.array(True)]],
+    ids=["nan", "inf", "negative", "nested", "matrix", "string", "bool", "none", "complex",
+         "bool-among-numbers", "numpy-bool-among-numbers", "bool-array-among-numbers"],
 )
 def test_propagate_rejects_a_bad_time_grid_before_splitting(times, monkeypatch):
     spec = ThermoSpec(hamiltonian=presets.ladder(3, 1.0), beta=1.0, downward_rates={(0, 1): 1.0})
@@ -221,6 +224,11 @@ def test_propagate_rejects_a_bad_time_grid_before_splitting(times, monkeypatch):
     monkeypatch.setattr(dynamics, "_split", forbidden)
     with pytest.raises(ValueError, match="1-d grid of finite times"):
         propagate(gen, np.eye(3) / 3, times)
+
+
+def test_a_refused_bool_is_named_in_the_message(qubit_generator):
+    with pytest.raises(ValueError, match=re.escape("got [True, 0.5]")):
+        propagate(qubit_generator, np.eye(2) / 2, [True, 0.5])
 
 
 # -- stationary states -------------------------------------------------------

@@ -467,9 +467,13 @@ def test_gks_of_unitary_family_is_zero():
     assert np.allclose(coeffs.hamiltonian, h - np.trace(h) / 2 * np.eye(2), atol=1e-7)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_gks_matches_kron_trace_formula(n, rng):
-    h = presets.random_hermitian(n, rng)
+KRON_TRACE_HAMILTONIANS = {"degenerate": np.diag([0.0, 0.0, 1.0]), "ladder4": presets.ladder(4, 1.0)}
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6, *KRON_TRACE_HAMILTONIANS])
+def test_gks_matches_kron_trace_formula(case, rng):
+    h = KRON_TRACE_HAMILTONIANS[case] if case in KRON_TRACE_HAMILTONIANS else presets.random_hermitian(case, rng)
+    n = len(h)
     basis = eigenoperator_basis(h)
     l_mat = -1j * assemble_superop("commutator", h) + sum(
         assemble_superop("dissipator_term", rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -478,14 +482,17 @@ def test_gks_matches_kron_trace_formula(n, rng):
     # a family linear in t makes the Richardson estimate exact at epsilon = 1
     coeffs = gks_from_map(lambda t: np.eye(n * n) + t * l_mat, basis, epsilon=1.0)
 
-    ops = basis.full_basis()
+    # the basis: transitions |n><m|, then the invariants, identity last
+    rows, cols = basis.transition_pairs
+    ops = list(basis.outers[rows, cols]) + basis.invariants
     b = np.array(
         [[np.trace(np.kron(sj.conj(), si).conj().T @ l_mat) for sj in ops] for si in ops]
     )
     d = n * n - 1
-    f_op = sum(b[i, d] * ops[i] for i in range(d)) / np.sqrt(n)
+    f_op = sum((b[i, d] * ops[i] for i in range(d)), np.zeros((n, n), dtype=complex)) / np.sqrt(n)
     scale = max(1.0, np.linalg.norm(l_mat))
-    assert np.max(np.abs(coeffs.a - b[:d, :d])) <= 1e-12 * scale
+    assert coeffs.a.shape == (d, d)
+    assert np.all(np.abs(coeffs.a - b[:d, :d]) <= 1e-12 * scale)
     assert np.max(np.abs(coeffs.hamiltonian - (f_op.conj().T - f_op) / 2j)) <= 1e-12 * scale
 
 
@@ -509,3 +516,40 @@ def test_gks_identity_check_rejects_shifted_family():
     basis = eigenoperator_basis(presets.qubit(1.0))
     with pytest.raises(ValueError):
         gks_from_map(lambda t: np.eye(4) * (1.0 + 0.1), basis)
+
+
+@pytest.mark.parametrize(
+    "epsilon",
+    [0, 0.0, -1e-5, np.nan, np.inf, -np.inf, True, "1e-5", pytest.param(10**400, id="int-beyond-float"), None],
+)
+def test_gks_takes_only_a_finite_positive_epsilon(epsilon, qubit_generator):
+    l_mat = qubit_generator.superoperator
+    with pytest.raises(ValueError, match="epsilon must be a finite real number > 0"):
+        gks_from_map(lambda t: np.eye(4) + t * l_mat, qubit_generator.basis, epsilon=epsilon)
+
+
+def test_gks_identity_check_rejects_a_nan_map():
+    basis = eigenoperator_basis(presets.qubit(1.0))
+    with pytest.raises(ValueError, match="identity at t = 0"):
+        gks_from_map(lambda t: np.full((4, 4), np.nan), basis)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_gks_rejects_a_non_finite_estimate(entry, qubit_generator):
+    def family(t):
+        lam = np.eye(4, dtype=complex)
+        if t > 0:
+            lam[0, 3] = entry
+        return lam
+
+    with pytest.raises(ValueError, match="map family gives a non-finite generator estimate"):
+        gks_from_map(family, qubit_generator.basis)
+
+
+def test_gks_of_one_level_is_empty():
+    basis = eigenoperator_basis(np.array([[0.7]]))
+    coeffs = gks_from_map(lambda t: np.eye(1), basis)
+    assert coeffs.a.shape == (0, 0)
+    assert coeffs.hamiltonian.shape == (1, 1) and np.all(coeffs.hamiltonian == 0)
+    assert coeffs.min_eigenvalue == np.inf
+    assert coeffs.hermiticity_defect == 0.0

@@ -1,5 +1,7 @@
 """Vectorization conventions, superoperator assembly, and the
 eigenoperator decomposition."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -180,6 +182,14 @@ def test_choi_matrix_equals_the_f_order_formula_and_stacks(n, rng):
     choi = choi_matrix(stack)
     for idx in np.ndindex(2, 3):
         assert np.array_equal(choi[idx], choi_matrix(stack[idx]))
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (4,), (3, 3), (4, 9), (9, 4), (2, 5, 5)], ids=["0-d", "1-d", "3x3", "4x9", "9x4", "stack-5x5"]
+)
+def test_choi_matrix_rejects_axes_that_are_not_n2_by_n2(shape):
+    with pytest.raises(ValueError, match=re.escape(f"N^2 x N^2 in its last two axes, got shape {shape}")):
+        choi_matrix(np.zeros(shape))
 
 
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 0), (2, 4), (3, 9), (4, 16)])
@@ -629,7 +639,8 @@ def test_hamiltonian_superop_spectrum():
 def test_basis_is_orthonormal_and_complete(rng):
     h = presets.random_hermitian(4, rng)
     basis = eigenoperator_basis(h)
-    ops = basis.full_basis()
+    rows, cols = basis.transition_pairs
+    ops = list(basis.outers[rows, cols]) + basis.invariants
     assert len(ops) == 16
     gram = np.array([[hs_inner(a, b) for b in ops] for a in ops])
     assert np.allclose(gram, np.eye(16), atol=1e-12)

@@ -23,7 +23,6 @@ from thermolindblad import (
     check_fixed_point,
     check_spectral,
     check_structure_support,
-    change_basis,
     choi_matrix,
     conjugation_superop,
     devectorize,
@@ -355,8 +354,8 @@ def test_cptp_rejects_negative_times(qubit_generator):
 
 @pytest.mark.parametrize(
     "times",
-    [(math.nan,), (math.inf,), (1.0, math.nan), (), ["0.5", "2"], [True], [[0.1, 1.0]], [0.5j]],
-    ids=["nan", "inf", "mixed", "empty", "strings", "bool", "2-d", "complex"],
+    [(math.nan,), (math.inf,), (1.0, math.nan), (), ["0.5", "2"], [True], [[0.1, 1.0]], [0.5j], [True, 0.5]],
+    ids=["nan", "inf", "mixed", "empty", "strings", "bool", "2-d", "complex", "bool-among-numbers"],
 )
 @pytest.mark.parametrize("route", ["sector", "dense"])
 def test_cptp_rejects_non_finite_or_empty_grid(route, times, qubit_generator, monkeypatch):
@@ -768,11 +767,11 @@ def foreign(n, rng):
 def test_basis_matrices_match_reference_loop(make, n, rng):
     gen = make(n, rng)
     basis = gen.basis
-    ops = basis.full_basis()
+    rows, cols = basis.transition_pairs
+    ops = list(basis.outers[rows, cols]) + basis.invariants
     scale = max(1.0, np.linalg.norm(gen.superoperator))
 
     overlap = reference_matrix(gen.dissipator, ops)
-    assert np.max(np.abs(change_basis(gen.dissipator, ops) - overlap)) <= 1e-12 * scale
     allowed = np.ones((n * n, n * n), dtype=bool)
     n_tr = len(basis.transitions)
     for i in range(n * n):
@@ -792,7 +791,6 @@ def test_basis_matrices_match_reference_loop(make, n, rng):
     assert support_l.details["on_support_norm"] == pytest.approx(np.linalg.norm(on_l), abs=1e-12 * scale)
 
     block = reference_matrix(gen.superoperator, basis.projectors)
-    assert np.max(np.abs(change_basis(gen.superoperator, basis.projectors) - block)) <= 1e-12 * scale
     spectral = check_spectral(gen.superoperator, basis)
     expected = np.linalg.eigvals(block)
     distance = np.abs(spectral.details["population_eigenvalues"][:, None] - expected[None, :])
