@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,29 +132,58 @@ class _Sectors:
         return out
 
 
-# The split last made without a basis, of a private read-only copy of its
-# L: the next caller given an equal array without a basis (propagate then
-# steady_state, say) reads it instead of splitting again.  Splits in a
-# basis never enter it, so it holds the frame of L's own Hamiltonian part.
-_kept_split = None
+# One kept entry per live caller array split without a basis, keyed by
+# id(array): the split of a private read-only copy of its L, and the
+# Propagator built of that split once there is one (see _kept_entry).  A
+# weak reference to the array drops the entry when the array is collected,
+# so the array's lifetime bounds what is kept.  Splits in a basis never
+# enter it, so an entry holds the frame of L's own Hamiltonian part.
+_kept = {}
+
+
+class _Kept:
+    """The kept entry of one caller array: a weak reference to it, the split
+    of its copy, and its Propagator or None."""
+
+    __slots__ = ("ref", "sectors", "propagator")
+
+    def __init__(self, ref, sectors):
+        self.ref, self.sectors, self.propagator = ref, sectors, None
+
+
+def _forget(key, ref, store=_kept):
+    # the weak reference's callback.  It reads no global, which the
+    # interpreter may already have set to None when it runs at exit.  The
+    # array is not freed before it returns, so no other array takes the key.
+    entry = store.get(key)
+    if entry is not None and entry.ref is ref:
+        store.pop(key, None)
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+
+
+def _kept_entry(l_mat):
+    """The kept entry of l_mat, made anew unless the one under id(l_mat) was
+    made of this very array and its copy still equals l_mat."""
+    key = id(l_mat)
+    entry = _kept.get(key)  # read once: another thread may replace it
+    if entry is None or entry.ref() is not l_mat or not np.array_equal(entry.sectors.superoperator, l_mat):
+        sectors = _Sectors(l_mat.copy())
+        _read_only(sectors.superoperator, sectors.frame, sectors.energy_frame, sectors.labels, sectors.vectors,
+                   *sectors.indices)
+        entry = _Kept(weakref.ref(l_mat, functools.partial(_forget, key)), sectors)
+        _kept[key] = entry
+    return entry
 
 
 def _split(l_mat, basis=None):
-    """_Sectors(l_mat, basis), or the kept split when basis is None and
-    l_mat equals its L."""
-    global _kept_split
-    if basis is not None:
-        return _Sectors(l_mat, basis)
-    kept = _kept_split  # read once: another thread may replace it
-    if kept is not None and np.array_equal(kept.superoperator, l_mat):
-        return kept
-    sectors = _Sectors(l_mat.copy())
-    arrays = (sectors.superoperator, sectors.frame, sectors.energy_frame, sectors.labels, sectors.vectors)
-    for array in (*arrays, *sectors.indices):
-        if array is not None:
-            array.flags.writeable = False
-    _kept_split = sectors
-    return sectors
+    """_Sectors(l_mat, basis); without a basis the split kept for l_mat while
+    it lives unchanged, the same to the bit as a fresh one (see _kept_entry)."""
+    return _Sectors(l_mat, basis) if basis is not None else _kept_entry(l_mat).sectors
 
 
 def _hamiltonian_part(l_mat, n):
@@ -201,17 +231,27 @@ class Propagator:
     on the sector route) has cond < 1e8, and scaling-and-squaring of each
     block otherwise.  The eigenvalues, the condition number, the route, the
     arithmetic and the off-sector norm are kept, so audits can read them
-    without decomposing L again.  Without a basis, the split last made of
-    an equal array is reused (see _split).  Propagator(t) is the full map
+    without decomposing L again.  Without a basis, L is split and
+    decomposed once while the caller's array lives unchanged: the first
+    Propagator of it is kept with its split (see _kept_entry), and a later
+    one shares its read-only arrays; superoperator is then the kept,
+    read-only copy of L, so nothing kept holds the caller's array.  An
+    array that is not complex is converted first, so only that call's
+    conversion is kept.  Propagator(t) is the full map
     exp(L t); propagate evolves one state through _states instead, which on
     the sector route makes two T N^2 buffers and no more.
     """
 
     def __init__(self, superoperator, basis=None):
-        self.superoperator = np.asarray(superoperator, dtype=complex)
-        if self.superoperator.ndim != 2 or self.superoperator.shape[0] != self.superoperator.shape[1]:
-            raise ValueError(f"superoperator must be square, got {self.superoperator.shape}")
-        self.sectors = _split(self.superoperator, basis)
+        l_mat = np.asarray(superoperator, dtype=complex)
+        if l_mat.ndim != 2 or l_mat.shape[0] != l_mat.shape[1]:
+            raise ValueError(f"superoperator must be square, got {l_mat.shape}")
+        entry = _kept_entry(l_mat) if basis is None else None
+        if entry is not None and entry.propagator is not None:
+            vars(self).update(vars(entry.propagator))  # its arrays are read-only, so they are shared
+            return
+        self.sectors = _Sectors(l_mat, basis) if entry is None else entry.sectors
+        self.superoperator = self.sectors.superoperator  # without a basis the copy: the entry holds no caller array
         self.route, self.off_sector_norm = self.sectors.route, self.sectors.off_sector_norm
         self.arithmetic = self.sectors.arithmetic
         self._blocks = self.sectors.blocks(self.sectors.frame)
@@ -241,6 +281,9 @@ class Propagator:
             self._inv = [evecs if evecs.shape[-1] == 1 else np.linalg.inv(self._part(evecs)) for evecs in self._evecs]
         else:
             log.debug("eigenvector condition %.3e; using expm fallback", self.condition_number)
+        if entry is not None:
+            _read_only(self.eigenvalues, *self._blocks, *self._evals, *self._evecs, *getattr(self, "_inv", ()))
+            entry.propagator = self
 
     def _part(self, x):
         """x itself, or its real part on the real route."""
@@ -416,7 +459,9 @@ def propagate(superoperator, rho0, times):
     ValueError before L is split; an empty grid gives no states.  The
     states are Hermitian exactly where L measurably preserves Hermiticity;
     elsewhere they are re-Hermitized as (rho + rho^dag)/2, and the defect
-    removed is recorded (see Propagator._states).
+    removed is recorded (see Propagator._states).  A bare array is
+    decomposed once while it lives unchanged: propagate, steady_state and
+    the audits given it again reuse its kept Propagator and split.
     """
     rho0 = check_density_matrix(rho0)
     times = _time_grid(times, "propagate needs a 1-d grid of finite times t >= 0")
@@ -453,11 +498,12 @@ class SteadyState:
 def steady_state(superoperator):
     """Stationary state from the smallest singular vector of L.
 
-    superoperator is read as in propagate.  L's singular values are those
-    of its sector blocks together, one batched SVD per block size (a 1x1
-    block x is |x| with right singular vector 1, no SVD), or on the dense
-    route those of L whole: one real SVD of R = T^dag L T when L
-    preserves Hermiticity (see Propagator).  Uniqueness is decided by
+    superoperator is read as in propagate; a bare array reuses the split
+    kept for it (see _split), and the SVD is not kept.  L's singular
+    values are those of its sector blocks together, one batched SVD per
+    block size (a 1x1 block x is |x| with right singular vector 1, no SVD),
+    or on the dense route those of L whole: one real SVD of R = T^dag L T
+    when L preserves Hermiticity (see Propagator).  Uniqueness is decided by
     counting those below NULL_TOL * smax.  The state is the right singular
     vector of the smallest one, taken from its block back to the standard
     frame (from R's real coordinates through T, Hermitian exactly).  Raises

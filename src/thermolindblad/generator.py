@@ -354,24 +354,27 @@ def gks_from_map(map_family, basis, epsilon=1e-5):
     generator's Choi matrix in that basis, read off the energy frame of
     basis.spectrum.vectors, where |n><m| is index n + N m and the
     invariants mix the populations (N + 1) a.  epsilon is a finite real
-    number > 0; a family that is not the identity at t = 0, or gives a
-    non-finite estimate, is a ValueError.
+    number > 0; a family that gives a map of another shape at t = 0, +-epsilon
+    or +-epsilon/2, is not the identity at t = 0, or gives a non-finite
+    estimate, is a ValueError.
     """
     real = isinstance(epsilon, (int, float, np.integer, np.floating)) and not isinstance(epsilon, bool)
     if not (real and _is_finite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be a finite real number > 0, got {epsilon!r}")
     n = basis.n_levels
     dim2 = n * n
-    lam0 = np.asarray(map_family(0.0), dtype=complex)
-    if lam0.shape != (dim2, dim2):
-        raise ValueError(f"map family must return {dim2}x{dim2} superoperators, got {lam0.shape}")
-    if not np.linalg.norm(lam0 - np.eye(dim2)) <= 1e-8:
+
+    def sample(t):
+        lam = np.asarray(map_family(t), dtype=complex)
+        if lam.shape != (dim2, dim2):
+            raise ValueError(f"map family must return {dim2}x{dim2} superoperators, got {lam.shape} at t = {t!r}")
+        return lam
+
+    if not np.linalg.norm(sample(0.0) - np.eye(dim2)) <= 1e-8:
         raise ValueError("map family does not reduce to the identity at t = 0")
 
     def central(eps):
-        plus = np.asarray(map_family(eps), dtype=complex)
-        minus = np.asarray(map_family(-eps), dtype=complex)
-        return (plus - minus) / (2 * eps)
+        return (sample(eps) - sample(-eps)) / (2 * eps)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
         l_est = (4.0 * central(epsilon / 2) - central(epsilon)) / 3.0

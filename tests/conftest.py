@@ -6,8 +6,8 @@ from thermolindblad import ThermoSpec, build_restricted_generator, dynamics, pre
 
 @pytest.fixture(autouse=True)
 def no_kept_split():
-    """Every test starts without the split dynamics keeps of the last bare array."""
-    dynamics._kept_split = None
+    """Every test starts with no split kept of a bare array."""
+    dynamics._kept.clear()
 
 
 @pytest.fixture

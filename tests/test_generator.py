@@ -534,6 +534,24 @@ def test_gks_identity_check_rejects_a_nan_map():
         gks_from_map(lambda t: np.full((4, 4), np.nan), basis)
 
 
+@pytest.mark.parametrize("bad_t", [1e-5, -1e-5, 5e-6, -5e-6])
+def test_gks_checks_the_shape_of_every_sample(bad_t):
+    # the identity at t = 0 and a qutrit-sized map at one difference point
+    basis = eigenoperator_basis(presets.qubit(1.0))
+
+    def family(t):
+        return np.eye(9) if t == bad_t else np.eye(4)
+
+    with pytest.raises(ValueError, match=re.escape(f"map family must return 4x4 superoperators, got (9, 9) at t = {bad_t!r}")):
+        gks_from_map(family, basis)
+
+
+def test_gks_rejects_a_family_of_another_size_off_zero():
+    basis = eigenoperator_basis(presets.qubit(1.0))
+    with pytest.raises(ValueError, match=re.escape("map family must return 4x4 superoperators, got (9, 9)")):
+        gks_from_map(lambda t: np.eye(4) if t == 0 else np.eye(9), basis)
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
 def test_gks_rejects_a_non_finite_estimate(entry, qubit_generator):
     def family(t):

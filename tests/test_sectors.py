@@ -1,6 +1,13 @@
 """The Bohr-frequency sector route of Propagator and the audit against the
 dense route on the same generators, and the rule that picks the route."""
+import gc
+import os
+import subprocess
+import sys
+import threading
 import types
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +40,7 @@ from thermolindblad.liouville import _hermitian_coords
 from thermolindblad.validator import CPTP_TIME_GRID
 
 ROUTED = ("fixed_point", "cptp", "spectral")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def restricted(h, beta, rng, alpha=True, mixing=None):
@@ -558,9 +566,9 @@ def test_hermitian_coords_match_dense_basis(n, rng):
 def complex_path(monkeypatch):
     """Make every route measurement fail, so that L is decomposed whole and
     complex, as the dense route did before it had a real arithmetic; the
-    kept split of a bare array was measured before, so it goes too."""
+    kept splits of bare arrays were measured before, so they go too."""
     monkeypatch.setattr(dynamics, "_ROUTE_BOUND", -1.0)
-    dynamics._kept_split = None
+    dynamics._kept.clear()
 
 
 def verdicts(gen, with_basis):
@@ -764,13 +772,14 @@ def assert_identical(a, b):
 
 
 def without_kept_split(call, l_mat, gen, rho0):
-    """outcomes(...) from a fresh split; the kept split is left as it was."""
-    kept = dynamics._kept_split
-    dynamics._kept_split = None
+    """outcomes(...) from a fresh split; the kept entries are left as they were."""
+    kept = dict(dynamics._kept)
+    dynamics._kept.clear()
     try:
         return outcomes(call, l_mat, gen, rho0)
     finally:
-        dynamics._kept_split = kept
+        dynamics._kept.clear()
+        dynamics._kept.update(kept)
 
 
 def count_splits(monkeypatch):
@@ -801,7 +810,7 @@ def test_kept_split_serves_every_caller_of_the_same_array(name, rng, monkeypatch
     l_mat, rho0 = gen.superoperator, presets.random_density_matrix(gen.basis.n_levels, rng)
     expected = {call: without_kept_split(call, l_mat, gen, rho0) for call in CALLS}
     splits = count_splits(monkeypatch)
-    dynamics._kept_split = None
+    dynamics._kept.clear()
     for call in CALLS:
         assert_identical(outcomes(call, l_mat, gen, rho0), expected[call])
     assert splits == [None]
@@ -816,7 +825,7 @@ def test_array_changed_in_place_is_split_again(rng, monkeypatch):
     changed = outcomes("propagate", l_mat, gen, rho0)
     assert len(splits) == 2
     assert_identical(changed, without_kept_split("propagate", l_mat, gen, rho0))
-    np.testing.assert_array_equal(dynamics._kept_split.superoperator, l_mat)
+    np.testing.assert_array_equal(dynamics._kept[id(l_mat)].sectors.superoperator, l_mat)
 
 
 def test_alternating_arrays_each_give_their_own_results(rng):
@@ -842,7 +851,7 @@ MEMO_POOL = [MEMO_INPUTS[name](_POOL_RNG) for name in ("random", "ladder", "fore
 )
 def test_interleaved_callers_get_fresh_split_results(steps):
     # each step calls on one array of the pool, then may scale one in place
-    dynamics._kept_split = None
+    dynamics._kept.clear()
     arrays = [gen.superoperator.copy() for gen in MEMO_POOL]
     rng = np.random.default_rng(0)
     states = [presets.random_density_matrix(gen.basis.n_levels, rng) for gen in MEMO_POOL]
@@ -858,7 +867,7 @@ def test_kept_split_is_read_only_and_owns_its_arrays(name, rng):
     gen = MEMO_INPUTS[name](rng)
     l_mat = gen.superoperator
     steady_state(l_mat)
-    kept = dynamics._kept_split
+    kept = dynamics._kept[id(l_mat)].sectors
     arrays = [kept.superoperator, kept.frame, kept.energy_frame, kept.labels, kept.vectors, *kept.indices]
     assert (kept.route == "sector") == (name == "random")
     for array in arrays:
@@ -875,13 +884,13 @@ def test_splits_in_a_basis_are_not_kept(rng, monkeypatch):
     propagate(gen, rho0, [1.0])
     run_standard_checks(gen)
     Propagator(gen.superoperator, gen.basis)
-    assert dynamics._kept_split is None
+    assert not dynamics._kept
     steady_state(gen.superoperator)
-    kept = dynamics._kept_split
+    kept = dict(dynamics._kept)
     splits = count_splits(monkeypatch)
     # an equal array in a basis is split in that basis, and the kept split stays
     assert Propagator(gen.superoperator, gen.basis).sectors.basis is gen.basis
-    assert splits == [gen.basis] and dynamics._kept_split is kept
+    assert splits == [gen.basis] and dynamics._kept == kept
 
 
 def test_audits_do_not_measure_hermiticity_preservation(rng):
@@ -890,6 +899,139 @@ def test_audits_do_not_measure_hermiticity_preservation(rng):
         check_cptp(prop)
         check_spectral(prop)
         assert "hermiticity_defect" not in vars(prop.sectors)
+
+
+def count_linalg(monkeypatch, names):
+    """Record every call of the named np.linalg routines."""
+    calls = []
+    for name in names:
+        def counting(*args, _name=name, _routine=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_INPUTS))
+def test_second_propagate_of_a_live_array_decomposes_nothing(name, rng, monkeypatch):
+    gen = MEMO_INPUTS[name](rng)
+    l_mat, rho0 = gen.superoperator, presets.random_density_matrix(gen.basis.n_levels, rng)
+    first = propagate(l_mat, rho0, CPTP_TIME_GRID)
+    splits, calls = count_splits(monkeypatch), count_linalg(monkeypatch, ("eig", "svd", "inv"))
+    second = propagate(l_mat, rho0, CPTP_TIME_GRID)
+    assert splits == [] and calls == []
+    assert_identical([second.states, second.hermitization_defects], [first.states, first.hermitization_defects])
+
+
+def test_interleaved_arrays_each_keep_their_decomposition(rng, monkeypatch):
+    gens = [MEMO_INPUTS[name](rng) for name in ("random", "ladder", "foreign")]
+    arrays = [gen.superoperator for gen in gens]
+    states = [presets.random_density_matrix(gen.basis.n_levels, rng) for gen in gens]
+    expected = {(call, k): without_kept_split(call, arrays[k], gens[k], states[k]) for call in CALLS for k in range(3)}
+    for k in range(3):
+        Propagator(arrays[k])
+    splits, calls = count_splits(monkeypatch), count_linalg(monkeypatch, ("eig", "inv"))
+    for call in CALLS * 2:
+        for k in (0, 2, 1):
+            assert_identical(outcomes(call, arrays[k], gens[k], states[k]), expected[call, k])
+    assert splits == [] and calls == []
+    assert sorted(dynamics._kept) == sorted(map(id, arrays))
+
+
+def test_kept_entry_goes_with_its_array(rng):
+    gen = INPUTS["random4"](rng)
+    l_mat, rho0 = gen.superoperator.copy(), presets.random_density_matrix(4, rng)
+    propagate(l_mat, rho0, [1.0])
+    steady_state(l_mat)
+    prop = Propagator(l_mat)
+    check_spectral(l_mat)
+    assert list(dynamics._kept) == [id(l_mat)]
+    expected, alive = prop(1.0), weakref.ref(l_mat)
+    del l_mat
+    gc.collect()
+    # nothing kept held the array, and the Propagator still works on its copy
+    assert alive() is None and not dynamics._kept
+    np.testing.assert_array_equal(prop(1.0), expected)
+
+
+@pytest.mark.parametrize("name", ["random", "foreign"])
+def test_kept_propagator_is_read_only_and_owns_its_arrays(name, rng):
+    gen = MEMO_INPUTS[name](rng)
+    l_mat = gen.superoperator
+    eigenvalues = check_spectral(l_mat).details["eigenvalues"]
+    prop = Propagator(l_mat)
+    assert prop.eigenvalues is eigenvalues and prop.sectors is dynamics._kept[id(l_mat)].sectors
+    assert prop.superoperator is prop.sectors.superoperator
+    arrays = [prop.superoperator, prop.eigenvalues, *prop._blocks, *prop._evals, *prop._evecs, *prop._inv]
+    for array in arrays:
+        assert not array.flags.writeable
+        assert not np.shares_memory(array, l_mat)
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[0]
+
+
+def test_threads_sharing_arrays_get_fresh_results(rng):
+    # live arrays and short-lived copies from more threads than cores, switching often
+    gens = [MEMO_INPUTS[name](rng) for name in ("random", "ladder", "foreign")]
+    states = [presets.random_density_matrix(gen.basis.n_levels, rng) for gen in gens]
+    expected = [without_kept_split("propagate", gen.superoperator, gen, rho) for gen, rho in zip(gens, states)]
+    errors = []
+
+    def worker(seed):
+        draw = np.random.default_rng(seed)
+        try:
+            for _ in range(30):
+                k = int(draw.integers(len(gens)))
+                l_mat = gens[k].superoperator if draw.random() < 0.5 else gens[k].superoperator.copy()
+                assert_identical(outcomes("propagate", l_mat, gens[k], states[k]), expected[k])
+        except Exception as exc:  # a failed comparison or a crash, reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    gc.collect()
+    assert sorted(dynamics._kept) == sorted(id(gen.superoperator) for gen in gens)
+
+
+def test_kept_entry_is_dropped_by_a_callback_that_reads_no_global(rng):
+    # at exit the interpreter sets a module's globals to None before it frees what they held
+    wiped = {name: None for name in vars(dynamics) if name != "__builtins__"}
+    forget = types.FunctionType(dynamics._forget.__code__, wiped, "_forget", dynamics._forget.__defaults__)
+    l_mat = INPUTS["random4"](rng).superoperator
+    entry = dynamics._kept_entry(l_mat)
+    forget(id(l_mat), entry.ref)
+    assert not dynamics._kept
+
+
+# numpy's modules are wiped after this package's at exit, so the array and
+# the dynamics module held there outlive dynamics' globals and the entry's
+# callback runs after they are set to None
+EXIT_WITH_A_KEPT_ARRAY = """
+import numpy as np
+import thermolindblad as tl
+spec = tl.ThermoSpec(hamiltonian=tl.presets.qutrit(0.0, 1.0, 3.0), beta=1.0, downward_rates={(0, 1): 1.0, (1, 2): 0.5})
+L = tl.build_restricted_generator(spec).superoperator
+tl.propagate(L, np.eye(3) / 3, [0.0, 1.0])
+tl.steady_state(L)
+np.kept_generator = (tl.dynamics, L)
+"""
+
+
+def test_exit_with_a_kept_array_writes_nothing_to_stderr():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", EXIT_WITH_A_KEPT_ARRAY], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 # -- states Hermitian by construction on the sector route -------------------------
@@ -1036,7 +1178,7 @@ HERMITICITY_FAMILIES = {
     seed=st.integers(0, 2**32 - 1),
 )
 def test_hermiticity_decision_and_state_contract(name, n, with_basis, seed):
-    dynamics._kept_split = None
+    dynamics._kept.clear()
     rng = np.random.default_rng(seed)
     gen = HERMITICITY_FAMILIES[name](n, rng)
     l_mat = gen.superoperator
