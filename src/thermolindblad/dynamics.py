@@ -58,8 +58,11 @@ class _Sectors:
     audit never).  Without a basis, an L that is not finite or whose size
     is not a perfect square is not measured: dense and complex.  indices
     holds one (K, s) array of frame indices per block size s.  basis is the
-    basis passed; labels and energy_frame = U^dag L U are kept on every
-    route that was measured.  superoperator is L itself.
+    basis passed, whose vectors and labels are copied, so no split aliases
+    them; vectors (V), labels and energy_frame = U^dag L U are kept on
+    every route that was measured.  superoperator is L itself.  The
+    singular values of the frame blocks, and their SVD with vectors, are
+    computed when first read and kept (see _block_svd).
     """
 
     def __init__(self, l_mat, basis=None):
@@ -71,7 +74,7 @@ class _Sectors:
         if basis is not None:
             if l_mat.shape != (basis.n_levels**2,) * 2:
                 raise ValueError(f"basis has {basis.n_levels} levels, superoperator is {l_mat.shape}")
-            n, vectors, labels = basis.n_levels, basis.spectrum.vectors, basis.sector_labels
+            n, vectors, labels = basis.n_levels, basis.spectrum.vectors.copy(), basis.sector_labels.copy()
         else:
             n = math.isqrt(n2)
             if n == 0 or n * n != n2 or not np.isfinite(l_mat).all():
@@ -80,13 +83,13 @@ class _Sectors:
             vectors = spectrum.vectors
         self._bound = _ROUTE_BOUND * max(1.0, np.linalg.norm(l_mat))
         frame = _conjugated(l_mat, vectors)
-        self.labels, self.energy_frame = labels, frame
+        self.vectors, self.labels, self.energy_frame = vectors, labels, frame
         self.off_sector_norm = float(np.linalg.norm(frame[labels[:, None] != labels[None, :]]))
         if self.off_sector_norm <= self._bound and _choi_closed(labels, n):
             groups = _label_groups(labels)
             sizes = sorted({len(g) for g in groups})
             self.indices = [np.array([g for g in groups if len(g) == s]) for s in sizes]
-            self.route, self.vectors, self.frame = "sector", vectors, frame
+            self.route, self.frame = "sector", frame
         elif self._preserves_hermiticity():
             real = _hermitian_coords(_hermitian_coords(l_mat.conj().T).conj().T)  # T^dag L T
             self.arithmetic, self.frame = "real", real.real
@@ -98,6 +101,21 @@ class _Sectors:
         l_mat = self.superoperator
         _, _, swap = _hermitian_pairs(math.isqrt(l_mat.shape[0]), False)
         return float(np.linalg.norm(l_mat - l_mat.conj()[swap[:, None], swap[None, :]])) / 2
+
+    @functools.cached_property
+    def singular_values(self):
+        """The singular values of each frame block stack, (K, s) per size."""
+        values = [_block_svd(block) for block in self.blocks(self.frame)]
+        _read_only(*values)
+        return values
+
+    @functools.cached_property
+    def singular_pairs(self):
+        """(s, vh) of each frame block stack, from its SVD with vectors: kept
+        apart from singular_values, whose LAPACK mode gives other bits."""
+        pairs = [_block_svd(block, vectors=True) for block in self.blocks(self.frame)]
+        _read_only(*(array for pair in pairs for array in pair))
+        return pairs
 
     def _preserves_hermiticity(self):
         """The one rule: hermiticity_defect at most _ROUTE_BOUND * max(1, ||L||_F)."""
@@ -132,23 +150,33 @@ class _Sectors:
         return out
 
 
-# One kept entry per live caller array split without a basis, keyed by
-# id(array): the split of a private read-only copy of its L, and the
-# Propagator built of that split once there is one (see _kept_entry).  A
-# weak reference to the array drops the entry when the array is collected,
-# so the array's lifetime bounds what is kept.  Splits in a basis never
-# enter it, so an entry holds the frame of L's own Hamiltonian part.
+# One kept entry per live caller array, keyed by id(array): a private
+# read-only copy of its L and up to two splits of that copy, each with the
+# Propagator built of it once there is one (see _kept_slot).  A weak
+# reference to the array drops the entry when the array is collected, so
+# the array's lifetime bounds what is kept.
 _kept = {}
 
 
 class _Kept:
-    """The kept entry of one caller array: a weak reference to it, the split
-    of its copy, and its Propagator or None."""
+    """The kept entry of one caller array: a weak reference to it, the copy
+    of L, and two _Slot or None: own, split in the frame of L's own
+    Hamiltonian part, and framed, split in the last basis asked for."""
 
-    __slots__ = ("ref", "sectors", "propagator")
+    __slots__ = ("ref", "copy", "own", "framed")
 
-    def __init__(self, ref, sectors):
-        self.ref, self.sectors, self.propagator = ref, sectors, None
+    def __init__(self, ref, copy):
+        self.ref, self.copy, self.own, self.framed = ref, copy, None, None
+
+
+class _Slot:
+    """One kept split, its arrays read-only, and its Propagator or None."""
+
+    __slots__ = ("sectors", "propagator")
+
+    def __init__(self, sectors):
+        _read_only(sectors.frame, sectors.energy_frame, sectors.labels, sectors.vectors, *sectors.indices)
+        self.sectors, self.propagator = sectors, None
 
 
 def _forget(key, ref, store=_kept):
@@ -171,19 +199,37 @@ def _kept_entry(l_mat):
     made of this very array and its copy still equals l_mat."""
     key = id(l_mat)
     entry = _kept.get(key)  # read once: another thread may replace it
-    if entry is None or entry.ref() is not l_mat or not np.array_equal(entry.sectors.superoperator, l_mat):
-        sectors = _Sectors(l_mat.copy())
-        _read_only(sectors.superoperator, sectors.frame, sectors.energy_frame, sectors.labels, sectors.vectors,
-                   *sectors.indices)
-        entry = _Kept(weakref.ref(l_mat, functools.partial(_forget, key)), sectors)
+    if entry is None or entry.ref() is not l_mat or not np.array_equal(entry.copy, l_mat):
+        copy = l_mat.copy()
+        _read_only(copy)
+        entry = _Kept(weakref.ref(l_mat, functools.partial(_forget, key)), copy)
         _kept[key] = entry
     return entry
 
 
+def _kept_slot(l_mat, basis=None):
+    """The slot of l_mat's kept entry that holds its split in basis, or in
+    L's own frame without one.  The split in a basis is made anew unless
+    it was made in this very basis object and the basis's vectors and
+    sector_labels still equal the split's copies of them."""
+    entry = _kept_entry(l_mat)
+    if basis is None:
+        if entry.own is None:
+            entry.own = _Slot(_Sectors(entry.copy))
+        return entry.own
+    slot = entry.framed  # read once: another thread may replace it
+    if (slot is None or slot.sectors.basis is not basis
+            or not np.array_equal(slot.sectors.vectors, basis.spectrum.vectors)
+            or not np.array_equal(slot.sectors.labels, basis.sector_labels)):
+        slot = entry.framed = _Slot(_Sectors(entry.copy, basis))
+    return slot
+
+
 def _split(l_mat, basis=None):
-    """_Sectors(l_mat, basis); without a basis the split kept for l_mat while
-    it lives unchanged, the same to the bit as a fresh one (see _kept_entry)."""
-    return _Sectors(l_mat, basis) if basis is not None else _kept_entry(l_mat).sectors
+    """The split of l_mat in basis, or in L's own frame without one, kept
+    while the array lives unchanged (see _kept_slot): the same to the bit
+    as a fresh _Sectors(l_mat, basis), its superoperator the kept copy."""
+    return _kept_slot(l_mat, basis).sectors
 
 
 def _hamiltonian_part(l_mat, n):
@@ -231,12 +277,13 @@ class Propagator:
     on the sector route) has cond < 1e8, and scaling-and-squaring of each
     block otherwise.  The eigenvalues, the condition number, the route, the
     arithmetic and the off-sector norm are kept, so audits can read them
-    without decomposing L again.  Without a basis, L is split and
-    decomposed once while the caller's array lives unchanged: the first
-    Propagator of it is kept with its split (see _kept_entry), and a later
-    one shares its read-only arrays; superoperator is then the kept,
-    read-only copy of L, so nothing kept holds the caller's array.  An
-    array that is not complex is converted first, so only that call's
+    without decomposing L again.  L is split and decomposed once in each
+    frame while the caller's array lives unchanged, and in a basis while
+    that basis object's vectors and labels do too: the first Propagator
+    is kept with its split (see _kept_slot), and a later one shares its
+    read-only arrays.  superoperator is the kept, read-only copy of L, in
+    a basis or not, so nothing kept holds the caller's array.  An array
+    that is not complex is converted first, so only that call's
     conversion is kept.  Propagator(t) is the full map
     exp(L t); propagate evolves one state through _states instead, which on
     the sector route makes two T N^2 buffers and no more.
@@ -246,12 +293,12 @@ class Propagator:
         l_mat = np.asarray(superoperator, dtype=complex)
         if l_mat.ndim != 2 or l_mat.shape[0] != l_mat.shape[1]:
             raise ValueError(f"superoperator must be square, got {l_mat.shape}")
-        entry = _kept_entry(l_mat) if basis is None else None
-        if entry is not None and entry.propagator is not None:
-            vars(self).update(vars(entry.propagator))  # its arrays are read-only, so they are shared
+        slot = _kept_slot(l_mat, basis)
+        if slot.propagator is not None:
+            vars(self).update(vars(slot.propagator))  # its arrays are read-only, so they are shared
             return
-        self.sectors = _Sectors(l_mat, basis) if entry is None else entry.sectors
-        self.superoperator = self.sectors.superoperator  # without a basis the copy: the entry holds no caller array
+        self.sectors = slot.sectors
+        self.superoperator = self.sectors.superoperator  # the kept copy: nothing kept holds the caller's array
         self.route, self.off_sector_norm = self.sectors.route, self.sectors.off_sector_norm
         self.arithmetic = self.sectors.arithmetic
         self._blocks = self.sectors.blocks(self.sectors.frame)
@@ -281,9 +328,8 @@ class Propagator:
             self._inv = [evecs if evecs.shape[-1] == 1 else np.linalg.inv(self._part(evecs)) for evecs in self._evecs]
         else:
             log.debug("eigenvector condition %.3e; using expm fallback", self.condition_number)
-        if entry is not None:
-            _read_only(self.eigenvalues, *self._blocks, *self._evals, *self._evecs, *getattr(self, "_inv", ()))
-            entry.propagator = self
+        _read_only(self.eigenvalues, *self._blocks, *self._evals, *self._evecs, *getattr(self, "_inv", ()))
+        slot.propagator = self
 
     def _part(self, x):
         """x itself, or its real part on the real route."""
@@ -459,9 +505,10 @@ def propagate(superoperator, rho0, times):
     ValueError before L is split; an empty grid gives no states.  The
     states are Hermitian exactly where L measurably preserves Hermiticity;
     elsewhere they are re-Hermitized as (rho + rho^dag)/2, and the defect
-    removed is recorded (see Propagator._states).  A bare array is
-    decomposed once while it lives unchanged: propagate, steady_state and
-    the audits given it again reuse its kept Propagator and split.
+    removed is recorded (see Propagator._states).  An array is decomposed
+    once per frame while it lives unchanged, bare or in its generator's
+    basis: propagate, steady_state and the audits given it again reuse its
+    kept Propagator and split (see _kept_slot).
     """
     rho0 = check_density_matrix(rho0)
     times = _time_grid(times, "propagate needs a 1-d grid of finite times t >= 0")
@@ -481,10 +528,16 @@ def _block_svd(block, vectors=False):
     """np.linalg.svd(block, compute_uv=vectors) of a (K, s, s) stack, less
     u: the singular values, and with vectors the pair (s, vh).  For s = 1
     in closed form, with no LAPACK call: x = (x / |x|) |x| 1, so |x| and
-    vh = 1."""
-    if block.shape[-1] > 1:
-        return np.linalg.svd(block)[1:] if vectors else np.linalg.svd(block, compute_uv=False)
-    return (np.abs(block[..., 0]), np.ones_like(block)) if vectors else np.abs(block[..., 0])
+    vh = 1.  A stack with an entry that is not finite gets NaN for both,
+    with no LAPACK call either: its SVD may not return (one infinite entry
+    in a 4x4 spins), and NaN leaves no null direction, as |x| does for a
+    1x1 block x that is not finite."""
+    if block.shape[-1] == 1:
+        return (np.abs(block[..., 0]), np.ones_like(block)) if vectors else np.abs(block[..., 0])
+    if not np.isfinite(block).all():
+        svals = np.full(block.shape[:-1], math.nan)
+        return (svals, np.full_like(block, math.nan)) if vectors else svals
+    return np.linalg.svd(block)[1:] if vectors else np.linalg.svd(block, compute_uv=False)
 
 
 @dataclass
@@ -498,10 +551,12 @@ class SteadyState:
 def steady_state(superoperator):
     """Stationary state from the smallest singular vector of L.
 
-    superoperator is read as in propagate; a bare array reuses the split
-    kept for it (see _split), and the SVD is not kept.  L's singular
+    superoperator is read as in propagate, and the split kept for the
+    array in that frame is reused (see _split), with the SVD it keeps: a
+    second call on an unchanged array makes no SVD.  L's singular
     values are those of its sector blocks together, one batched SVD per
-    block size (a 1x1 block x is |x| with right singular vector 1, no SVD),
+    block size (a 1x1 block x is |x| with right singular vector 1, no SVD;
+    a block stack with an entry that is not finite has NaN ones, no SVD),
     or on the dense route those of L whole: one real SVD of R = T^dag L T
     when L preserves Hermiticity (see Propagator).  Uniqueness is decided by
     counting those below NULL_TOL * smax.  The state is the right singular
@@ -513,7 +568,7 @@ def steady_state(superoperator):
     """
     l_mat = _superop_of(superoperator)
     sectors = _sectors_of(superoperator)
-    decomps = [_block_svd(block, vectors=True) for block in sectors.blocks(sectors.frame)]
+    decomps = sectors.singular_pairs
     svals = np.sort(np.concatenate([s.ravel() for s, _ in decomps]))[::-1]
     smax = svals[0]
     null_dim = null_dimension(svals)

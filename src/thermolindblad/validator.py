@@ -11,7 +11,8 @@ six audit checks, the Spohn slack and the CLI's experiment-level checks.
 run_standard_checks bundles the full battery and shares one Propagator
 between its checks: L is split into Bohr-frequency sectors when its
 measured off-sector norm allows it and decomposed once, block by block or
-whole.  The frame of that split is the basis passed, else the
+whole, and both are kept while L and the basis stay unchanged (see
+dynamics._kept_slot).  The frame of that split is the basis passed, else the
 eigenoperator basis of the object passed if it has one, else L's own
 Hamiltonian part, so a bare array is split too.  On the dense route an L
 that preserves Hermiticity is decomposed as the real matrix of the
@@ -32,7 +33,6 @@ import numpy as np
 from .dynamics import (
     _DIAGONALIZABLE_COND,
     Propagator,
-    _block_svd,
     _choi_sources,
     _propagator_of,
     _sectors_of,
@@ -141,13 +141,16 @@ def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     in the frame of superoperator's basis if it has one, else of L's own
     Hamiltonian part (a 1x1 block x is |x|, with no SVD); on the dense route
     those of L whole, from one real SVD of R = T^dag L T when L preserves
-    Hermiticity (see Propagator)."""
+    Hermiticity (see Propagator).  They are kept with the split, so a
+    second check of an unchanged array makes no SVD; a block stack with an
+    entry that is not finite has NaN ones, with no SVD, and so L has no
+    null direction."""
     threshold = DEFAULT_THRESHOLDS["fixed_point"] if threshold is None else threshold
     l_mat = _superop_of(superoperator)
     sectors = _sectors_of(superoperator)
     rho_th = thermal_state(hamiltonian, beta)
     defect = float(np.linalg.norm(l_mat @ vectorize(rho_th)))
-    svals = np.concatenate([_block_svd(b).ravel() for b in sectors.blocks(sectors.frame)])
+    svals = np.concatenate([s.ravel() for s in sectors.singular_values])
     null_dim = null_dimension(np.sort(svals)[::-1])
     return CheckResult(
         name="fixed_point",
@@ -438,7 +441,9 @@ def run_standard_checks(generator, thresholds=None, label=""):
     eig of L whole on the dense route, of a real matrix when L preserves
     Hermiticity.  On the sector route check_cptp then makes one eigvalsh per
     Choi block size, and neither it nor check_commutation, which needs no
-    Propagator, forms an N^2 x N^2 matrix.
+    Propagator, forms an N^2 x N^2 matrix.  The split and the Propagator
+    are kept for the generator's L in its basis (see dynamics._kept_slot),
+    so a second audit of an unchanged generator decomposes nothing.
     """
     th = dict(thresholds or {})
     l_mat = generator.superoperator

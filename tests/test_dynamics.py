@@ -2,6 +2,7 @@
 multi-bath transport."""
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from thermolindblad import (
     build_restricted_generator,
     build_transport_model,
     check_commutation,
+    check_cptp,
     check_fixed_point,
     devectorize,
+    eigenoperator_basis,
     heat_current,
     flat_rate,
     presets,
@@ -221,7 +224,7 @@ def test_propagate_rejects_a_bad_time_grid_before_splitting(times, monkeypatch):
     def forbidden(*args):
         raise AssertionError("L was split")
 
-    monkeypatch.setattr(dynamics, "_split", forbidden)
+    monkeypatch.setattr(dynamics, "_kept_slot", forbidden)
     with pytest.raises(ValueError, match="1-d grid of finite times"):
         propagate(gen, np.eye(3) / 3, times)
 
@@ -268,6 +271,33 @@ def test_one_level_generator_that_is_not_finite_has_no_stationary_state(entry):
     # its one 1x1 block has singular value |x|, infinite or NaN: no null direction
     with pytest.raises(np.linalg.LinAlgError, match="no stationary state"):
         steady_state(np.array([[entry]], dtype=complex))
+
+
+# numpy warns of the inf * 0 and inf - inf that the split and the Gibbs residual form
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("with_basis", [False, True], ids=["bare", "basis"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_that_is_not_finite_has_no_null_space_at_any_size(n, entry, with_basis, monkeypatch):
+    l_mat = np.zeros((n * n, n * n), dtype=complex)
+    l_mat[0, 0] = entry
+    h = np.diag(np.arange(n, dtype=float))
+    target = types.SimpleNamespace(superoperator=l_mat, basis=eigenoperator_basis(h)) if with_basis else l_mat
+
+    def forbidden(*args, **kwargs):
+        # LAPACK's SVD may never return on a matrix with an infinite entry
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    result = check_fixed_point(target, h, 1.0)
+    assert not result.passed and result.details["null_dimension"] == 0
+    with pytest.raises(np.linalg.LinAlgError, match="no stationary state"):
+        steady_state(target)
+    if n > 1:  # eig refuses the matrix
+        with pytest.raises(np.linalg.LinAlgError):
+            Propagator(l_mat, target.basis if with_basis else None)
+        with pytest.raises(np.linalg.LinAlgError):
+            check_cptp(target)
 
 
 # -- heat currents -----------------------------------------------------------

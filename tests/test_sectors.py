@@ -37,6 +37,7 @@ from thermolindblad import (
 from thermolindblad import dynamics, liouville, validator
 from thermolindblad.dynamics import _hamiltonian_part, _Sectors, null_dimension
 from thermolindblad.liouville import _hermitian_coords
+from thermolindblad.reporting import emit_json, to_jsonable
 from thermolindblad.validator import CPTP_TIME_GRID
 
 ROUTED = ("fixed_point", "cptp", "spectral")
@@ -721,7 +722,8 @@ def test_propagator_split_elsewhere_is_resplit_in_the_basis(split, rng, monkeypa
     monkeypatch.setattr(dynamics, "_Sectors", CountingSectors)
     spectral = check_spectral(prop, basis)
     support = check_structure_support(prop, basis)
-    assert len(splits) == 2 and all(b is basis for b in splits)
+    # one split in basis, kept for L's copy: the second check reads it
+    assert len(splits) == 1 and splits[0] is basis
 
     block = basis_matrix(l_mat, basis.projectors)
     distance = np.abs(spectral.details["population_eigenvalues"][:, None] - np.linalg.eigvals(block)[None, :])
@@ -825,7 +827,7 @@ def test_array_changed_in_place_is_split_again(rng, monkeypatch):
     changed = outcomes("propagate", l_mat, gen, rho0)
     assert len(splits) == 2
     assert_identical(changed, without_kept_split("propagate", l_mat, gen, rho0))
-    np.testing.assert_array_equal(dynamics._kept[id(l_mat)].sectors.superoperator, l_mat)
+    np.testing.assert_array_equal(dynamics._kept[id(l_mat)].copy, l_mat)
 
 
 def test_alternating_arrays_each_give_their_own_results(rng):
@@ -867,30 +869,37 @@ def test_kept_split_is_read_only_and_owns_its_arrays(name, rng):
     gen = MEMO_INPUTS[name](rng)
     l_mat = gen.superoperator
     steady_state(l_mat)
-    kept = dynamics._kept[id(l_mat)].sectors
-    arrays = [kept.superoperator, kept.frame, kept.energy_frame, kept.labels, kept.vectors, *kept.indices]
-    assert (kept.route == "sector") == (name == "random")
-    for array in arrays:
-        if array is not None:
-            assert not array.flags.writeable
-            assert not np.shares_memory(array, l_mat)
-            with pytest.raises(ValueError):
-                array.flat[0] = array.flat[0]
+    steady_state(gen)
+    entry = dynamics._kept[id(l_mat)]
+    for kept in (entry.own.sectors, entry.framed.sectors):
+        arrays = [kept.superoperator, kept.frame, kept.energy_frame, kept.labels, kept.vectors, *kept.indices]
+        arrays += [array for pair in kept.singular_pairs for array in pair]
+        assert (kept.route == "sector") == (name == "random")
+        for array in arrays:
+            if array is not None:
+                assert not array.flags.writeable
+                assert not np.shares_memory(array, l_mat)
+                with pytest.raises(ValueError):
+                    array.flat[0] = array.flat[0]
 
 
-def test_splits_in_a_basis_are_not_kept(rng, monkeypatch):
+def test_splits_in_a_basis_are_kept_apart_from_the_own_frame_split(rng, monkeypatch):
     gen = INPUTS["random4"](rng)
     rho0 = presets.random_density_matrix(4, rng)
     propagate(gen, rho0, [1.0])
     run_standard_checks(gen)
     Propagator(gen.superoperator, gen.basis)
-    assert not dynamics._kept
+    entry = dynamics._kept[id(gen.superoperator)]
+    assert entry.own is None and entry.framed.sectors.basis is gen.basis
+    framed = entry.framed
     steady_state(gen.superoperator)
-    kept = dict(dynamics._kept)
+    own = entry.own
     splits = count_splits(monkeypatch)
-    # an equal array in a basis is split in that basis, and the kept split stays
-    assert Propagator(gen.superoperator, gen.basis).sectors.basis is gen.basis
-    assert splits == [gen.basis] and dynamics._kept == kept
+    # the array in its basis reads the basis split, and the own-frame split stays
+    assert Propagator(gen.superoperator, gen.basis).sectors is framed.sectors
+    assert Propagator(gen.superoperator).sectors is own.sectors and own.sectors.basis is None
+    assert splits == [] and list(dynamics._kept) == [id(gen.superoperator)]
+    assert (entry.own, entry.framed) == (own, framed)
 
 
 def test_audits_do_not_measure_hermiticity_preservation(rng):
@@ -961,7 +970,7 @@ def test_kept_propagator_is_read_only_and_owns_its_arrays(name, rng):
     l_mat = gen.superoperator
     eigenvalues = check_spectral(l_mat).details["eigenvalues"]
     prop = Propagator(l_mat)
-    assert prop.eigenvalues is eigenvalues and prop.sectors is dynamics._kept[id(l_mat)].sectors
+    assert prop.eigenvalues is eigenvalues and prop.sectors is dynamics._kept[id(l_mat)].own.sectors
     assert prop.superoperator is prop.sectors.superoperator
     arrays = [prop.superoperator, prop.eigenvalues, *prop._blocks, *prop._evals, *prop._evecs, *prop._inv]
     for array in arrays:
@@ -1034,6 +1043,181 @@ def test_exit_with_a_kept_array_writes_nothing_to_stderr():
     assert proc.returncode == 0 and proc.stderr == ""
 
 
+# -- kept splits in a basis --------------------------------------------------------
+
+
+def jordan_sector_generator():
+    """The Jordan input below as an audit input: every block takes expm."""
+    gen = near_defective_hermitian_sector_propagator()
+    return types.SimpleNamespace(**vars(gen), hamiltonian=np.diag([0.0, 0.0, 1.0]).astype(complex), beta=1.0,
+                                 jump_terms=[])
+
+
+AUDIT_ROUTES = {  # route, arithmetic and diagonalizable of each input's Propagator in its basis
+    "sector": (INPUTS["random5"], ("sector", "complex", True)),
+    "dense_real": (lambda rng: foreign(4, rng), ("dense", "real", True)),
+    "dense_complex": (lambda rng: kicked_foreign(4, rng), ("dense", "complex", True)),
+    "expm": (lambda rng: jordan_sector_generator(), ("sector", "complex", False)),
+}
+
+
+def audit_bytes(gen):
+    return emit_json(to_jsonable(run_standard_checks(gen)))
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_ROUTES))
+def test_second_audit_of_an_unchanged_generator_decomposes_nothing(name, rng, monkeypatch):
+    make, route = AUDIT_ROUTES[name]
+    gen = make(rng)
+    first = audit_bytes(gen)
+    prop = Propagator(gen.superoperator, gen.basis)
+    assert (prop.route, prop.arithmetic, prop.diagonalizable) == route
+    splits, calls = count_splits(monkeypatch), count_linalg(monkeypatch, ("eig", "svd", "inv"))
+    second = audit_bytes(gen)
+    assert splits == [] and calls == []
+    monkeypatch.undo()
+    dynamics._kept.clear()
+    assert second == first == audit_bytes(gen)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_INPUTS))
+def test_second_steady_state_of_a_live_array_makes_no_svd(name, rng, monkeypatch):
+    gen = MEMO_INPUTS[name](rng)
+    for target in (gen.superoperator, gen):
+        def results():
+            fixed_point = check_fixed_point(target, gen.hamiltonian, gen.beta)
+            return emit_json(to_jsonable([steady_state(target), fixed_point]))
+
+        first = results()
+        calls = count_linalg(monkeypatch, ("svd",))
+        assert results() == first and calls == []
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["random", "foreign"])
+def test_store_aliases_no_caller_array_and_leaves_them_writeable(name, rng):
+    gen = MEMO_INPUTS[name](rng)
+    l_mat, vectors, labels = gen.superoperator, gen.basis.spectrum.vectors, gen.basis.sector_labels
+    rho0 = presets.random_density_matrix(gen.basis.n_levels, rng)
+    run_standard_checks(gen)
+    for target in (gen, l_mat):
+        propagate(target, rho0, [0.0, 1.0])
+        steady_state(target)
+    entry = dynamics._kept[id(l_mat)]
+    kept = [entry.copy]
+    for slot in (entry.own, entry.framed):
+        sectors, prop = slot.sectors, slot.propagator
+        kept += [sectors.frame, sectors.energy_frame, sectors.labels, sectors.vectors, *sectors.indices]
+        kept += [*sectors.singular_values, *(array for pair in sectors.singular_pairs for array in pair)]
+        kept += [prop.superoperator, prop.eigenvalues, *prop._blocks, *prop._evals, *prop._evecs, *prop._inv]
+    for caller in (l_mat, vectors, labels):
+        assert caller.flags.writeable
+        assert not any(np.shares_memory(caller, array) for array in kept if array is not None)
+
+
+def test_array_changed_in_place_fails_the_audit_it_passed(rng, monkeypatch):
+    gen = INPUTS["random4"](rng)
+    assert run_standard_checks(gen).passed
+    splits = count_splits(monkeypatch)
+    # X -> -0.1 X is not trace preserving: the Gibbs state is no longer fixed
+    gen.superoperator -= 0.1 * np.eye(16)
+    changed = audit_bytes(gen)
+    assert not run_standard_checks(gen).get("fixed_point").passed
+    assert splits == [gen.basis]
+    dynamics._kept.clear()
+    assert audit_bytes(gen) == changed
+
+
+def test_basis_changed_in_place_is_split_again(rng, monkeypatch):
+    gen = foreign(3, rng)
+    assert not run_standard_checks(gen).get("structure_support").passed
+    splits = count_splits(monkeypatch)
+    # one sector: no entry of L lies outside it
+    gen.basis.sector_labels[:] = 0
+    report = run_standard_checks(gen)
+    assert report.get("structure_support").passed and report.get("spectral").details["route"] == "sector"
+    gen.basis.spectrum.vectors[:, 0] *= -1
+    changed = audit_bytes(gen)
+    assert audit_bytes(gen) == changed
+    assert splits == [gen.basis, gen.basis]
+    dynamics._kept.clear()
+    assert audit_bytes(gen) == changed
+
+
+def test_fresh_bases_for_one_array_keep_one_basis_split(rng):
+    gen = INPUTS["random4"](rng)
+    l_mat = gen.superoperator
+    splits = []
+    for k in range(100):
+        basis = eigenoperator_basis(gen.hamiltonian)
+        split = Propagator(l_mat, basis).sectors if k % 2 else dynamics._split(l_mat, basis)
+        assert split.basis is basis
+        splits.append(weakref.ref(split))
+    del basis, split
+    gc.collect()
+    alive = [ref() for ref in splits if ref() is not None]
+    assert len(alive) == 1 and alive[0] is dynamics._kept[id(l_mat)].framed.sectors
+
+
+def test_threads_sharing_a_generator_and_fresh_bases_get_fresh_results(rng):
+    # the basis split is read and replaced from more threads than cores, switching often
+    gens = [MEMO_INPUTS[name](rng) for name in ("random", "ladder", "foreign")]
+    states = [presets.random_density_matrix(gen.basis.n_levels, rng) for gen in gens]
+
+    def results(target, rho0):
+        traj = propagate(target, rho0, [0.0, 1.0])
+        return emit_json(to_jsonable([traj.states, steady_state(target), check_structure_support(target, target.basis)]))
+
+    # a basis object of its own each time, of the generator's H or of another: the kept split is replaced
+    hamiltonians = [(gen.hamiltonian, presets.random_hermitian(gen.basis.n_levels, rng)) for gen in gens]
+
+    def in_basis(k, j):
+        return types.SimpleNamespace(superoperator=gens[k].superoperator, basis=eigenoperator_basis(hamiltonians[k][j]))
+
+    expected = [[results(in_basis(k, j), states[k]) for j in range(2)] for k in range(len(gens))]
+    dynamics._kept.clear()
+    errors = []
+
+    def worker(seed):
+        draw = np.random.default_rng(seed)
+        try:
+            for _ in range(30):
+                k, j = int(draw.integers(len(gens))), int(draw.integers(3))
+                target = gens[k] if j == 2 else in_basis(k, j)
+                assert results(target, states[k]) == expected[k][j % 2]
+        except Exception as exc:  # a failed comparison or a crash, reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert sorted(dynamics._kept) == sorted(id(gen.superoperator) for gen in gens)
+
+
+def test_kept_entry_goes_with_its_generator(rng):
+    gen = INPUTS["random4"](rng)
+    rho0 = presets.random_density_matrix(4, rng)
+    report = run_standard_checks(gen)
+    propagate(gen, rho0, [1.0])
+    steady_state(gen)
+    steady_state(gen.superoperator)
+    entry = dynamics._kept[id(gen.superoperator)]
+    objects = (gen, gen.superoperator, gen.basis, entry.own.sectors, entry.framed.sectors, entry.framed.propagator)
+    alive = [weakref.ref(obj) for obj in objects]
+    del gen, entry, objects
+    gc.collect()
+    assert not dynamics._kept and all(ref() is None for ref in alive)
+    assert report.passed
+
+
 # -- states Hermitian by construction on the sector route -------------------------
 
 
@@ -1100,7 +1284,7 @@ def kicked_foreign(n, rng):
     """A foreign generator plus X -> 0.3i H X, which breaks Hermiticity: the complex dense route."""
     gen = foreign(n, rng)
     kick = assemble_superop("left", 0.3j * gen.hamiltonian)
-    return types.SimpleNamespace(basis=gen.basis, superoperator=gen.superoperator + kick)
+    return types.SimpleNamespace(**{**vars(gen), "superoperator": gen.superoperator + kick})
 
 
 def test_sector_l_that_breaks_hermiticity_keeps_the_pass(rng):
