@@ -111,9 +111,8 @@ def _run_evolve(cfg, thresholds, seed, out_dir):
     gen = _single_generator(cfg, "evolve")
     bath = cfg.baths[0]
     rho0 = resolve_state(cfg.evolve.initial_state, cfg.system_hamiltonian, bath.beta)
-    prop = Propagator(gen.superoperator, gen.basis)  # one sector split serves both
-    trajectory = propagate(prop, rho0, cfg.evolve.times)
-    steady = steady_state(prop)
+    trajectory = propagate(gen, rho0, cfg.evolve.times)
+    steady = steady_state(gen)
     if steady.unique:
         reference, reference_label = steady.rho, "steady_state"
     else:

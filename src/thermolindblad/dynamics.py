@@ -33,16 +33,116 @@ SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside a reference sta
 # Largest measured defect, relative to max(1, ||L||_F), at which L counts as
 # block diagonal by Bohr frequency (its off-sector norm; restricted
 # generators measure below 1.9e-16 * N * ||L||_F) or as Hermiticity
-# preserving (its hermiticity_defect, see _Sectors).
+# preserving (its hermiticity_defect, see Propagator).
 _ROUTE_BOUND = 1e-12
 
 
-class _Sectors:
-    """A superoperator L split into the blocks the audit and Propagator work on.
+# One kept entry per live caller array, keyed by id(array): a private
+# read-only copy of its L and up to two Propagators of that copy, each split
+# when made and decomposed when first read (see _kept_propagator).  A weak
+# reference to the array drops the entry when the array is collected, so
+# the array's lifetime bounds what is kept.
+_kept = {}
 
-    L is taken to the energy frame U^dag L U, U = kron(conj(V), V), whose
-    index a + N b is |a><b|, and split by Bohr-frequency labels.  The frame
-    V and the labels come from the basis when one is given (its
+
+class _Kept:
+    """The kept entry of one caller array: a weak reference to it, the copy
+    of L, and two Propagators or None: own, split in the frame of L's own
+    Hamiltonian part, and framed, split in the last basis asked for."""
+
+    __slots__ = ("ref", "copy", "own", "framed")
+
+    def __init__(self, ref, copy):
+        self.ref, self.copy, self.own, self.framed = ref, copy, None, None
+
+
+def _forget(key, ref, store=_kept):
+    # the weak reference's callback.  It reads no global, which the
+    # interpreter may already have set to None when it runs at exit.  The
+    # array is not freed before it returns, so no other array takes the key.
+    entry = store.get(key)
+    if entry is not None and entry.ref is ref:
+        store.pop(key, None)
+
+
+def _read_only(*arrays):
+    """arrays, each one that is not None made read-only."""
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    return arrays
+
+
+def _kept_entry(l_mat):
+    """The kept entry of l_mat, made anew unless the one under id(l_mat) was
+    made of this very array and its copy still equals l_mat."""
+    key = id(l_mat)
+    entry = _kept.get(key)  # read once: another thread may replace it
+    if entry is None or entry.ref() is not l_mat or not np.array_equal(entry.copy, l_mat):
+        copy = l_mat.copy()
+        _read_only(copy)
+        entry = _Kept(weakref.ref(l_mat, functools.partial(_forget, key)), copy)
+        _kept[key] = entry
+    return entry
+
+
+def _kept_propagator(l_mat, basis=None):
+    """The Propagator of l_mat's kept entry split in basis, or in L's own
+    frame without one, decomposed only where it is read.  Every
+    superoperator enters here: with a basis it must have basis.n_levels**2
+    rows and columns, and in any case be square and nonempty, else
+    ValueError.  The split in a basis is made anew unless it was made in
+    this very basis object and the basis's vectors and sector_labels still
+    equal the split's copies of them."""
+    if basis is not None and l_mat.shape != (basis.n_levels**2,) * 2:
+        raise ValueError(f"basis has {basis.n_levels} levels, superoperator is {l_mat.shape}")
+    if l_mat.ndim != 2 or l_mat.shape[0] != l_mat.shape[1] or not l_mat.size:
+        raise ValueError(f"superoperator must be square and nonempty, got {l_mat.shape}")
+    entry = _kept_entry(l_mat)
+    if basis is None:
+        if entry.own is None:
+            entry.own = Propagator._build(entry.copy)
+        return entry.own
+    prop = entry.framed  # read once: another thread may replace it
+    if (prop is None or prop.basis is not basis
+            or not np.array_equal(prop.vectors, basis.spectrum.vectors)
+            or not np.array_equal(prop.labels, basis.sector_labels)):
+        prop = entry.framed = Propagator._build(entry.copy, basis)
+    return prop
+
+
+def _hamiltonian_part(l_mat, n):
+    """H of L = -i[H, .] + D up to a multiple of I: with X_ab = sum_k
+    L[a + N k, b + N k], the partial trace of L, H = i(X - X^dag) / (2N).
+    The GKS form is unique, so this is exact when D's jump operators are
+    traceless or Hermitian, as a restricted generator's are."""
+    x = np.trace(l_mat.reshape(n, n, n, n), axis1=0, axis2=2)
+    return 1j * (x - x.conj().T) / (2 * n)
+
+
+def _choi_sources(idx, n):
+    """The map entries behind the Choi blocks of a (K, s) stack of frame
+    indices: Choi block entry (a + N b, c + N d) is map entry
+    (a + N c, b + N d), returned as (rows, cols), each (K, s, s)."""
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    return rows % n + n * (cols % n), rows // n + n * (cols // n)
+
+
+def _choi_closed(labels, n):
+    # the labels split the Choi matrix too when every map entry behind a
+    # Choi block lies inside one sector of the map: for frame indices a + N b
+    # and c + N d with one label, map entries a + N c and b + N d share one
+    lab = labels.reshape(n, n).T  # lab[a, c] is the label of a + N c
+    same = (labels[:, None] == labels[None, :]).reshape(n, n, n, n)  # axes b, a, d, c
+    return not np.any(same & (lab[None, :, None, :] != lab[:, None, :, None]))
+
+
+class Propagator:
+    """Evaluates exp(L t) for a fixed superoperator L at arbitrary t.
+
+    The split.  L is taken to the energy frame U^dag L U, U = kron(conj(V),
+    V), whose index a + N b is |a><b|, and split by Bohr-frequency labels.
+    The frame V and the labels come from basis when one is given (its
     sector_labels), else from L's own Hamiltonian part (see
     _hamiltonian_part), through the same clustering at the default
     degeneracy_tol.  When the norm of everything between different labels
@@ -58,27 +158,62 @@ class _Sectors:
     audit never).  Without a basis, an L that is not finite or whose size
     is not a perfect square is not measured: dense and complex.  indices
     holds one (K, s) array of frame indices per block size s.  basis is the
-    basis passed, whose vectors and labels are copied, so no split aliases
-    them; vectors (V), labels and energy_frame = U^dag L U are kept on
-    every route that was measured.  superoperator is L itself.  The
-    singular values of the frame blocks, and their SVD with vectors, are
-    computed when first read and kept (see _block_svd).
+    basis passed, whose vectors and labels are copied; vectors (V), labels
+    and energy_frame = U^dag L U are kept on every route that was measured.
+
+    The decomposition.  Each block is decomposed on its own, with one
+    batched eig per block size; a 1x1 block x is its own eigenvalue and
+    eigenvector, so it takes no eig, inverse or SVD, and evolves as exp(x t)
+    times its entry.  On the real route R is decomposed, with one real eig
+    and cond, inverse and maps in real arithmetic (T is unitary, so R has
+    the spectrum and the eigenvector cond of L; see _real_pair_form).  The
+    eigendecomposition is used when the eigenvector matrix (block diagonal
+    on the sector route) has cond < 1e8, and scaling-and-squaring of each
+    block otherwise.  The eigendecomposition, eigenvalues, condition_number
+    and diagonalizable, like the singular values of the frame blocks and
+    their SVD with vectors (see _block_svd), are computed when first read
+    and kept, every array read-only.
+
+    Propagator(L, basis) returns the one instance kept for the caller's
+    array in that frame while the array lives unchanged, and in a basis
+    while that basis object's vectors and labels do too (see
+    _kept_propagator), so Propagator(L) is Propagator(L).  It reads the
+    decomposition before it returns, so an eigensolver failure raises
+    there; steady_state and the audits that need only the split or its
+    singular values read the same instance and never decompose L.
+    superoperator is the kept, read-only copy of L, so nothing kept holds
+    the caller's array; an array that is not complex is converted first, so
+    only that call's conversion is kept.  Propagator(t) is the full map
+    exp(L t); propagate evolves one state through _states instead, which on
+    the sector route makes two T N^2 buffers and no more.
     """
 
-    def __init__(self, l_mat, basis=None):
+    def __new__(cls, superoperator, basis=None):
+        prop = _kept_propagator(np.asarray(superoperator, dtype=complex), basis)
+        prop._inv  # decomposes L: an eigensolver failure raises here
+        return prop
+
+    def __reduce__(self):
+        # a copied or unpickled Propagator is made again, of its copy of L
+        return Propagator, (self.superoperator, self.basis)
+
+    @classmethod
+    def _build(cls, l_mat, basis=None):
+        """The split of l_mat in basis, or in its own frame without one, with
+        its arrays read-only; l_mat is the kept copy, already read-only, and
+        whether it is finite is tested once, here."""
+        self = object.__new__(cls)
         n2 = l_mat.shape[0]
-        self.superoperator = l_mat
+        self.superoperator, self.basis, self._finite = l_mat, basis, bool(np.isfinite(l_mat).all())
         self.route, self.arithmetic, self.vectors, self.off_sector_norm = "dense", "complex", None, None
-        self.frame, self.indices = l_mat, [np.arange(n2)[None]]
-        self.basis, self.labels, self.energy_frame = basis, None, None
+        self.frame, self.indices, self.labels, self.energy_frame = l_mat, [np.arange(n2)[None]], None, None
         if basis is not None:
-            if l_mat.shape != (basis.n_levels**2,) * 2:
-                raise ValueError(f"basis has {basis.n_levels} levels, superoperator is {l_mat.shape}")
             n, vectors, labels = basis.n_levels, basis.spectrum.vectors.copy(), basis.sector_labels.copy()
         else:
             n = math.isqrt(n2)
-            if n == 0 or n * n != n2 or not np.isfinite(l_mat).all():
-                return
+            if n * n != n2 or not self._finite:
+                _read_only(*self.indices)
+                return self
             spectrum, labels = _energy_frame(_hamiltonian_part(l_mat, n))
             vectors = spectrum.vectors
         self._bound = _ROUTE_BOUND * max(1.0, np.linalg.norm(l_mat))
@@ -93,6 +228,8 @@ class _Sectors:
         elif self._preserves_hermiticity():
             real = _hermitian_coords(_hermitian_coords(l_mat.conj().T).conj().T)  # T^dag L T
             self.arithmetic, self.frame = "real", real.real
+        _read_only(self.frame, self.energy_frame, self.labels, self.vectors, *self.indices)
+        return self
 
     @functools.cached_property
     def hermiticity_defect(self):
@@ -103,19 +240,75 @@ class _Sectors:
         return float(np.linalg.norm(l_mat - l_mat.conj()[swap[:, None], swap[None, :]])) / 2
 
     @functools.cached_property
+    def _blocks(self):
+        """The diagonal blocks of the frame, one (K, s, s) stack per size."""
+        return _read_only(*self.blocks(self.frame))
+
+    @functools.cached_property
     def singular_values(self):
         """The singular values of each frame block stack, (K, s) per size."""
-        values = [_block_svd(block) for block in self.blocks(self.frame)]
-        _read_only(*values)
-        return values
+        return _read_only(*(_block_svd(block, self._finite) for block in self._blocks))
 
     @functools.cached_property
     def singular_pairs(self):
         """(s, vh) of each frame block stack, from its SVD with vectors: kept
         apart from singular_values, whose LAPACK mode gives other bits."""
-        pairs = [_block_svd(block, vectors=True) for block in self.blocks(self.frame)]
+        pairs = [_block_svd(block, self._finite, vectors=True) for block in self._blocks]
         _read_only(*(array for pair in pairs for array in pair))
         return pairs
+
+    @functools.cached_property
+    def _eig(self):
+        """(eigenvalues, eigenvectors) of each frame block stack, in the real
+        pair form on the real route (see _real_pair_form)."""
+        pairs = []
+        for block in self._blocks:
+            if block.shape[-1] == 1:  # a 1x1 block is its own eigenvalue
+                evals, evecs = block[:, :, 0], np.ones_like(block)
+            else:
+                evals, evecs = np.linalg.eig(block)
+                if self.arithmetic == "real":
+                    evecs = _real_pair_form(evals, evecs)
+            pairs.append(_read_only(evals, evecs))
+        return pairs
+
+    @functools.cached_property
+    def eigenvalues(self):
+        """The spectrum of L, entry i from the block that holds frame index i."""
+        eigenvalues = np.empty(self.superoperator.shape[0], dtype=complex)
+        for idx, (evals, _) in zip(self.indices, self._eig):
+            eigenvalues[idx] = evals
+        _read_only(eigenvalues)
+        return eigenvalues
+
+    @functools.cached_property
+    def condition_number(self):
+        """cond of the whole (block-diagonal) eigenvector matrix: the largest
+        singular value of the blocks' eigenvector matrices over the smallest."""
+        pairs = self._eig  # an eig failure raises: only that of the SVD makes cond infinite
+        try:  # a 1x1 block's eigenvector matrix is 1
+            svals = [np.ones((1, 1)) if evecs.shape[-1] == 1 else np.linalg.svd(self._part(evecs), compute_uv=False)
+                     for _, evecs in pairs]
+        except np.linalg.LinAlgError:
+            return math.inf
+        smax, smin = max(float(s[:, 0].max()) for s in svals), min(float(s[:, -1].min()) for s in svals)
+        cond = smax / smin if smin > 0 else math.inf
+        return cond if math.isfinite(cond) else math.inf
+
+    @functools.cached_property
+    def diagonalizable(self):
+        return self.condition_number < _DIAGONALIZABLE_COND
+
+    @functools.cached_property
+    def _inv(self):
+        """The inverse eigenvector stack of each block, or None when L is not
+        diagonalizable and every block takes expm."""
+        if not self.diagonalizable:
+            log.debug("eigenvector condition %.3e; using expm fallback", self.condition_number)
+            return None
+        # a 1x1 block's eigenvector 1 is its own inverse
+        return _read_only(*(evecs if evecs.shape[-1] == 1 else np.linalg.inv(self._part(evecs))
+                            for _, evecs in self._eig))
 
     def _preserves_hermiticity(self):
         """The one rule: hermiticity_defect at most _ROUTE_BOUND * max(1, ||L||_F)."""
@@ -149,188 +342,6 @@ class _Sectors:
             out[idx[:, :, None], idx[:, None, :]] = stack
         return out
 
-
-# One kept entry per live caller array, keyed by id(array): a private
-# read-only copy of its L and up to two splits of that copy, each with the
-# Propagator built of it once there is one (see _kept_slot).  A weak
-# reference to the array drops the entry when the array is collected, so
-# the array's lifetime bounds what is kept.
-_kept = {}
-
-
-class _Kept:
-    """The kept entry of one caller array: a weak reference to it, the copy
-    of L, and two _Slot or None: own, split in the frame of L's own
-    Hamiltonian part, and framed, split in the last basis asked for."""
-
-    __slots__ = ("ref", "copy", "own", "framed")
-
-    def __init__(self, ref, copy):
-        self.ref, self.copy, self.own, self.framed = ref, copy, None, None
-
-
-class _Slot:
-    """One kept split, its arrays read-only, and its Propagator or None."""
-
-    __slots__ = ("sectors", "propagator")
-
-    def __init__(self, sectors):
-        _read_only(sectors.frame, sectors.energy_frame, sectors.labels, sectors.vectors, *sectors.indices)
-        self.sectors, self.propagator = sectors, None
-
-
-def _forget(key, ref, store=_kept):
-    # the weak reference's callback.  It reads no global, which the
-    # interpreter may already have set to None when it runs at exit.  The
-    # array is not freed before it returns, so no other array takes the key.
-    entry = store.get(key)
-    if entry is not None and entry.ref is ref:
-        store.pop(key, None)
-
-
-def _read_only(*arrays):
-    for array in arrays:
-        if array is not None:
-            array.flags.writeable = False
-
-
-def _kept_entry(l_mat):
-    """The kept entry of l_mat, made anew unless the one under id(l_mat) was
-    made of this very array and its copy still equals l_mat."""
-    key = id(l_mat)
-    entry = _kept.get(key)  # read once: another thread may replace it
-    if entry is None or entry.ref() is not l_mat or not np.array_equal(entry.copy, l_mat):
-        copy = l_mat.copy()
-        _read_only(copy)
-        entry = _Kept(weakref.ref(l_mat, functools.partial(_forget, key)), copy)
-        _kept[key] = entry
-    return entry
-
-
-def _kept_slot(l_mat, basis=None):
-    """The slot of l_mat's kept entry that holds its split in basis, or in
-    L's own frame without one.  The split in a basis is made anew unless
-    it was made in this very basis object and the basis's vectors and
-    sector_labels still equal the split's copies of them."""
-    entry = _kept_entry(l_mat)
-    if basis is None:
-        if entry.own is None:
-            entry.own = _Slot(_Sectors(entry.copy))
-        return entry.own
-    slot = entry.framed  # read once: another thread may replace it
-    if (slot is None or slot.sectors.basis is not basis
-            or not np.array_equal(slot.sectors.vectors, basis.spectrum.vectors)
-            or not np.array_equal(slot.sectors.labels, basis.sector_labels)):
-        slot = entry.framed = _Slot(_Sectors(entry.copy, basis))
-    return slot
-
-
-def _split(l_mat, basis=None):
-    """The split of l_mat in basis, or in L's own frame without one, kept
-    while the array lives unchanged (see _kept_slot): the same to the bit
-    as a fresh _Sectors(l_mat, basis), its superoperator the kept copy."""
-    return _kept_slot(l_mat, basis).sectors
-
-
-def _hamiltonian_part(l_mat, n):
-    """H of L = -i[H, .] + D up to a multiple of I: with X_ab = sum_k
-    L[a + N k, b + N k], the partial trace of L, H = i(X - X^dag) / (2N).
-    The GKS form is unique, so this is exact when D's jump operators are
-    traceless or Hermitian, as a restricted generator's are."""
-    x = np.trace(l_mat.reshape(n, n, n, n), axis1=0, axis2=2)
-    return 1j * (x - x.conj().T) / (2 * n)
-
-
-def _choi_sources(idx, n):
-    """The map entries behind the Choi blocks of a (K, s) stack of frame
-    indices: Choi block entry (a + N b, c + N d) is map entry
-    (a + N c, b + N d), returned as (rows, cols), each (K, s, s)."""
-    rows, cols = idx[:, :, None], idx[:, None, :]
-    return rows % n + n * (cols % n), rows // n + n * (cols // n)
-
-
-def _choi_closed(labels, n):
-    # the labels split the Choi matrix too when every map entry behind a
-    # Choi block lies inside one sector of the map: for frame indices a + N b
-    # and c + N d with one label, map entries a + N c and b + N d share one
-    lab = labels.reshape(n, n).T  # lab[a, c] is the label of a + N c
-    same = (labels[:, None] == labels[None, :]).reshape(n, n, n, n)  # axes b, a, d, c
-    return not np.any(same & (lab[None, :, None, :] != lab[:, None, :, None]))
-
-
-class Propagator:
-    """Evaluates exp(L t) for a fixed superoperator L at arbitrary t.
-
-    L is split into Bohr-frequency sectors, in the frame of basis (the
-    eigenoperator basis of L's Hamiltonian) if given, else in the frame of
-    L's own Hamiltonian part, when its measured off-sector norm allows it
-    (see _Sectors; route "sector"), and each block is decomposed on its
-    own, with one batched eig per block size; a 1x1 block x is its own
-    eigenvalue and eigenvector, so it takes no eig, inverse or SVD, and
-    evolves as exp(x t) times its entry.  Otherwise (route "dense") L
-    is decomposed whole: when it measurably preserves Hermiticity, as the
-    real matrix R = T^dag L T of the Hermitian operator basis (arithmetic
-    "real"; T is unitary, so R has the spectrum and the eigenvector cond of
-    L), with one real eig and cond, inverse and maps in real arithmetic
-    (see _real_pair_form); else as L itself (arithmetic "complex").  The
-    eigendecomposition is used when the eigenvector matrix (block diagonal
-    on the sector route) has cond < 1e8, and scaling-and-squaring of each
-    block otherwise.  The eigenvalues, the condition number, the route, the
-    arithmetic and the off-sector norm are kept, so audits can read them
-    without decomposing L again.  L is split and decomposed once in each
-    frame while the caller's array lives unchanged, and in a basis while
-    that basis object's vectors and labels do too: the first Propagator
-    is kept with its split (see _kept_slot), and a later one shares its
-    read-only arrays.  superoperator is the kept, read-only copy of L, in
-    a basis or not, so nothing kept holds the caller's array.  An array
-    that is not complex is converted first, so only that call's
-    conversion is kept.  Propagator(t) is the full map
-    exp(L t); propagate evolves one state through _states instead, which on
-    the sector route makes two T N^2 buffers and no more.
-    """
-
-    def __init__(self, superoperator, basis=None):
-        l_mat = np.asarray(superoperator, dtype=complex)
-        if l_mat.ndim != 2 or l_mat.shape[0] != l_mat.shape[1]:
-            raise ValueError(f"superoperator must be square, got {l_mat.shape}")
-        slot = _kept_slot(l_mat, basis)
-        if slot.propagator is not None:
-            vars(self).update(vars(slot.propagator))  # its arrays are read-only, so they are shared
-            return
-        self.sectors = slot.sectors
-        self.superoperator = self.sectors.superoperator  # the kept copy: nothing kept holds the caller's array
-        self.route, self.off_sector_norm = self.sectors.route, self.sectors.off_sector_norm
-        self.arithmetic = self.sectors.arithmetic
-        self._blocks = self.sectors.blocks(self.sectors.frame)
-        self.eigenvalues = np.empty(self.superoperator.shape[0], dtype=complex)
-        self._evals, self._evecs = [], []
-        smax, smin = 0.0, math.inf
-        for idx, block in zip(self.sectors.indices, self._blocks):
-            if block.shape[-1] == 1:  # a 1x1 block is its own eigenvalue
-                evals, evecs, svals = block[:, :, 0], np.ones_like(block), np.ones((1, 1))
-            else:
-                evals, evecs = np.linalg.eig(block)
-                if self.arithmetic == "real":
-                    evecs = _real_pair_form(evals, evecs)
-                try:
-                    svals = np.linalg.svd(self._part(evecs), compute_uv=False)
-                except np.linalg.LinAlgError:
-                    svals = np.array([[math.inf, 0.0]])
-            self.eigenvalues[idx] = evals
-            self._evals.append(evals)
-            self._evecs.append(evecs)
-            smax, smin = max(smax, float(svals[:, 0].max())), min(smin, float(svals[:, -1].min()))
-        # equals cond of the whole (block-diagonal) eigenvector matrix
-        cond = smax / smin if smin > 0 else math.inf
-        self.condition_number = cond if math.isfinite(cond) else math.inf
-        self.diagonalizable = self.condition_number < _DIAGONALIZABLE_COND
-        if self.diagonalizable:  # a 1x1 block's eigenvector 1 is its own inverse
-            self._inv = [evecs if evecs.shape[-1] == 1 else np.linalg.inv(self._part(evecs)) for evecs in self._evecs]
-        else:
-            log.debug("eigenvector condition %.3e; using expm fallback", self.condition_number)
-        _read_only(self.eigenvalues, *self._blocks, *self._evals, *self._evecs, *getattr(self, "_inv", ()))
-        slot.propagator = self
-
     def _part(self, x):
         """x itself, or its real part on the real route."""
         return x.real if self.arithmetic == "real" else x
@@ -338,12 +349,12 @@ class Propagator:
     def _block_maps(self, times):
         """exp(B t) of every block B at every t in times, in the frame of the
         route: one (T, K, s, s) stack per block size, as the blocks are
-        stacked in sectors.indices."""
+        stacked in indices."""
         times = np.asarray(times, dtype=float)
         if self.diagonalizable:
             return [
                 self._part(evecs * np.exp(evals * times[:, None, None])[:, :, None, :]) @ inv
-                for evals, evecs, inv in zip(self._evals, self._evecs, self._inv)
+                for (evals, evecs), inv in zip(self._eig, self._inv)
             ]
         import scipy.linalg  # slow to import, and only this route uses it
 
@@ -352,12 +363,11 @@ class Propagator:
     def _frame_map(self, t):
         """exp(L t) in the frame of the route: U^dag exp(L t) U on the sector
         route, exp(R t) on the real route, exp(L t) itself otherwise."""
-        return self.sectors.assemble([stack[0] for stack in self._block_maps([t])])
+        return self.assemble([stack[0] for stack in self._block_maps([t])])
 
     def __call__(self, t):
         # K M K^dag for the frame map M and the change of frame K that to_standard applies
-        to_standard = self.sectors.to_standard
-        return to_standard(to_standard(self._frame_map(t)).conj().T).conj().T
+        return self.to_standard(self.to_standard(self._frame_map(t)).conj().T).conj().T
 
     def _evolve(self, frame_vec, times, weights=None):
         """exp(B t) frame_vec, block by block, for every t in times, as one
@@ -368,7 +378,7 @@ class Propagator:
         shape = (frame_vec.size, times.size)
         out = np.empty(shape, frame_vec.dtype) if weights is None else np.zeros(shape, frame_vec.dtype)
         if self.diagonalizable:
-            for idx, evals, evecs, inv in zip(self.sectors.indices, self._evals, self._evecs, self._inv):
+            for idx, (evals, evecs), inv in zip(self.indices, self._eig, self._inv):
                 if weights is not None:
                     kept = weights[idx].any(axis=1)
                     idx, evals, inv = idx[kept], evals[kept], inv[kept]
@@ -395,20 +405,20 @@ class Propagator:
         M + M^dag into the second, the time axis fastest.  The real dense
         route evolves real coordinates.  Elsewhere each state is
         re-Hermitized as (rho + rho^dag)/2."""
-        n, sectors, defects = rho.shape[0], self.sectors, np.zeros(times.size)
-        frame_vec = self._part(sectors.to_frame(vectorize(rho)))
-        if self.route == "sector" and sectors._preserves_hermiticity():
+        n, defects = rho.shape[0], np.zeros(times.size)
+        frame_vec = self._part(self.to_frame(vectorize(rho)))
+        if self.route == "sector" and self._preserves_hermiticity():
             b, a = np.divmod(np.arange(n * n), n)  # index a + N b, weighted 1, 1/2, 0 as a <, =, > b
             upper = self._evolve(frame_vec, times, (np.sign(b - a) + 1) / 2)
             # upper[b, a, t] = U_ab(t), then m[j, i, t] = M_ij(t), written over upper
-            vectors = sectors.vectors
+            vectors = self.vectors
             first = vectors @ upper.reshape(n, n, times.size)
             m = np.matmul(vectors.conj(), first.reshape(n, -1), out=upper.reshape(n, -1)).reshape(n, n, times.size)
             # the states go into first's buffer, the time axis fastest
             states = np.conjugate(m.transpose(2, 0, 1), out=first.transpose(2, 0, 1))
             states += m.transpose(2, 1, 0)
             return states, defects
-        states = devectorize(sectors.to_standard(self._evolve(frame_vec, times)).T)
+        states = devectorize(self.to_standard(self._evolve(frame_vec, times)).T)
         if self.arithmetic == "complex":  # the real route's states are Hermitian exactly
             adjoints = states.conj().swapaxes(1, 2)
             defects = np.linalg.norm(states - adjoints, axis=(1, 2)) / 2
@@ -436,24 +446,13 @@ def _superop_of(obj):
     return np.asarray(obj.superoperator if hasattr(obj, "superoperator") else obj, dtype=complex)
 
 
-def _split_reused(obj, basis):
-    # a Propagator's split serves when no basis is asked for or it was made in that very object
-    return isinstance(obj, Propagator) and (basis is None or obj.sectors.basis is basis)
-
-
 def _propagator_of(obj, basis=None):
-    """obj itself if it is a Propagator split in basis (any, if None), else one
-    built in the frame of basis, else of obj's basis, else of L's own."""
-    if _split_reused(obj, basis):
+    """obj itself if it is a Propagator split in basis (any, if None), else
+    the kept one of obj's L in the frame of basis, else of obj's basis, else
+    of L's own, decomposed only where it is read (see _kept_propagator)."""
+    if isinstance(obj, Propagator) and (basis is None or obj.basis is basis):
         return obj
-    return Propagator(_superop_of(obj), getattr(obj, "basis", None) if basis is None else basis)
-
-
-def _sectors_of(obj, basis=None):
-    """The sector split _propagator_of would read, without decomposing L."""
-    if _split_reused(obj, basis):
-        return obj.sectors
-    return _split(_superop_of(obj), getattr(obj, "basis", None) if basis is None else basis)
+    return _kept_propagator(_superop_of(obj), getattr(obj, "basis", None) if basis is None else basis)
 
 
 @dataclass
@@ -508,7 +507,7 @@ def propagate(superoperator, rho0, times):
     removed is recorded (see Propagator._states).  An array is decomposed
     once per frame while it lives unchanged, bare or in its generator's
     basis: propagate, steady_state and the audits given it again reuse its
-    kept Propagator and split (see _kept_slot).
+    kept Propagator (see _kept_propagator).
     """
     rho0 = check_density_matrix(rho0)
     times = _time_grid(times, "propagate needs a 1-d grid of finite times t >= 0")
@@ -518,25 +517,25 @@ def propagate(superoperator, rho0, times):
 
 def null_dimension(svals):
     """Number of singular values (descending) at or below NULL_TOL times the
-    largest one; none when the largest is not finite (|x| of an infinite
-    1x1 block, or LAPACK's NaN)."""
+    largest one; none when the largest is not finite (the NaN of a split
+    that is not finite, see _block_svd, or |x| of a 1x1 block that
+    overflows)."""
     smax = svals[0] if svals.size else 0.0
     return int(np.sum(svals <= NULL_TOL * max(smax, 1e-300))) if smax < math.inf else 0
 
 
-def _block_svd(block, vectors=False):
+def _block_svd(block, finite, vectors=False):
     """np.linalg.svd(block, compute_uv=vectors) of a (K, s, s) stack, less
     u: the singular values, and with vectors the pair (s, vh).  For s = 1
     in closed form, with no LAPACK call: x = (x / |x|) |x| 1, so |x| and
-    vh = 1.  A stack with an entry that is not finite gets NaN for both,
-    with no LAPACK call either: its SVD may not return (one infinite entry
-    in a 4x4 spins), and NaN leaves no null direction, as |x| does for a
-    1x1 block x that is not finite."""
-    if block.shape[-1] == 1:
-        return (np.abs(block[..., 0]), np.ones_like(block)) if vectors else np.abs(block[..., 0])
-    if not np.isfinite(block).all():
+    vh = 1.  Every stack of a split whose L is not finite (finite False)
+    gets NaN for both, with no LAPACK call either: its SVD may not return
+    (one infinite entry in a 4x4 spins), and NaN leaves no null direction."""
+    if not finite:
         svals = np.full(block.shape[:-1], math.nan)
         return (svals, np.full_like(block, math.nan)) if vectors else svals
+    if block.shape[-1] == 1:
+        return (np.abs(block[..., 0]), np.ones_like(block)) if vectors else np.abs(block[..., 0])
     return np.linalg.svd(block)[1:] if vectors else np.linalg.svd(block, compute_uv=False)
 
 
@@ -551,12 +550,13 @@ class SteadyState:
 def steady_state(superoperator):
     """Stationary state from the smallest singular vector of L.
 
-    superoperator is read as in propagate, and the split kept for the
-    array in that frame is reused (see _split), with the SVD it keeps: a
-    second call on an unchanged array makes no SVD.  L's singular
-    values are those of its sector blocks together, one batched SVD per
-    block size (a 1x1 block x is |x| with right singular vector 1, no SVD;
-    a block stack with an entry that is not finite has NaN ones, no SVD),
+    superoperator is read as in propagate, and the Propagator kept for
+    the array in that frame is reused without decomposing L (see
+    _kept_propagator), with the SVD it keeps: a second call on an
+    unchanged array makes no SVD.  L's singular values are those of its
+    sector blocks together, one batched SVD per block size (a 1x1 block x
+    is |x| with right singular vector 1, no SVD; every block of an L that
+    is not finite has NaN ones, no SVD),
     or on the dense route those of L whole: one real SVD of R = T^dag L T
     when L preserves Hermiticity (see Propagator).  Uniqueness is decided by
     counting those below NULL_TOL * smax.  The state is the right singular
@@ -566,9 +566,8 @@ def steady_state(superoperator):
     direction is traceless, or the state's residual ||L rho|| exceeds
     1e-6 * max(smax, 1).
     """
-    l_mat = _superop_of(superoperator)
-    sectors = _sectors_of(superoperator)
-    decomps = sectors.singular_pairs
+    prop = _propagator_of(superoperator)
+    decomps = prop.singular_pairs
     svals = np.sort(np.concatenate([s.ravel() for s, _ in decomps]))[::-1]
     smax = svals[0]
     null_dim = null_dimension(svals)
@@ -580,15 +579,15 @@ def steady_state(superoperator):
     k = int(np.argmin([s[:, -1].min() for s, _ in decomps]))
     s, vh = decomps[k]
     j = int(np.argmin(s[:, -1]))
-    frame_vec = np.zeros(l_mat.shape[0], dtype=complex)
-    frame_vec[sectors.indices[k][j]] = vh[j, -1].conj()
-    rho = devectorize(sectors.to_standard(frame_vec))
+    frame_vec = np.zeros(prop.superoperator.shape[0], dtype=complex)
+    frame_vec[prop.indices[k][j]] = vh[j, -1].conj()
+    rho = devectorize(prop.to_standard(frame_vec))
     rho = (rho + rho.conj().T) / 2
     tr = np.trace(rho).real
     if abs(tr) < 1e-10:
         raise np.linalg.LinAlgError("stationary direction is traceless; generator is not trace preserving")
     rho = rho / tr
-    residual = float(np.linalg.norm(l_mat @ vectorize(rho)))
+    residual = float(np.linalg.norm(prop.superoperator @ vectorize(rho)))
     if residual > 1e-6 * max(smax, 1.0):
         raise np.linalg.LinAlgError(f"stationary state residual {residual:.3e} is too large")
     return SteadyState(rho=rho, unique=null_dim == 1, residual=residual, null_dimension=null_dim)

@@ -128,7 +128,9 @@ def _add_kronecker_sum(out, left, right):
     buffer.  The entries both hold, T[p, q, p, q] = out[q + N p, q + N p], are
     the main diagonal of out; each gets out + (left_qq + right_pp) as one sum."""
     n = len(left)
-    flat = out.reshape(-1, copy=False)
+    if not out.flags.c_contiguous:  # reshape would copy, and the sum would be lost
+        raise ValueError("out must be C-contiguous: it is written through a flat view of its buffer")
+    flat = out.reshape(-1)
     diagonal = flat[:: n * n + 1] + (right.diagonal()[:, None] + left.diagonal()).ravel()
     # T[i, j, i, k] sits at flat index i (N^3 + N) + j N^2 + k, T[j, i, k, i] at i (N^2 + 1) + j N^3 + k N
     for strides, term in (((n**3 + n, n * n, 1), left), ((n * n + 1, n**3, n), right.T)):

@@ -11,16 +11,19 @@ six audit checks, the Spohn slack and the CLI's experiment-level checks.
 run_standard_checks bundles the full battery and shares one Propagator
 between its checks: L is split into Bohr-frequency sectors when its
 measured off-sector norm allows it and decomposed once, block by block or
-whole, and both are kept while L and the basis stay unchanged (see
-dynamics._kept_slot).  The frame of that split is the basis passed, else the
-eigenoperator basis of the object passed if it has one, else L's own
-Hamiltonian part, so a bare array is split too.  On the dense route an L
-that preserves Hermiticity is decomposed as the real matrix of the
-Hermitian operator basis (see dynamics.Propagator).  The checks that
-read it (fixed_point, cptp, spectral) record the route taken ("sector" or
-"dense") and the off-sector norm in their details, not the arithmetic;
-structure_support is that norm, and the population block is read from the
-split's energy frame: no check forms a frame of its own, and
+whole, and that Propagator is kept while L and the basis stay unchanged
+(see dynamics._kept_propagator).  A check given an array or a generator
+reads the same kept Propagator of its L, split in the basis passed, else
+in the eigenoperator basis of the object passed if it has one, else in
+the frame of L's own Hamiltonian part, so a bare array is split too.  L
+is decomposed only where a check reads the decomposition (cptp,
+spectral), so fixed_point and structure_support make no eig.  On the
+dense route an L that preserves Hermiticity is decomposed as the real
+matrix of the Hermitian operator basis (see dynamics.Propagator).  The
+checks that read it (fixed_point, cptp, spectral) record the route taken
+("sector" or "dense") and the off-sector norm in their details, not the
+arithmetic; structure_support is that norm, and the population block is
+read from the split's energy frame: no check forms a frame of its own, and
 check_commutation uses none.
 """
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .dynamics import (
     Propagator,
     _choi_sources,
     _propagator_of,
-    _sectors_of,
     _superop_of,
     _time_grid,
     null_dimension,
@@ -130,8 +132,8 @@ def check_commutation(superoperator, hamiltonian, threshold=None):
     )
 
 
-def _route_details(sectors):
-    return {"route": sectors.route, "off_sector_norm": sectors.off_sector_norm}
+def _route_details(prop):
+    return {"route": prop.route, "off_sector_norm": prop.off_sector_norm}
 
 
 def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
@@ -141,22 +143,21 @@ def check_fixed_point(superoperator, hamiltonian, beta, threshold=None):
     in the frame of superoperator's basis if it has one, else of L's own
     Hamiltonian part (a 1x1 block x is |x|, with no SVD); on the dense route
     those of L whole, from one real SVD of R = T^dag L T when L preserves
-    Hermiticity (see Propagator).  They are kept with the split, so a
-    second check of an unchanged array makes no SVD; a block stack with an
-    entry that is not finite has NaN ones, with no SVD, and so L has no
-    null direction."""
+    Hermiticity (see Propagator).  They are kept with the Propagator, which
+    is not decomposed, so a second check of an unchanged array makes no
+    SVD; every block of an L that is not finite has NaN ones, with no SVD,
+    and so L has no null direction."""
     threshold = DEFAULT_THRESHOLDS["fixed_point"] if threshold is None else threshold
-    l_mat = _superop_of(superoperator)
-    sectors = _sectors_of(superoperator)
+    prop = _propagator_of(superoperator)
     rho_th = thermal_state(hamiltonian, beta)
-    defect = float(np.linalg.norm(l_mat @ vectorize(rho_th)))
-    svals = np.concatenate([s.ravel() for s in sectors.singular_values])
+    defect = float(np.linalg.norm(prop.superoperator @ vectorize(rho_th)))
+    svals = np.concatenate([s.ravel() for s in prop.singular_values])
     null_dim = null_dimension(np.sort(svals)[::-1])
     return CheckResult(
         name="fixed_point",
         defect=defect,
         threshold=threshold,
-        details={"null_dimension": null_dim, "unique": null_dim == 1, "beta": float(beta), **_route_details(sectors)},
+        details={"null_dimension": null_dim, "unique": null_dim == 1, "beta": float(beta), **_route_details(prop)},
     )
 
 
@@ -190,13 +191,13 @@ def _sector_choi_minima(prop, times):
     flat = np.concatenate([stack.reshape(times.size, -1) for stack in prop._block_maps(times)], axis=1)
     start, pos, size = (np.empty(n * n, dtype=int) for _ in range(3))
     offset = 0
-    for idx in prop.sectors.indices:
+    for idx in prop.indices:
         k, s = idx.shape
         start[idx] = offset + s * s * np.arange(k)[:, None]
         pos[idx], size[idx] = np.arange(s), s
         offset += k * s * s
     min_eigs = np.full(times.size, np.inf)
-    for idx in prop.sectors.indices:
+    for idx in prop.indices:
         rows, cols = _choi_sources(idx, n)
         gather = start[rows] + pos[rows] * size[rows] + pos[cols]
         choi = (flat[:, gather] + flat[:, gather.swapaxes(-1, -2)].conj()) / 2
@@ -243,7 +244,7 @@ def check_cptp(superoperator, times=CPTP_TIME_GRID, threshold=None):
             "min_choi_eigenvalue": float(min_eigs.min()),
             "choi_eigenvalues_by_time": min_eigs.tolist(),
             "trace_defects_by_time": tp_defects.tolist(),
-            **_route_details(prop.sectors),
+            **_route_details(prop),
         },
     )
 
@@ -263,6 +264,7 @@ def check_spectral(superoperator, basis=None, threshold=None):
     threshold = DEFAULT_THRESHOLDS["spectral"] if threshold is None else threshold
     try:
         prop = _propagator_of(superoperator, basis)
+        cond = prop.condition_number
     except np.linalg.LinAlgError as exc:
         # an eigensolver failure is inconclusive: defect inf
         return CheckResult(
@@ -271,7 +273,6 @@ def check_spectral(superoperator, basis=None, threshold=None):
             threshold=threshold,
             details={"inconclusive": True, "error": str(exc)},
         )
-    cond = prop.condition_number
     evals = prop.eigenvalues
     max_re = float(evals.real.max())
     ratios = [cond / _DIAGONALIZABLE_COND, max_re / _STABILITY_TOL]
@@ -280,11 +281,11 @@ def check_spectral(superoperator, basis=None, threshold=None):
         "near_defective": not prop.diagonalizable,
         "max_real_part": max_re,
         "eigenvalues": evals,
-        **_route_details(prop.sectors),
+        **_route_details(prop),
     }
     if basis is not None:
         pop = (basis.n_levels + 1) * np.arange(basis.n_levels)
-        block = prop.sectors.energy_frame[pop][:, pop]
+        block = prop.energy_frame[pop][:, pop]
         pop_evals = np.linalg.eigvals(block)
         pop_imag = float(np.abs(pop_evals.imag).max())
         details["population_eigenvalues"] = pop_evals
@@ -311,16 +312,16 @@ def check_structure_support(superoperator, basis, threshold=None):
     and L = -i[H, .] + D give it up to rounding, -i[H, .] being diagonal.
     """
     threshold = DEFAULT_THRESHOLDS["structure_support"] if threshold is None else threshold
-    sectors = _sectors_of(superoperator, basis)
-    allowed = sectors.labels[:, None] == sectors.labels[None, :]
-    disallowed = sectors.energy_frame[~allowed]
+    prop = _propagator_of(superoperator, basis)
+    allowed = prop.labels[:, None] == prop.labels[None, :]
+    disallowed = prop.energy_frame[~allowed]
     return CheckResult(
         name="structure_support",
-        defect=sectors.off_sector_norm,
+        defect=prop.off_sector_norm,
         threshold=threshold,
         details={
             "max_off_support": float(np.max(np.abs(disallowed))) if disallowed.size else 0.0,
-            "on_support_norm": float(np.linalg.norm(sectors.energy_frame[allowed])),
+            "on_support_norm": float(np.linalg.norm(prop.energy_frame[allowed])),
         },
     )
 
@@ -441,9 +442,10 @@ def run_standard_checks(generator, thresholds=None, label=""):
     eig of L whole on the dense route, of a real matrix when L preserves
     Hermiticity.  On the sector route check_cptp then makes one eigvalsh per
     Choi block size, and neither it nor check_commutation, which needs no
-    Propagator, forms an N^2 x N^2 matrix.  The split and the Propagator
-    are kept for the generator's L in its basis (see dynamics._kept_slot),
-    so a second audit of an unchanged generator decomposes nothing.
+    Propagator, forms an N^2 x N^2 matrix.  The Propagator, its split and
+    its decomposition are kept for the generator's L in its basis (see
+    dynamics._kept_propagator), so a second audit of an unchanged generator
+    decomposes nothing.
     """
     th = dict(thresholds or {})
     l_mat = generator.superoperator

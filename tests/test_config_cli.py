@@ -728,14 +728,15 @@ def test_evolve_splits_the_generator_once(tmp_path, monkeypatch):
     path = write_config(tmp_path, payload)
     splits = []
 
-    class CountingSectors(dynamics._Sectors):
-        def __init__(self, *args, **kwargs):
-            splits.append(args[0].shape)
-            super().__init__(*args, **kwargs)
+    build = dynamics.Propagator._build.__func__
 
-    monkeypatch.setattr(dynamics, "_Sectors", CountingSectors)
+    def counting(cls, l_mat, basis=None):
+        splits.append(l_mat.shape)
+        return build(cls, l_mat, basis)
+
+    monkeypatch.setattr(dynamics.Propagator, "_build", classmethod(counting))
     assert main(["evolve", "--config", path, "--out", str(tmp_path / "out")]) == 0
-    # one Propagator serves propagate and steady_state
+    # the generator's kept Propagator serves propagate and steady_state
     assert splits == [(4, 4)]
 
 

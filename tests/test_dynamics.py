@@ -18,6 +18,7 @@ from thermolindblad import (
     check_commutation,
     check_cptp,
     check_fixed_point,
+    check_spectral,
     devectorize,
     eigenoperator_basis,
     heat_current,
@@ -224,7 +225,7 @@ def test_propagate_rejects_a_bad_time_grid_before_splitting(times, monkeypatch):
     def forbidden(*args):
         raise AssertionError("L was split")
 
-    monkeypatch.setattr(dynamics, "_kept_slot", forbidden)
+    monkeypatch.setattr(dynamics, "_kept_propagator", forbidden)
     with pytest.raises(ValueError, match="1-d grid of finite times"):
         propagate(gen, np.eye(3) / 3, times)
 
@@ -298,6 +299,24 @@ def test_generator_that_is_not_finite_has_no_null_space_at_any_size(n, entry, wi
             Propagator(l_mat, target.basis if with_basis else None)
         with pytest.raises(np.linalg.LinAlgError):
             check_cptp(target)
+
+
+SHAPE_CALLS = {
+    "Propagator": Propagator,
+    "propagate": lambda l_mat: propagate(l_mat, np.eye(2) / 2, [0.0, 1.0]),
+    "steady_state": steady_state,
+    "check_fixed_point": lambda l_mat: check_fixed_point(l_mat, np.eye(2), 1.0),
+    "check_cptp": check_cptp,
+    "check_spectral": check_spectral,
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (4, 3), (12,), (2, 2, 2)], ids=["empty", "4x3", "1-d", "3-d"])
+@pytest.mark.parametrize("call", sorted(SHAPE_CALLS))
+def test_superoperator_must_be_square_and_nonempty(call, shape):
+    with pytest.raises(ValueError, match=re.escape(f"superoperator must be square and nonempty, got {shape}")):
+        SHAPE_CALLS[call](np.zeros(shape, dtype=complex))
+    assert not dynamics._kept
 
 
 # -- heat currents -----------------------------------------------------------

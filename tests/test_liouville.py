@@ -382,8 +382,27 @@ def test_dissipator_term_preserves_the_trace_to_rounding(n, rng):
 def test_kronecker_sum_writer_refuses_an_array_it_cannot_write_through(rng):
     # an F-order out would reshape to a copy, and the sum would be lost
     out, a = np.asfortranarray(random_complex((9, 9), rng)), random_complex((3, 3), rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="C-contiguous"):
         liouville._add_kronecker_sum(out, a, a)
+
+
+class ReshapeWithoutCopy(np.ndarray):
+    """An array whose reshape takes no copy argument, as before NumPy 2.1."""
+
+    def reshape(self, *shape, **kwargs):
+        if kwargs:
+            raise TypeError(f"reshape() got unexpected keyword arguments {sorted(kwargs)}")
+        return super().reshape(*shape)
+
+
+def test_kronecker_sum_writer_runs_on_the_numpy_floor(rng):
+    # pyproject.toml declares numpy>=1.24, whose ndarray.reshape has no copy argument
+    n = 3
+    out, a, b = random_complex((n * n, n * n), rng), random_complex((n, n), rng), random_complex((n, n), rng)
+    expected = out + kron_sum(a, b)
+    view = out.view(ReshapeWithoutCopy)
+    liouville._add_kronecker_sum(view, a, b)
+    assert np.array_equal(out, expected)
 
 
 def test_dissipator_term_is_one_product_and_gkls_dissipator_one_writer(monkeypatch, rng):

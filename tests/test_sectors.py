@@ -1,7 +1,9 @@
 """The Bohr-frequency sector route of Propagator and the audit against the
 dense route on the same generators, and the rule that picks the route."""
+import copy
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -35,7 +37,7 @@ from thermolindblad import (
     vectorize,
 )
 from thermolindblad import dynamics, liouville, validator
-from thermolindblad.dynamics import _hamiltonian_part, _Sectors, null_dimension
+from thermolindblad.dynamics import _hamiltonian_part, null_dimension
 from thermolindblad.liouville import _hermitian_coords
 from thermolindblad.reporting import emit_json, to_jsonable
 from thermolindblad.validator import CPTP_TIME_GRID
@@ -144,7 +146,7 @@ def test_bare_restricted_array_takes_sector_route(name, rng):
     bare, given = Propagator(l_mat), Propagator(l_mat, gen.basis)
     assert bare.route == "sector"
     assert bare.off_sector_norm <= bound
-    assert [idx.shape for idx in bare.sectors.indices] == [idx.shape for idx in given.sectors.indices]
+    assert [idx.shape for idx in bare.indices] == [idx.shape for idx in given.indices]
     assert paired_distance(bare.eigenvalues, given.eigenvalues) <= bound
     assert np.max(np.abs(bare(0.7) - given(0.7))) <= bound
     rho0 = presets.random_density_matrix(gen.dim, rng)
@@ -167,7 +169,7 @@ def test_hamiltonian_part_is_the_generator_hamiltonian(name, rng):
 def test_degenerate_zero_sector_holds_coherences(rng):
     gen = INPUTS["degenerate"](rng)
     prop = Propagator(gen.superoperator, gen.basis)
-    sizes = [idx.shape[-1] for idx in prop.sectors.indices]
+    sizes = [idx.shape[-1] for idx in prop.indices]
     # 4 populations plus the two coherences between the coinciding levels
     assert max(sizes) == 6
 
@@ -337,7 +339,7 @@ def test_jordan_arrays_stay_dense():
 def test_non_finite_bare_array_is_not_split(bad):
     l_mat = np.zeros((4, 4), dtype=complex)
     l_mat[0, 1] = bad
-    sectors = _Sectors(l_mat)
+    sectors = Propagator._build(l_mat)
     assert sectors.route == "dense" and sectors.off_sector_norm is None
     assert sectors.arithmetic == "complex"
     with pytest.raises(np.linalg.LinAlgError):
@@ -412,7 +414,7 @@ def test_sector_route_uses_vec_index_convention(rng):
     gen = INPUTS["random5"](rng)
     prop = Propagator(gen.superoperator, gen.basis)
     energies = gen.basis.spectrum.energies
-    frame = prop.sectors.frame
+    frame = prop.frame
     omegas = (energies[:, None] - energies[None, :]).ravel(order="F")
     coherences = ~np.eye(5, dtype=bool).ravel(order="F")
     assert np.allclose(frame.diagonal().imag[coherences], -omegas[coherences], atol=1e-8)
@@ -436,16 +438,16 @@ def assembled_cptp_details(prop, times):
         if prop.diagonalizable:
             stacks = [
                 prop._part(evecs * np.exp(evals * t)[:, None, :]) @ inv
-                for evals, evecs, inv in zip(prop._evals, prop._evecs, prop._inv)
+                for (evals, evecs), inv in zip(prop._eig, prop._inv)
             ]
         else:
             stacks = [expm(block * t) for block in prop._blocks]
-        lam = prop.sectors.assemble(stacks)
+        lam = prop.assemble(stacks)
         if prop.arithmetic == "real":  # exp(R t), back in the standard frame: T exp(R t) T^dag
-            lam = prop.sectors.to_standard(prop.sectors.to_standard(lam).conj().T).conj().T
+            lam = prop.to_standard(prop.to_standard(lam).conj().T).conj().T
         choi = choi_matrix(lam)
         choi = (choi + choi.conj().T) / 2
-        min_eigs.append(min(float(np.linalg.eigvalsh(b).min()) for b in prop.sectors.blocks(choi)))
+        min_eigs.append(min(float(np.linalg.eigvalsh(b).min()) for b in prop.blocks(choi)))
         tp_defects.append(float(np.linalg.norm(lam.conj().T @ eye_vec - eye_vec)))
     return min_eigs, tp_defects
 
@@ -501,7 +503,7 @@ def test_gathered_choi_blocks_match_assembled_maps(name, rng):
 def test_sector_cptp_makes_one_eigvalsh_per_block_size(monkeypatch, rng):
     prop = with_basis("ladder4")(rng)
     assert prop.route == "sector"
-    sizes = [idx.shape for idx in prop.sectors.indices]
+    sizes = [idx.shape for idx in prop.indices]
     assert len(sizes) > 1
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -516,7 +518,7 @@ def test_sector_cptp_makes_one_eigvalsh_per_block_size(monkeypatch, rng):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr("thermolindblad.validator.choi_matrix", forbidden)
     monkeypatch.setattr(Propagator, "_frame_map", forbidden)
-    monkeypatch.setattr(_Sectors, "assemble", forbidden)
+    monkeypatch.setattr(Propagator, "assemble", forbidden)
     result = check_cptp(prop)
     t = len(CPTP_TIME_GRID)
     assert calls == [(t * k, s, s) for k, s in sizes]
@@ -552,7 +554,7 @@ def test_hermitian_coords_match_dense_basis(n, rng):
     assert np.max(np.abs(_hermitian_coords(x) - t.conj().T @ x)) <= 1e-14
     assert np.max(np.abs(_hermitian_coords(x, inverse=True) - t @ x)) <= 1e-14
     m = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
-    # rows, then the rows of the adjoint: T^dag M T, as _Sectors forms it
+    # rows, then the rows of the adjoint: T^dag M T, as Propagator._build forms it
     conjugated = _hermitian_coords(_hermitian_coords(m.conj().T).conj().T)
     assert np.max(np.abs(conjugated - t.conj().T @ m @ t)) <= 1e-14 * n * n
     # a Hermitian X has real coordinates, and real coordinates give a Hermitian X, exactly
@@ -711,15 +713,8 @@ def test_propagator_split_elsewhere_is_resplit_in_the_basis(split, rng, monkeypa
     prop = RESPLIT[split](gen, rng)
     basis, l_mat = gen.basis, gen.superoperator
     scale = max(1.0, np.linalg.norm(l_mat))
-    expected = _Sectors(l_mat, basis)
-    splits = []
-
-    class CountingSectors(dynamics._Sectors):
-        def __init__(self, l_mat, basis=None):
-            splits.append(basis)
-            super().__init__(l_mat, basis)
-
-    monkeypatch.setattr(dynamics, "_Sectors", CountingSectors)
+    expected = Propagator._build(l_mat, basis)
+    splits = count_splits(monkeypatch)
     spectral = check_spectral(prop, basis)
     support = check_structure_support(prop, basis)
     # one split in basis, kept for L's copy: the second check reads it
@@ -741,8 +736,8 @@ def test_propagator_split_in_the_basis_is_reused(rng, monkeypatch):
     def forbidden(*args):
         raise AssertionError("the split was made again")
 
-    monkeypatch.setattr(dynamics, "_Sectors", forbidden)
-    monkeypatch.setattr(Propagator, "__init__", forbidden)
+    monkeypatch.setattr(Propagator, "_build", forbidden)
+    monkeypatch.setattr(Propagator, "__new__", forbidden)
     for basis in (gen.basis, None):
         spectral = check_spectral(prop, basis)
         assert spectral.details["off_sector_norm"] == prop.off_sector_norm
@@ -786,13 +781,13 @@ def without_kept_split(call, l_mat, gen, rho0):
 
 def count_splits(monkeypatch):
     splits = []
+    build = Propagator._build.__func__
 
-    class CountingSectors(dynamics._Sectors):
-        def __init__(self, l_mat, basis=None):
-            splits.append(basis)
-            super().__init__(l_mat, basis)
+    def counting(cls, l_mat, basis=None):
+        splits.append(basis)
+        return build(cls, l_mat, basis)
 
-    monkeypatch.setattr(dynamics, "_Sectors", CountingSectors)
+    monkeypatch.setattr(Propagator, "_build", classmethod(counting))
     return splits
 
 
@@ -871,7 +866,7 @@ def test_kept_split_is_read_only_and_owns_its_arrays(name, rng):
     steady_state(l_mat)
     steady_state(gen)
     entry = dynamics._kept[id(l_mat)]
-    for kept in (entry.own.sectors, entry.framed.sectors):
+    for kept in (entry.own, entry.framed):
         arrays = [kept.superoperator, kept.frame, kept.energy_frame, kept.labels, kept.vectors, *kept.indices]
         arrays += [array for pair in kept.singular_pairs for array in pair]
         assert (kept.route == "sector") == (name == "random")
@@ -890,14 +885,14 @@ def test_splits_in_a_basis_are_kept_apart_from_the_own_frame_split(rng, monkeypa
     run_standard_checks(gen)
     Propagator(gen.superoperator, gen.basis)
     entry = dynamics._kept[id(gen.superoperator)]
-    assert entry.own is None and entry.framed.sectors.basis is gen.basis
+    assert entry.own is None and entry.framed.basis is gen.basis
     framed = entry.framed
     steady_state(gen.superoperator)
     own = entry.own
     splits = count_splits(monkeypatch)
     # the array in its basis reads the basis split, and the own-frame split stays
-    assert Propagator(gen.superoperator, gen.basis).sectors is framed.sectors
-    assert Propagator(gen.superoperator).sectors is own.sectors and own.sectors.basis is None
+    assert Propagator(gen.superoperator, gen.basis) is framed
+    assert Propagator(gen.superoperator) is own and own.basis is None
     assert splits == [] and list(dynamics._kept) == [id(gen.superoperator)]
     assert (entry.own, entry.framed) == (own, framed)
 
@@ -907,7 +902,7 @@ def test_audits_do_not_measure_hermiticity_preservation(rng):
     for prop in (Propagator(gen.superoperator, gen.basis), Propagator(gen.superoperator)):
         check_cptp(prop)
         check_spectral(prop)
-        assert "hermiticity_defect" not in vars(prop.sectors)
+        assert "hermiticity_defect" not in vars(prop)
 
 
 def count_linalg(monkeypatch, names):
@@ -970,9 +965,11 @@ def test_kept_propagator_is_read_only_and_owns_its_arrays(name, rng):
     l_mat = gen.superoperator
     eigenvalues = check_spectral(l_mat).details["eigenvalues"]
     prop = Propagator(l_mat)
-    assert prop.eigenvalues is eigenvalues and prop.sectors is dynamics._kept[id(l_mat)].own.sectors
-    assert prop.superoperator is prop.sectors.superoperator
-    arrays = [prop.superoperator, prop.eigenvalues, *prop._blocks, *prop._evals, *prop._evecs, *prop._inv]
+    assert prop.eigenvalues is eigenvalues and prop is dynamics._kept[id(l_mat)].own
+    assert prop.superoperator is dynamics._kept[id(l_mat)].copy
+    arrays = [prop.superoperator, prop.eigenvalues, *prop._blocks, *(a for pair in prop._eig for a in pair), *prop._inv]
+    # the singular values and the SVD, first read here
+    arrays += [*prop.singular_values, *(array for pair in prop.singular_pairs for array in pair)]
     for array in arrays:
         assert not array.flags.writeable
         assert not np.shares_memory(array, l_mat)
@@ -1105,11 +1102,10 @@ def test_store_aliases_no_caller_array_and_leaves_them_writeable(name, rng):
         steady_state(target)
     entry = dynamics._kept[id(l_mat)]
     kept = [entry.copy]
-    for slot in (entry.own, entry.framed):
-        sectors, prop = slot.sectors, slot.propagator
-        kept += [sectors.frame, sectors.energy_frame, sectors.labels, sectors.vectors, *sectors.indices]
-        kept += [*sectors.singular_values, *(array for pair in sectors.singular_pairs for array in pair)]
-        kept += [prop.superoperator, prop.eigenvalues, *prop._blocks, *prop._evals, *prop._evecs, *prop._inv]
+    for prop in (entry.own, entry.framed):
+        kept += [prop.frame, prop.energy_frame, prop.labels, prop.vectors, *prop.indices]
+        kept += [*prop.singular_values, *(array for pair in prop.singular_pairs for array in pair)]
+        kept += [prop.superoperator, prop.eigenvalues, *prop._blocks, *(a for pair in prop._eig for a in pair), *prop._inv]
     for caller in (l_mat, vectors, labels):
         assert caller.flags.writeable
         assert not any(np.shares_memory(caller, array) for array in kept if array is not None)
@@ -1150,13 +1146,13 @@ def test_fresh_bases_for_one_array_keep_one_basis_split(rng):
     splits = []
     for k in range(100):
         basis = eigenoperator_basis(gen.hamiltonian)
-        split = Propagator(l_mat, basis).sectors if k % 2 else dynamics._split(l_mat, basis)
+        split = Propagator(l_mat, basis) if k % 2 else dynamics._kept_propagator(l_mat, basis)
         assert split.basis is basis
         splits.append(weakref.ref(split))
     del basis, split
     gc.collect()
     alive = [ref() for ref in splits if ref() is not None]
-    assert len(alive) == 1 and alive[0] is dynamics._kept[id(l_mat)].framed.sectors
+    assert len(alive) == 1 and alive[0] is dynamics._kept[id(l_mat)].framed
 
 
 def test_threads_sharing_a_generator_and_fresh_bases_get_fresh_results(rng):
@@ -1210,12 +1206,68 @@ def test_kept_entry_goes_with_its_generator(rng):
     steady_state(gen)
     steady_state(gen.superoperator)
     entry = dynamics._kept[id(gen.superoperator)]
-    objects = (gen, gen.superoperator, gen.basis, entry.own.sectors, entry.framed.sectors, entry.framed.propagator)
+    objects = (gen, gen.superoperator, gen.basis, entry.own, entry.framed)
     alive = [weakref.ref(obj) for obj in objects]
     del gen, entry, objects
     gc.collect()
     assert not dynamics._kept and all(ref() is None for ref in alive)
     assert report.passed
+
+
+# -- one kept Propagator per split, decomposed when first read ---------------------
+
+
+def test_propagator_of_a_live_array_is_its_kept_instance(rng):
+    gen = INPUTS["random4"](rng)
+    l_mat = gen.superoperator
+    entry = dynamics._kept_entry(l_mat)
+    assert Propagator(l_mat) is Propagator(l_mat) is entry.own
+    assert Propagator(l_mat, gen.basis) is Propagator(l_mat, gen.basis) is entry.framed
+    assert entry.own is not entry.framed and entry.own.basis is None and entry.framed.basis is gen.basis
+
+
+@pytest.mark.parametrize("with_basis", [False, True], ids=["bare", "basis"])
+def test_propagator_survives_copy_and_pickle(with_basis, rng):
+    gen = INPUTS["random4"](rng)
+    prop = Propagator(gen.superoperator, gen.basis if with_basis else None)
+    for duplicate in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+        other = duplicate(prop)
+        for name in ("route", "arithmetic", "off_sector_norm"):
+            assert getattr(other, name) == getattr(prop, name)
+        np.testing.assert_array_equal(other.eigenvalues, prop.eigenvalues)
+        np.testing.assert_array_equal(other(0.7), prop(0.7))
+
+
+@pytest.mark.parametrize("with_basis", [False, True], ids=["bare", "basis"])
+@pytest.mark.parametrize("name", sorted(MEMO_INPUTS))
+def test_split_is_decomposed_when_first_read(name, with_basis, rng, monkeypatch):
+    gen = MEMO_INPUTS[name](rng)
+    l_mat = gen.superoperator.copy()  # an array never split before
+    basis = gen.basis if with_basis else None
+    target = types.SimpleNamespace(superoperator=l_mat, basis=basis) if with_basis else l_mat
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.eig was called")
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    steady_state(target)
+    check_fixed_point(target, gen.hamiltonian, gen.beta)
+    check_structure_support(target, gen.basis)
+    monkeypatch.undo()
+    shapes, eig = [], np.linalg.eig
+
+    def counting(matrix):
+        shapes.append(matrix.shape)
+        return eig(matrix)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    prop = Propagator(l_mat, basis)
+    entry = dynamics._kept[id(l_mat)]
+    assert prop is (entry.framed if with_basis else entry.own)
+    # one batched eig per block size, none for the 1x1 blocks
+    expected = [block.shape for block in prop._blocks if block.shape[-1] > 1]
+    assert shapes == expected
+    assert Propagator(l_mat, basis) is prop and shapes == expected  # nothing is decomposed again
 
 
 # -- states Hermitian by construction on the sector route -------------------------
@@ -1258,7 +1310,7 @@ def test_sector_states_are_hermitian_by_construction(name, with_basis, rng):
     l_mat = gen.superoperator
     n = gen.basis.n_levels
     prop = Propagator(l_mat, gen.basis if with_basis else None)
-    assert prop.route == "sector" and prop.sectors._preserves_hermiticity()
+    assert prop.route == "sector" and prop._preserves_hermiticity()
     assert prop.diagonalizable == (name != "expm")
     rho0 = presets.random_density_matrix(n, rng)
     times = np.linspace(0.0, 30.0, 16)
@@ -1291,7 +1343,7 @@ def test_sector_l_that_breaks_hermiticity_keeps_the_pass(rng):
     gen = sector_breaking(4, rng)
     l_mat = gen.superoperator
     for prop in (Propagator(l_mat, gen.basis), Propagator(l_mat)):
-        assert prop.route == "sector" and not prop.sectors._preserves_hermiticity()
+        assert prop.route == "sector" and not prop._preserves_hermiticity()
         rho0 = presets.random_density_matrix(4, rng)
         times = np.linspace(0.0, 3.0, 7)
         traj = propagate(prop, rho0, times)
@@ -1318,12 +1370,12 @@ def test_complex_dense_split_forms_no_real_frame(rng, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_hermitian_coords", counting_coords)
     for basis in (gen.basis, None):
-        sectors = _Sectors(gen.superoperator, basis)
+        sectors = Propagator._build(gen.superoperator, basis)
         assert calls == []
         assert (sectors.route, sectors.arithmetic) == ("dense", "complex")
         assert sectors.hermiticity_defect > 1e-3
     # a Hermiticity-preserving dense L forms R = T^dag L T with two passes
-    sectors = _Sectors(foreign(4, rng).superoperator)
+    sectors = Propagator._build(foreign(4, rng).superoperator)
     assert sectors.arithmetic == "real" and len(calls) == 2
 
 
@@ -1334,9 +1386,9 @@ def test_propagate_measures_a_sector_split_once(with_basis, rng, monkeypatch):
     prop = Propagator(l_mat, gen.basis if with_basis else None)
     target = prop if with_basis else l_mat
     rho0 = presets.random_density_matrix(4, rng)
-    assert prop.route == "sector" and "hermiticity_defect" not in vars(prop.sectors)
+    assert prop.route == "sector" and "hermiticity_defect" not in vars(prop)
     first = propagate(target, rho0, [0.0, 1.0])
-    assert vars(prop.sectors)["hermiticity_defect"] <= 1e-12 * max(1.0, np.linalg.norm(l_mat))
+    assert vars(prop)["hermiticity_defect"] <= 1e-12 * max(1.0, np.linalg.norm(l_mat))
 
     def forbidden(*args):
         raise AssertionError("Hermiticity preservation measured again")
@@ -1374,7 +1426,7 @@ def test_hermiticity_decision_and_state_contract(name, n, with_basis, seed):
         assert prop.route == "sector"
     elif name == "foreign" and n > 1:
         assert (prop.route, prop.arithmetic) == ("dense", "real")
-    assert prop.sectors._preserves_hermiticity() == preserves
+    assert prop._preserves_hermiticity() == preserves
     if prop.route == "dense":
         assert (prop.arithmetic == "real") == preserves
 

@@ -34,7 +34,6 @@ from thermolindblad import (
     spohn_monitor,
     vectorize,
 )
-from thermolindblad.dynamics import _Sectors
 from thermolindblad.liouville import _conjugated, gkls_dissipator
 from thermolindblad.reporting import to_jsonable
 
@@ -258,7 +257,7 @@ def test_support_defect_is_the_sector_off_norm(make, rng):
             gen = {"random": random_restricted, "ladder": ladder_with_mixing, "foreign": foreign}[make](5, rng)
         diss, basis = gen.dissipator, gen.basis
     support = check_structure_support(diss, basis)
-    assert support.defect == _Sectors(diss, basis).off_sector_norm
+    assert support.defect == Propagator._build(diss, basis).off_sector_norm
 
 
 # -- fixed point -------------------------------------------------------------
